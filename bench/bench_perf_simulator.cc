@@ -7,39 +7,37 @@
  *     rows per second, plus raw row write/read Mbit/s, measured on
  *     BOTH single-trial executor modes.
  *
- *  2. Monte-Carlo trial throughput: trials/s of the same programs
- *     through the scalar reference, the word-parallel executor, and
- *     the trial-sliced block executor at 1 and --workers threads.
- *     The sliced results are verified bit-identical to the scalar
- *     reference across all four manufacturer profiles, a RESULT_HASH
- *     line fingerprints every sliced outcome (worker-count invariant
- *     by construction), and the run HARD-FAILS (exit 1) if the
- *     sliced-times-threads geomean speedup over the scalar reference
- *     drops below 10x.
+ *  2. Fleet sweep: single-trial NOT runs over the SK Hynix fleet
+ *     through FleetSession::runOverFleet on the persistent-pool
+ *     scheduler. A RESULT_HASH line fingerprints every outcome
+ *     (worker-count invariant by construction).
  *
- *  3. Fleet sweep: (module x trial-block) tiles of sliced NOT blocks
- *     over the SK Hynix fleet through FleetSession::runOverFleetTiled
- *     on the persistent-pool scheduler.
+ *  3. Telemetry overhead guard: word-parallel NOT runs at 8192
+ *     columns through a nullptr sink, the disabled global sink and
+ *     the metrics-on global sink. The run HARD-FAILS (exit 1) if the
+ *     disabled sink keeps less than 97% of the nullptr-sink
+ *     throughput.
  *
  *  4. google-benchmark microbenchmarks (decoder queries, analytic
  *     sweeps, session pair discovery) for interactive profiling.
  *
  * Everything lands in BENCH_perf_simulator.json (benchutil
  * --json-out=PATH honored); --workers=N sets the thread count of the
- * threaded sections.
+ * fleet sweep.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bender/trialslice.hh"
 #include "benchutil.hh"
 #include "common/rng.hh"
 #include "fcdram/analytic.hh"
@@ -254,25 +252,10 @@ runThroughputSection(benchutil::BenchReport &report)
 
 namespace {
 
-// ---- Section 2: Monte-Carlo trial throughput (trial slicing) -------
+// ---- Section 2: fleet sweep ----------------------------------------
 
-/** Trials one sliced block packs (the bench always runs full blocks). */
-constexpr int kLanes = TrialSlicedExecutor::kMaxLanes;
-
-/** Sliced blocks measured per op (fixed, so RESULT_HASH is stable). */
-constexpr int kSlicedBlocks = 12;
-
-std::vector<std::uint64_t>
-trialSeedsFor(std::uint64_t salt, int first, int count)
-{
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(static_cast<std::size_t>(count));
-    for (int t = first; t < first + count; ++t) {
-        seeds.push_back(
-            hashCombine(salt, static_cast<std::uint64_t>(t)));
-    }
-    return seeds;
-}
+/** Single-trial runs per module (fixed, so RESULT_HASH is stable). */
+constexpr std::uint64_t kSweepTrialsPerModule = 256;
 
 /** Order-stable fingerprint of one trial's outcomes. */
 std::uint64_t
@@ -296,79 +279,17 @@ hashExecResult(std::uint64_t h, const ExecResult &result)
 }
 
 /**
- * Trials/s of per-trial single-Executor runs (fresh chip copy per
- * trial, the honest Monte-Carlo loop the sliced path replaces).
+ * NOT followed by a nominal readback of its destination row, so the
+ * stochastic outcomes surface in ExecResult (and therefore in
+ * RESULT_HASH). Empty when pair discovery under @p pairSeed finds no
+ * 1:1 activation pair.
  */
-double
-perTrialTrialsPerSec(const Chip &base, const Program &program,
-                     ExecMode mode, int trials, std::uint64_t salt)
+std::optional<Program>
+makeNotProgram(const Chip &chip, std::uint64_t pairSeed)
 {
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point start = Clock::now();
-    for (int t = 0; t < trials; ++t) {
-        Chip chip = base;
-        Executor executor(chip, hashCombine(salt, t),
-                          TimingParams::nominal(), mode);
-        benchmark::DoNotOptimize(executor.run(program));
-    }
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    return seconds > 0.0 ? trials / seconds : 0.0;
-}
-
-/**
- * Trials/s of kSlicedBlocks sliced blocks, fanned out over
- * @p scheduler. Per-block hashes fold in block order, so *hashOut is
- * invariant in the worker count.
- */
-double
-slicedTrialsPerSec(const Chip &base, const Program &program,
-                   const Scheduler &scheduler, std::uint64_t salt,
-                   std::uint64_t *hashOut)
-{
-    using Clock = std::chrono::steady_clock;
-    std::vector<std::uint64_t> blockHashes(kSlicedBlocks, 0);
-    const Clock::time_point start = Clock::now();
-    scheduler.run(kSlicedBlocks, [&](std::size_t block) {
-        TrialSlicedExecutor sliced(
-            base,
-            trialSeedsFor(salt, static_cast<int>(block) * kLanes,
-                          kLanes));
-        const std::vector<ExecResult> results = sliced.run(program);
-        std::uint64_t h = 0;
-        for (const ExecResult &result : results)
-            h = hashExecResult(h, result);
-        blockHashes[block] = h;
-    });
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (hashOut != nullptr) {
-        for (const std::uint64_t h : blockHashes)
-            *hashOut = hashCombine(*hashOut, h);
-    }
-    const double trials =
-        static_cast<double>(kSlicedBlocks) * kLanes;
-    return seconds > 0.0 ? trials / seconds : 0.0;
-}
-
-/**
- * One measurable trial program: the violated-timing op followed by a
- * nominal readback of its result row, so the stochastic outcomes
- * surface in ExecResult (and therefore in RESULT_HASH).
- */
-struct OpProgram
-{
-    Program program;
-    bool valid = false;
-};
-
-/** NOT: restored source, violated destination, read the destination. */
-OpProgram
-makeNotProgram(const Chip &chip)
-{
-    const auto pairs = findActivationPairs(chip, 1, 1, 1, 3);
+    const auto pairs = findActivationPairs(chip, 1, 1, 1, pairSeed);
     if (pairs.empty())
-        return {};
+        return std::nullopt;
     const GeometryConfig &geometry = chip.geometry();
     const RowId src = composeRow(geometry, 0, pairs[0].first);
     const RowId dst = composeRow(geometry, 1, pairs[0].second);
@@ -380,249 +301,22 @@ makeNotProgram(const Chip &chip)
         .actNominal(0, dst)
         .readNominal(0, dst)
         .preNominal(0);
-    return {builder.build(), true};
+    return builder.build();
 }
-
-/** NAND-family charge share, read the compute-side anchor row. */
-OpProgram
-makeNandProgram(const Chip &chip)
-{
-    const auto pairs = findActivationPairs(chip, 2, 2, 1, 3);
-    if (pairs.empty())
-        return {};
-    const GeometryConfig &geometry = chip.geometry();
-    const RowId ref = composeRow(geometry, 0, pairs[0].first);
-    const RowId com = composeRow(geometry, 1, pairs[0].second);
-    ProgramBuilder builder(chip.profile().speed);
-    builder.act(0, ref, 0.0)
-        .pre(0, kViolatedGapTargetNs)
-        .act(0, com, kViolatedGapTargetNs)
-        .preNominal(0)
-        .actNominal(0, com)
-        .readNominal(0, com)
-        .preNominal(0);
-    return {builder.build(), true};
-}
-
-/** SiMRA MAJ on a 4-row group, read the group's RF row. */
-OpProgram
-makeMajProgram(const Chip &chip)
-{
-    const auto pairs = findSimraPairs(chip, 4, 1, 3);
-    if (pairs.empty())
-        return {};
-    const GeometryConfig &geometry = chip.geometry();
-    const RowId rf = composeRow(geometry, 0, pairs[0].first);
-    const RowId rl = composeRow(geometry, 0, pairs[0].second);
-    ProgramBuilder builder(chip.profile().speed);
-    builder.act(0, rf, 0.0)
-        .pre(0, kViolatedGapTargetNs)
-        .act(0, rl, kViolatedGapTargetNs)
-        .preNominal(0)
-        .actNominal(0, rf)
-        .readNominal(0, rf)
-        .preNominal(0);
-    return {builder.build(), true};
-}
-
-/**
- * Bit-identity spot check on one profile: a sliced block of 8 lanes
- * against 8 per-trial scalar-reference executions at tiny geometry.
- */
-bool
-verifySlicedAgainstScalar(const ChipProfile &profile)
-{
-    Chip base(profile, GeometryConfig::tiny(), 1);
-    const GeometryConfig &geometry = base.geometry();
-    Rng rng(0xDA7A);
-    for (int sa = 0; sa < 3; ++sa) {
-        for (RowId local = 0; local < 2; ++local) {
-            BitVector pattern(
-                static_cast<std::size_t>(geometry.columns));
-            pattern.randomize(rng);
-            base.bank(0).writeRowBits(
-                composeRow(geometry, static_cast<SubarrayId>(sa),
-                           local),
-                pattern);
-        }
-    }
-    ProgramBuilder builder(profile.speed);
-    const Ns rest = TimingParams::nominal().tRas;
-    builder.act(0, composeRow(geometry, 1, 0), 0.0)
-        .pre(0, rest)
-        .act(0, composeRow(geometry, 2, 0), kViolatedGapTargetNs)
-        .preNominal(0)
-        .actNominal(0, composeRow(geometry, 2, 0))
-        .readNominal(0, composeRow(geometry, 2, 0))
-        .preNominal(0)
-        .actNominal(0, composeRow(geometry, 1, 0))
-        .pre(0, kViolatedGapTargetNs)
-        .act(0, composeRow(geometry, 1, 5), kViolatedGapTargetNs)
-        .preNominal(0)
-        .actNominal(0, composeRow(geometry, 1, 0))
-        .readNominal(0, composeRow(geometry, 1, 0))
-        .preNominal(0);
-    const Program program = builder.build();
-
-    const auto seeds = trialSeedsFor(0x5EED, 0, 8);
-    TrialSlicedExecutor sliced(base, seeds);
-    const std::vector<ExecResult> block = sliced.run(program);
-    for (std::size_t t = 0; t < seeds.size(); ++t) {
-        Chip reference = base;
-        Executor executor(reference, seeds[t], TimingParams::nominal(),
-                          ExecMode::ScalarReference);
-        const ExecResult expected = executor.run(program);
-        if (block[t].reads != expected.reads)
-            return false;
-    }
-    return true;
-}
-
-struct TrialThroughput
-{
-    std::string name;
-    double scalar = 0.0;
-    double word = 0.0;
-    double sliced1 = 0.0;
-    double slicedN = 0.0;
-};
 
 } // namespace
 
 /**
- * Section 2 driver. Returns the geomean sliced-times-threads speedup
- * over the scalar reference (the hard-gated number) and folds every
- * sliced outcome into @p resultHash.
+ * Section 2: single-trial NOT runs over the SK Hynix fleet. Each
+ * module runs its trials in order on one private chip copy, trial t
+ * seeded by Scheduler::taskSeed(view.seed, t); runOverFleet folds the
+ * per-module hashes in module order. Returns the fleet's result hash,
+ * which is therefore independent of the worker count.
  */
-double
-runTrialSliceSection(benchutil::BenchReport &report, int workers,
-                     std::uint64_t *resultHash)
+std::uint64_t
+runFleetSweepSection(benchutil::BenchReport &report, int workers)
 {
-    std::cout << "\n-- Monte-Carlo trial throughput (trial slicing,"
-              << " workers=" << workers << ") --\n";
-
-    for (const ChipProfile &profile : {
-             ChipProfile::make(Manufacturer::SkHynix, 4, 'M', 8, 2666),
-             ChipProfile::make(Manufacturer::SkHynix, 4, 'A', 8, 2133),
-             ChipProfile::make(Manufacturer::Samsung, 4, 'F', 8, 2666),
-             ChipProfile::make(Manufacturer::Micron, 8, 'B', 8, 2666),
-         }) {
-        if (!verifySlicedAgainstScalar(profile)) {
-            std::cerr << "FAIL: sliced trials diverge from the scalar"
-                      << " reference on " << profile.label() << "\n";
-            std::exit(1);
-        }
-    }
-    std::cout << "sliced == scalar reference verified on all 4"
-              << " profiles\n";
-    report.lap("trials_verify");
-
-    const Scheduler single(1);
-    const Scheduler pool(workers);
-
-    struct OpCase
-    {
-        const char *name;
-        OpProgram (*make)(const Chip &);
-    };
-    const OpCase cases[] = {
-        {"not", makeNotProgram},
-        {"nand", makeNandProgram},
-        {"maj", makeMajProgram},
-    };
-
-    Table table({"op", "scalar trials/s", "word trials/s",
-                 "sliced x1 trials/s",
-                 "sliced x" + std::to_string(workers) + " trials/s",
-                 "speedup"});
-    double product = 1.0;
-    int count = 0;
-    std::uint64_t caseIndex = 0;
-    for (const OpCase &opCase : cases) {
-        ++caseIndex;
-        Chip base(benchProfile(), wideGeometry(), 1);
-        Rng rng(0xF1E1D);
-        for (int sa = 0; sa < 2; ++sa) {
-            for (RowId local = 0; local < 2; ++local) {
-                BitVector pattern(
-                    static_cast<std::size_t>(kWideColumns));
-                pattern.randomize(rng);
-                base.bank(0).writeRowBits(
-                    composeRow(base.geometry(),
-                               static_cast<SubarrayId>(sa), local),
-                    pattern);
-            }
-        }
-        const OpProgram op = opCase.make(base);
-        if (!op.valid) {
-            std::cout << opCase.name
-                      << ": no qualifying pair, skipped\n";
-            continue;
-        }
-
-        TrialThroughput row;
-        row.name = opCase.name;
-        const std::uint64_t salt = hashCombine(0xB10C, caseIndex);
-        row.scalar = perTrialTrialsPerSec(
-            base, op.program, ExecMode::ScalarReference, 6, salt);
-        row.word = perTrialTrialsPerSec(
-            base, op.program, ExecMode::WordParallel, 48, salt);
-        std::uint64_t hash1 = 0;
-        row.sliced1 = slicedTrialsPerSec(base, op.program, single,
-                                         salt, &hash1);
-        std::uint64_t hashN = 0;
-        row.slicedN = slicedTrialsPerSec(base, op.program, pool, salt,
-                                         &hashN);
-        if (hash1 != hashN) {
-            std::cerr << "FAIL: sliced result hash differs between 1"
-                      << " and " << workers << " workers on "
-                      << opCase.name << "\n";
-            std::exit(1);
-        }
-        if (resultHash != nullptr)
-            *resultHash = hashCombine(*resultHash, hashN);
-
-        const double speedup =
-            row.scalar > 0.0 ? row.slicedN / row.scalar : 0.0;
-        table.addRow();
-        table.addCell(row.name);
-        table.addCell(row.scalar, 1);
-        table.addCell(row.word, 1);
-        table.addCell(row.sliced1, 1);
-        table.addCell(row.slicedN, 1);
-        table.addCell(speedup, 1);
-        const std::string prefix = opCase.name;
-        report.metric(prefix + "_trials_per_s_scalar", row.scalar);
-        report.metric(prefix + "_trials_per_s_word", row.word);
-        report.metric(prefix + "_trials_per_s_sliced1", row.sliced1);
-        report.metric(prefix + "_trials_per_s_slicedN", row.slicedN);
-        report.metric(prefix + "_trials_speedup", speedup);
-        if (speedup > 0.0) {
-            product *= speedup;
-            ++count;
-        }
-    }
-    table.print(std::cout);
-    report.lap("trials");
-
-    const double geomean =
-        count > 0 ? std::pow(product, 1.0 / count) : 0.0;
-    report.metric("trials_speedup_geomean", geomean);
-    std::cout << "trial-sliced x" << workers
-              << " speedup over scalar reference (geomean of " << count
-              << " ops): " << formatDouble(geomean, 1) << "x\n";
-    return geomean;
-}
-
-/**
- * Section 3: (module x trial-block) fleet sweep of sliced NOT blocks
- * through the tiled fleet fan-out.
- */
-void
-runFleetSweepSection(benchutil::BenchReport &report, int workers,
-                     std::uint64_t *resultHash)
-{
-    std::cout << "\n-- Fleet sweep (module x trial-block tiles,"
+    std::cout << "\n-- Fleet sweep (single-trial NOT runs,"
               << " workers=" << workers << ") --\n";
 
     CampaignConfig config;
@@ -644,37 +338,23 @@ runFleetSweepSection(benchutil::BenchReport &report, int workers,
         }
     };
 
-    constexpr std::size_t kTilesPerModule = 4;
     using Clock = std::chrono::steady_clock;
     const Clock::time_point start = Clock::now();
-    const SweepAccum total = session.runOverFleetTiled<SweepAccum>(
-        FleetSession::Fleet::SkHynix, kTilesPerModule,
-        [&](const FleetSession::ModuleView &view, std::size_t tile,
-            std::size_t, SweepAccum &accum) {
-            const auto pairs =
-                findActivationPairs(view.chip, 1, 1, 1, view.seed);
-            if (pairs.empty())
+    const SweepAccum total = session.runOverFleet<SweepAccum>(
+        FleetSession::Fleet::SkHynix,
+        [&](const FleetSession::ModuleView &view, SweepAccum &accum) {
+            const std::optional<Program> program =
+                makeNotProgram(view.chip, view.seed);
+            if (!program)
                 return;
-            const GeometryConfig &geometry = view.chip.geometry();
-            const RowId src = composeRow(geometry, 0, pairs[0].first);
-            const RowId dst = composeRow(geometry, 1, pairs[0].second);
-            ProgramBuilder builder(view.chip.profile().speed);
-            builder.act(0, src, 0.0)
-                .pre(0, TimingParams::nominal().tRas)
-                .act(0, dst, kViolatedGapTargetNs)
-                .preNominal(0)
-                .actNominal(0, dst)
-                .readNominal(0, dst)
-                .preNominal(0);
-            TrialSlicedExecutor sliced(
-                view.chip,
-                trialSeedsFor(Scheduler::taskSeed(view.seed, tile), 0,
-                              kLanes));
-            const std::vector<ExecResult> results =
-                sliced.run(builder.build());
-            for (const ExecResult &result : results)
-                accum.hash = hashExecResult(accum.hash, result);
-            accum.trials += results.size();
+            Chip chip = view.chip;
+            for (std::uint64_t t = 0; t < kSweepTrialsPerModule; ++t) {
+                Executor executor(chip,
+                                  Scheduler::taskSeed(view.seed, t));
+                accum.hash =
+                    hashExecResult(accum.hash, executor.run(*program));
+            }
+            accum.trials += kSweepTrialsPerModule;
         });
     const double seconds =
         std::chrono::duration<double>(Clock::now() - start).count();
@@ -687,60 +367,76 @@ runFleetSweepSection(benchutil::BenchReport &report, int workers,
                   static_cast<double>(total.trials));
     report.metric("fleet_sweep_trials_per_s", trials_per_sec);
     std::cout << "fleet sweep: " << total.trials
-              << " sliced trials across "
+              << " single-trial runs across "
               << session.modules(FleetSession::Fleet::SkHynix).size()
-              << " modules x " << kTilesPerModule << " tiles, "
-              << formatDouble(trials_per_sec, 0) << " trials/s\n";
-    if (resultHash != nullptr)
-        *resultHash = hashCombine(*resultHash, total.hash);
+              << " modules, " << formatDouble(trials_per_sec, 0)
+              << " trials/s\n";
+    return total.hash;
 }
 
 namespace {
 
-// ---- Section 4: telemetry overhead guard ---------------------------
+// ---- Section 3: telemetry overhead guard ---------------------------
 
 /**
- * Trials/s of @p blocks sliced blocks through a specific telemetry
- * sink (nullptr = the exact pre-telemetry code path).
+ * One repetition of the overhead guard: @p runs word-parallel
+ * single-trial executions of @p program per sink, alternating between
+ * the sinks run by run so host noise hits every sink alike. Returns
+ * runs/s per sink (nullptr = the exact pre-telemetry code path). All
+ * runs share one copy of @p base, made before the clock starts:
+ * copying an 8192-column chip costs about ten NOT runs and would
+ * drown out the sink overhead being measured.
  */
-double
+std::array<double, 3>
 sinkTrialsPerSec(const Chip &base, const Program &program,
-                 std::uint64_t salt, int blocks,
-                 obs::Telemetry *telemetry)
+                 std::uint64_t salt, int runs,
+                 const std::array<obs::Telemetry *, 3> &sinks)
 {
     using Clock = std::chrono::steady_clock;
-    const Clock::time_point start = Clock::now();
-    for (int block = 0; block < blocks; ++block) {
-        TrialSlicedExecutor sliced(
-            base, trialSeedsFor(salt, block * kLanes, kLanes),
-            TimingParams::nominal(), telemetry);
-        benchmark::DoNotOptimize(sliced.run(program));
+    Chip chip = base;
+    std::array<double, 3> seconds{};
+    std::uint64_t seed = 0;
+    for (int run = 0; run < runs; ++run) {
+        for (std::size_t s = 0; s < sinks.size(); ++s) {
+            const Clock::time_point start = Clock::now();
+            Executor executor(chip, hashCombine(salt, seed++),
+                              TimingParams::nominal(),
+                              ExecMode::WordParallel, sinks[s]);
+            benchmark::DoNotOptimize(executor.run(program));
+            seconds[s] += std::chrono::duration<double>(Clock::now() -
+                                                        start)
+                              .count();
+        }
     }
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    const double trials = static_cast<double>(blocks) * kLanes;
-    return seconds > 0.0 ? trials / seconds : 0.0;
+    std::array<double, 3> rates{};
+    for (std::size_t s = 0; s < sinks.size(); ++s)
+        rates[s] = seconds[s] > 0.0 ? runs / seconds[s] : 0.0;
+    return rates;
 }
 
 } // namespace
 
 /**
- * Telemetry overhead guard. Measures trial-sliced NOT throughput
- * through (a) a nullptr sink -- the exact code path before telemetry
- * existed, (b) the global registry with every pillar disabled, and
- * (c) the global registry with the metrics pillar on. Measurements
- * alternate per repetition and take the best of 5 so scheduler noise
- * on a busy CI core hits every path equally. Returns the
- * disabled/baseline throughput ratio (hard-gated >= 0.97 by main);
- * the enabled-metrics overhead is reported as a metric only.
+ * Telemetry overhead guard. Measures word-parallel single-trial NOT
+ * throughput through (a) a nullptr sink -- the exact code path before
+ * telemetry existed, (b) the global registry with every pillar
+ * disabled, and (c) a registry with the metrics pillar on. The sinks
+ * alternate run by run and each takes its best of 5 repetitions, so
+ * scheduler noise on a busy CI core hits every path equally. Returns
+ * the disabled/baseline throughput ratio (hard-gated >= 0.97 by
+ * main); the enabled-metrics overhead is reported as a metric only.
  */
 double
 runTelemetryOverheadSection(benchutil::BenchReport &report)
 {
-    std::cout << "\n-- Telemetry overhead (sliced NOT blocks) --\n";
+    std::cout << "\n-- Telemetry overhead (word-parallel NOT runs) --\n";
     obs::Telemetry &tel = obs::global();
     const obs::TelemetryConfig saved = tel.config();
     tel.configure(obs::TelemetryConfig{});
+    obs::Telemetry metricsSink;
+    obs::TelemetryConfig metricsOnly;
+    metricsOnly.metrics = true;
+    metricsSink.configure(metricsOnly);
 
     Chip base(benchProfile(), wideGeometry(), 1);
     Rng rng(0xF1E1D);
@@ -754,41 +450,30 @@ runTelemetryOverheadSection(benchutil::BenchReport &report)
                 pattern);
         }
     }
-    const OpProgram op = makeNotProgram(base);
-    if (!op.valid) {
+    const std::optional<Program> program = makeNotProgram(base, 3);
+    if (!program) {
         std::cout << "no qualifying pair, section skipped\n";
         tel.configure(saved);
         return 1.0;
     }
 
-    constexpr int kBlocks = 8;
+    constexpr int kRuns = 128;
     constexpr int kReps = 5;
-    double baseline = 0.0;
-    double disabled = 0.0;
+    const std::array<obs::Telemetry *, 3> sinks = {nullptr, &tel,
+                                                   &metricsSink};
+    std::array<double, 3> best{};
     for (int rep = 0; rep < kReps; ++rep) {
-        const std::uint64_t salt =
-            hashCombine(0x0B5E, static_cast<std::uint64_t>(rep));
-        baseline = std::max(
-            baseline,
-            sinkTrialsPerSec(base, op.program, salt, kBlocks,
-                             nullptr));
-        disabled = std::max(
-            disabled,
-            sinkTrialsPerSec(base, op.program, salt, kBlocks, &tel));
-    }
-
-    obs::TelemetryConfig metricsOnly;
-    metricsOnly.metrics = true;
-    tel.configure(metricsOnly);
-    double enabled = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const std::uint64_t salt =
-            hashCombine(0x0B5E, static_cast<std::uint64_t>(rep));
-        enabled = std::max(
-            enabled,
-            sinkTrialsPerSec(base, op.program, salt, kBlocks, &tel));
+        const std::array<double, 3> rates = sinkTrialsPerSec(
+            base, *program,
+            hashCombine(0x0B5E, static_cast<std::uint64_t>(rep)), kRuns,
+            sinks);
+        for (std::size_t s = 0; s < sinks.size(); ++s)
+            best[s] = std::max(best[s], rates[s]);
     }
     tel.configure(saved);
+    const double baseline = best[0];
+    const double disabled = best[1];
+    const double enabled = best[2];
     report.lap("telemetry_overhead");
 
     const double disabledRatio =
@@ -812,7 +497,7 @@ runTelemetryOverheadSection(benchutil::BenchReport &report)
 
 namespace {
 
-// ---- Section 5: google-benchmark microbenchmarks -------------------
+// ---- Section 4: google-benchmark microbenchmarks -------------------
 
 void
 BM_DecoderNeighborActivation(benchmark::State &state)
@@ -995,10 +680,8 @@ main(int argc, char **argv)
     report.metric("workers", workers);
 
     fcdram::runThroughputSection(report);
-    std::uint64_t result_hash = 0;
-    const double geomean =
-        fcdram::runTrialSliceSection(report, workers, &result_hash);
-    fcdram::runFleetSweepSection(report, workers, &result_hash);
+    const std::uint64_t result_hash =
+        fcdram::runFleetSweepSection(report, workers);
     const double telemetry_ratio =
         fcdram::runTelemetryOverheadSection(report);
 
@@ -1008,11 +691,6 @@ main(int argc, char **argv)
                   static_cast<double>(result_hash & 0xFFFFFFFFULL));
     report.save();
 
-    if (geomean < 10.0) {
-        std::cerr << "FAIL: trial-sliced end-to-end geomean speedup "
-                  << geomean << "x is below the required 10x\n";
-        return 1;
-    }
     if (telemetry_ratio < 0.97) {
         std::cerr << "FAIL: disabled-telemetry throughput is "
                   << telemetry_ratio * 100.0

@@ -5,9 +5,9 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 #include "analog/chargesharing.hh"
-#include "bender/execdetail.hh"
 #include "common/mathutil.hh"
 #include "common/simd.hh"
 #include "dram/address.hh"
@@ -15,13 +15,159 @@
 
 namespace fcdram {
 
-using execdetail::blendWords;
-using execdetail::FastSampler;
-using execdetail::forEachSetBit;
-using execdetail::kAmbiguousBand;
-using execdetail::kMetastableBand;
-using execdetail::kRestoreDoneNs;
-using execdetail::kSenseStartNs;
+namespace {
+
+/** Sensing starts this long after an ACT (charge-sharing time). */
+constexpr Ns kSenseStartNs = 2.0;
+
+/** Full restore takes this long after an ACT. */
+constexpr Ns kRestoreDoneNs = 20.0;
+
+/** Voltages this close to VDD/2 sense metastably. */
+constexpr Volt kMetastableBand = 0.02;
+
+/** Ambiguity window for lazily resolved single-row sensing. */
+constexpr Volt kAmbiguousBand = 0.15;
+
+/** Call fn(col) for every set bit of mask, in ascending order. */
+template <typename Fn>
+void
+forEachSetBit(const BitVector &mask, Fn &&fn)
+{
+    const auto words = mask.words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        std::uint64_t bits = words[w];
+        while (bits != 0) {
+            const int b = std::countr_zero(bits);
+            bits &= bits - 1;
+            fn(static_cast<ColId>(w * 64 +
+                                  static_cast<std::size_t>(b)));
+        }
+    }
+}
+
+/** dst = (dst & ~mask) | (src & mask), word-wise. */
+inline void
+blendWords(std::span<std::uint64_t> dst,
+           std::span<const std::uint64_t> src,
+           std::span<const std::uint64_t> mask)
+{
+    for (std::size_t i = 0; i < dst.size(); ++i)
+        dst[i] = (dst[i] & ~mask[i]) | (src[i] & mask[i]);
+}
+
+/**
+ * Conservative per-bucket bounds on normalQuantile over [k/N,
+ * (k+1)/N). A hash-derived deviate sigma * Q(u) is guaranteed inside
+ * [sigma * lo(bucket), sigma * hi(bucket)], so most Bernoulli draws
+ * resolve from the raw (cheap) uniform without evaluating the
+ * quantile at all; the exact computation only runs when the bounds
+ * straddle the decision threshold. The seam slack covers the rational
+ * approximation's error (|rel| < 1.15e-9) plus any non-monotonicity
+ * at its region boundaries, so skipping is bit-exact.
+ */
+class NormalBuckets
+{
+  public:
+    static constexpr int kCount = 512;
+
+    static const NormalBuckets &instance()
+    {
+        static const NormalBuckets buckets;
+        return buckets;
+    }
+
+    static int bucketOf(double u)
+    {
+        const int b = static_cast<int>(u * kCount);
+        return std::min(std::max(b, 0), kCount - 1);
+    }
+
+    double lo(int b) const { return lo_[static_cast<std::size_t>(b)]; }
+    double hi(int b) const { return hi_[static_cast<std::size_t>(b)]; }
+
+  private:
+    NormalBuckets()
+    {
+        constexpr double kSeamSlack = 1e-6;
+        for (int b = 0; b < kCount; ++b) {
+            lo_[static_cast<std::size_t>(b)] =
+                b == 0 ? -kHashNormalBound
+                       : normalQuantile(static_cast<double>(b) /
+                                        kCount) -
+                             kSeamSlack;
+            hi_[static_cast<std::size_t>(b)] =
+                b == kCount - 1
+                    ? kHashNormalBound
+                    : normalQuantile(static_cast<double>(b + 1) /
+                                     kCount) +
+                          kSeamSlack;
+        }
+    }
+
+    std::array<double, kCount> lo_;
+    std::array<double, kCount> hi_;
+};
+
+/**
+ * Fast exact-semantics cell trial for the word-parallel mode: decides
+ *
+ *   margin - (cellOffset + saOffset) + senseNoise > 0
+ *
+ * from the three raw uniforms and the bucket bounds whenever they
+ * already determine the sign, and falls back to the scalar
+ * reference's exact expressions otherwise. Outcomes are bit-identical
+ * to SuccessModel::sampleTrialAt with the same keys.
+ */
+struct FastSampler
+{
+    const SuccessModel &model;
+    const VariationMap &variation;
+    double cellSigma;
+    double saSigma;
+    double noiseSigma;
+
+    bool success(Volt margin, std::uint64_t cellKey,
+                 std::uint64_t saKey, std::uint64_t noiseKey) const
+    {
+        return successWithSaU(margin, uniformFromHash(saKey), cellKey,
+                              noiseKey);
+    }
+
+    /**
+     * Variant taking the SA offset's raw uniform, so callers that
+     * visit a column once per row hoist its hash + uniform out of
+     * the row loop.
+     */
+    bool successWithSaU(Volt margin, double saU,
+                        std::uint64_t cellKey,
+                        std::uint64_t noiseKey) const
+    {
+        const NormalBuckets &nb = NormalBuckets::instance();
+        const double uc = uniformFromHash(cellKey);
+        const double un = uniformFromHash(noiseKey);
+        const int bc = NormalBuckets::bucketOf(uc);
+        const int bs = NormalBuckets::bucketOf(saU);
+        const int bn = NormalBuckets::bucketOf(un);
+        constexpr double kSlack = 1e-9;
+        const double best = margin - cellSigma * nb.lo(bc) -
+                            saSigma * nb.lo(bs) +
+                            noiseSigma * nb.hi(bn);
+        if (best < -kSlack)
+            return false;
+        const double worst = margin - cellSigma * nb.hi(bc) -
+                             saSigma * nb.hi(bs) +
+                             noiseSigma * nb.lo(bn);
+        if (worst > kSlack)
+            return true;
+        // Undecided: take the scalar reference's exact expressions.
+        const Volt offset = variation.cellOffsetFromKey(cellKey) +
+                            saSigma * normalQuantile(saU);
+        return model.sampleTrialAt(margin, offset, false, noiseKey);
+    }
+};
+
+} // namespace
 
 Executor::Executor(Chip &chip, std::uint64_t trialSeed,
                    const TimingParams &timing, ExecMode mode,

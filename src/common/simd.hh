@@ -10,7 +10,7 @@
  * on any x86-64. Every kernel is bit-exact against its scalar
  * counterpart: classification is pure comparisons and the blend uses
  * the same double-precision multiply/add sequence lane-wise (no FMA
- * contraction), verified by tests/test_trialslice.cc on randomized
+ * contraction), verified by tests/test_wordparallel.cc on randomized
  * inputs.
  */
 

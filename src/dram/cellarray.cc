@@ -12,72 +12,6 @@ constexpr float kGndF = static_cast<float>(kGnd);
 
 } // namespace
 
-TrialPlane::TrialPlane(int cols)
-    : cols_(cols), words_(static_cast<std::size_t>(cols), 0)
-{
-    assert(cols > 0);
-}
-
-TrialPlane
-TrialPlane::broadcast(std::span<const std::uint64_t> rowWords, int cols)
-{
-    TrialPlane plane(cols);
-    for (ColId col = 0; col < static_cast<ColId>(cols); ++col) {
-        const bool bit = (rowWords[col / 64] >> (col % 64)) & 1;
-        plane.words_[static_cast<std::size_t>(col)] =
-            bit ? ~std::uint64_t{0} : std::uint64_t{0};
-    }
-    return plane;
-}
-
-BitVector
-TrialPlane::extractLane(int lane) const
-{
-    BitVector bits(static_cast<std::size_t>(cols_));
-    for (ColId col = 0; col < static_cast<ColId>(cols_); ++col) {
-        bits.set(col,
-                 (words_[static_cast<std::size_t>(col)] >> lane) & 1);
-    }
-    return bits;
-}
-
-void
-transpose64(std::uint64_t a[64])
-{
-    std::uint64_t m = 0x00000000FFFFFFFFULL;
-    for (std::size_t j = 32; j != 0; j >>= 1, m ^= m << j) {
-        for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
-            const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-        }
-    }
-}
-
-void
-TrialPlane::extractLanes(int lanes, std::vector<BitVector> &out) const
-{
-    out.clear();
-    out.reserve(static_cast<std::size_t>(lanes));
-    for (int lane = 0; lane < lanes; ++lane)
-        out.emplace_back(static_cast<std::size_t>(cols_));
-    std::uint64_t block[64];
-    for (int base = 0; base < cols_; base += 64) {
-        const int width = std::min(64, cols_ - base);
-        for (int c = 0; c < width; ++c) {
-            block[c] =
-                words_[static_cast<std::size_t>(base + c)];
-        }
-        for (int c = width; c < 64; ++c)
-            block[c] = 0;
-        transpose64(block);
-        const std::size_t word = static_cast<std::size_t>(base) / 64;
-        for (int lane = 0; lane < lanes; ++lane)
-            out[static_cast<std::size_t>(lane)].words()[word] =
-                block[lane];
-    }
-}
-
 CellArray::CellArray(int rows, int cols)
     : rows_(rows), cols_(cols),
       wordsPerRow_(

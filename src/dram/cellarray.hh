@@ -26,69 +26,6 @@
 
 namespace fcdram {
 
-/**
- * Trial-sliced rail plane of one row: the rail representation gains a
- * third (trial) dimension. Word c packs the row's bit at column c for
- * up to 64 independent trials, one trial per bit lane, so per-column
- * work over a whole trial block happens in single word operations.
- * Lane-uniform rows (all trials agree, e.g. freshly broadcast from a
- * packed CellArray row) have every word at 0 or ~0, which the sliced
- * executor exploits as a fast path. Planes exist only while a trial
- * block is executing; they gather back into per-trial BitVectors via
- * a 64x64 bit transpose.
- */
-class TrialPlane
-{
-  public:
-    TrialPlane() = default;
-
-    /** All-lanes-zero plane over @p cols columns. */
-    explicit TrialPlane(int cols);
-
-    /**
-     * Lane-uniform plane replicating a packed row: word c is ~0 when
-     * bit c of @p rowWords is set, 0 otherwise.
-     */
-    static TrialPlane broadcast(std::span<const std::uint64_t> rowWords,
-                                int cols);
-
-    int cols() const { return cols_; }
-    bool empty() const { return words_.empty(); }
-
-    std::uint64_t word(ColId col) const
-    {
-        return words_[static_cast<std::size_t>(col)];
-    }
-
-    std::uint64_t &word(ColId col)
-    {
-        return words_[static_cast<std::size_t>(col)];
-    }
-
-    std::span<const std::uint64_t> words() const { return words_; }
-    std::span<std::uint64_t> words() { return words_; }
-
-    /** Packed row bits of one trial lane (bit-probing gather). */
-    BitVector extractLane(int lane) const;
-
-    /**
-     * Packed row bits of lanes 0..lanes-1 into @p out (resized), via
-     * 64x64 block transpose: ~64x fewer operations than per-lane
-     * probing when gathering a whole block.
-     */
-    void extractLanes(int lanes, std::vector<BitVector> &out) const;
-
-  private:
-    int cols_ = 0;
-    std::vector<std::uint64_t> words_;
-};
-
-/**
- * In-place transpose of a 64x64 bit matrix held LSB-first: bit j of
- * a[i] moves to bit i of a[j] (recursive block swaps).
- */
-void transpose64(std::uint64_t a[64]);
-
 /** Rows x columns matrix of cell voltages (hybrid packed/analog). */
 class CellArray
 {

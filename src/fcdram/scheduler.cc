@@ -60,7 +60,13 @@ struct Scheduler::Job
     /** Tasks finished so far; the job is done at numTasks. */
     std::atomic<std::size_t> completed{0};
 
-    std::exception_ptr firstError;
+    /**
+     * Exception of the lowest-indexed failing task, which is the one
+     * the inline path stops at, so the rethrown error does not depend
+     * on the worker count or on which task failed first in time.
+     */
+    std::exception_ptr error;
+    std::size_t errorIndex = 0;
     std::mutex errorMutex;
 };
 
@@ -88,8 +94,10 @@ struct Scheduler::Pool
                 invokeTask(*active.task, index);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(active.errorMutex);
-                if (!active.firstError)
-                    active.firstError = std::current_exception();
+                if (!active.error || index < active.errorIndex) {
+                    active.error = std::current_exception();
+                    active.errorIndex = index;
+                }
             }
             const std::size_t done =
                 active.completed.fetch_add(1,
@@ -201,8 +209,8 @@ Scheduler::run(std::size_t numTasks,
         });
         pool_->job.reset();
     }
-    if (job->firstError)
-        std::rethrow_exception(job->firstError);
+    if (job->error)
+        std::rethrow_exception(job->error);
 }
 
 std::uint64_t

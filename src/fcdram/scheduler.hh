@@ -57,8 +57,9 @@ class Scheduler
      * a single task, a nested call from a pool worker, or a
      * concurrent run() already draining the pool); otherwise the
      * calling thread drains tasks alongside the pool workers. Tasks
-     * must be independent; the first exception thrown by any task is
-     * rethrown after the job drains.
+     * must be independent. If any task throws, the exception of the
+     * lowest-indexed failing task is rethrown after the job drains,
+     * whatever the worker count.
      */
     void run(std::size_t numTasks,
              const std::function<void(std::size_t)> &task) const;

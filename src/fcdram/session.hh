@@ -228,52 +228,13 @@ class FleetSession
         std::vector<Accum> partials(fleetModules.size());
         scheduler_.run(fleetModules.size(), [&](std::size_t i) {
             const Module &module = fleetModules[i];
-            const obs::MetricScope scope(module.index, 0);
+            const obs::MetricScope scope(module.index);
             obs::Span span(obs::global(), "fleet.task");
             span.arg("module",
                      static_cast<std::uint64_t>(module.index));
             const ModuleView view{module, *module.spec, chip(module),
                                   module.seed, pairContexts(module)};
             visit(view, partials[i]);
-        });
-        Accum result{};
-        for (Accum &partial : partials)
-            mergeAccum(result, std::move(partial));
-        return result;
-    }
-
-    /**
-     * Tiled variant of runOverFleet: splits every module's work into
-     * @p tilesPerModule independent tasks, so small fleets still
-     * saturate a many-worker scheduler (the (module x trial-block)
-     * decomposition of the Monte-Carlo benches). The visitor receives
-     * (view, tile, tilesPerModule, accum) with tile in
-     * [0, tilesPerModule) and must partition its work by the tile
-     * index and derive randomness from
-     * Scheduler::taskSeed(view.seed, tile); partials fold in (module,
-     * tile) order, so results stay independent of the worker count.
-     */
-    template <class Accum, class Visit>
-    Accum runOverFleetTiled(Fleet fleet, std::size_t tilesPerModule,
-                            Visit visit) const
-    {
-        const std::vector<Module> &fleetModules = modules(fleet);
-        if (tilesPerModule == 0)
-            tilesPerModule = 1;
-        const std::size_t tiles =
-            fleetModules.size() * tilesPerModule;
-        std::vector<Accum> partials(tiles);
-        scheduler_.run(tiles, [&](std::size_t i) {
-            const Module &module = fleetModules[i / tilesPerModule];
-            const std::size_t tile = i % tilesPerModule;
-            const obs::MetricScope scope(module.index, tile);
-            obs::Span span(obs::global(), "fleet.tile");
-            span.arg("module",
-                     static_cast<std::uint64_t>(module.index));
-            span.arg("tile", static_cast<std::uint64_t>(tile));
-            const ModuleView view{module, *module.spec, chip(module),
-                                  module.seed, pairContexts(module)};
-            visit(view, tile, tilesPerModule, partials[i]);
         });
         Accum result{};
         for (Accum &partial : partials)

@@ -25,13 +25,8 @@ constexpr double kTailCmdNs = 8.0;
 /** Idle gap inserted between recorded programs on one timeline. */
 constexpr double kInterProgramGapNs = 10.0;
 
-/** Calling thread's (module, tile) shard scope; 0 = unscoped. */
-struct TlsScope
-{
-    std::uint64_t module = 0; ///< 1-based; 0 selects the global shard.
-    std::uint64_t tile = 0;
-};
-thread_local TlsScope tls_scope;
+/** Calling thread's 1-based module scope; 0 selects the global shard. */
+thread_local std::uint64_t tls_module = 0;
 
 thread_local const char *tls_dram_label = nullptr;
 
@@ -40,7 +35,6 @@ struct TlsShardCache
     const void *owner = nullptr;
     std::uint64_t generation = 0;
     std::uint64_t module = 0;
-    std::uint64_t tile = 0;
     void *shard = nullptr;
 };
 thread_local TlsShardCache tls_shard;
@@ -235,16 +229,13 @@ Telemetry::shardLocked()
         generation_.load(std::memory_order_relaxed);
     if (tls_shard.owner == this &&
         tls_shard.generation == generation &&
-        tls_shard.module == tls_scope.module &&
-        tls_shard.tile == tls_scope.tile) {
+        tls_shard.module == tls_module) {
         return *static_cast<Shard *>(tls_shard.shard);
     }
-    std::unique_ptr<Shard> &slot =
-        shards_[{tls_scope.module, tls_scope.tile}];
+    std::unique_ptr<Shard> &slot = shards_[tls_module];
     if (slot == nullptr)
         slot = std::make_unique<Shard>();
-    tls_shard = {this, generation, tls_scope.module, tls_scope.tile,
-                 slot.get()};
+    tls_shard = {this, generation, tls_module, slot.get()};
     return *slot;
 }
 
@@ -330,7 +321,7 @@ Telemetry::recordDramProgram(const std::vector<DramCmd> &commands,
         ++dramDropped_;
         return;
     }
-    const std::uint64_t pid = kDramPidBase + tls_scope.module;
+    const std::uint64_t pid = kDramPidBase + tls_module;
     double &cursorNs = dramCursorNs_[pid];
 
     // Duration of command i: gap to the next command on the same
@@ -439,7 +430,7 @@ Telemetry::mergedCells() const
     }
     std::vector<std::uint64_t> merged(total, 0);
     const std::lock_guard<std::mutex> lock(dataMutex_);
-    // Shards merge in sorted (module, tile) key order (std::map).
+    // Shards merge in sorted module order (std::map).
     // Counter/histogram cells are sums and gauges are maxima, so the
     // merged view is order-independent by construction; the sorted
     // walk is belt and braces (and what the tests pin down).
@@ -696,17 +687,14 @@ Telemetry::writeTraceFile(const std::string &path) const
     return static_cast<bool>(file);
 }
 
-MetricScope::MetricScope(std::uint64_t module, std::uint64_t tile)
-    : savedModule_(tls_scope.module), savedTile_(tls_scope.tile)
+MetricScope::MetricScope(std::uint64_t module) : savedModule_(tls_module)
 {
-    tls_scope.module = module + 1; // 0 stays the unscoped shard.
-    tls_scope.tile = tile;
+    tls_module = module + 1; // 0 stays the unscoped shard.
 }
 
 MetricScope::~MetricScope()
 {
-    tls_scope.module = savedModule_;
-    tls_scope.tile = savedTile_;
+    tls_module = savedModule_;
 }
 
 Span::Span(Telemetry &telemetry, const char *name)

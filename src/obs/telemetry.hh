@@ -4,9 +4,9 @@
  * three pillars, each independently switchable and near-free when off.
  *
  *  - Metrics registry: counters, gauges, and fixed-bucket histograms
- *    registered by name. Values live in per-(module, tile) shards
- *    selected by a thread-local MetricScope (set by the FleetSession
- *    fan-out templates) and merge in deterministic sorted shard order,
+ *    registered by name. Values live in per-module shards selected
+ *    by a thread-local MetricScope (set by the FleetSession fan-out
+ *    template) and merge in deterministic sorted shard order,
  *    so enabling metrics never breaks the worker-count-invariance
  *    contract: every registered value is an integer (counts, or sums
  *    of llround'd observations), addition is order-independent, and
@@ -260,7 +260,7 @@ class Telemetry
                             std::vector<double> bounds);
     const MetricDef *findDef(const std::string &name) const;
 
-    /** Shard of the calling thread's (module, tile) scope. */
+    /** Shard of the calling thread's module scope. */
     Shard &shardLocked();
 
     /** Merged cell values over all shards, in slot order. */
@@ -287,9 +287,7 @@ class Telemetry
     std::size_t totalCells_ = 0;
 
     mutable std::mutex dataMutex_;
-    std::map<std::pair<std::uint64_t, std::uint64_t>,
-             std::unique_ptr<Shard>>
-        shards_;
+    std::map<std::uint64_t, std::unique_ptr<Shard>> shards_;
     std::vector<std::unique_ptr<ThreadBuf>> threadBufs_;
     std::vector<TraceEvent> dramEvents_;
     std::map<std::uint64_t, double> dramCursorNs_;
@@ -314,22 +312,21 @@ double quantileFromHistogramCells(const std::vector<double> &bounds,
                                   double q);
 
 /**
- * RAII (module, tile) shard selector for the calling thread. Set by
- * the FleetSession fan-out templates around each per-module task, so
+ * RAII per-module shard selector for the calling thread. Set by the
+ * FleetSession fan-out template around each per-module task, so
  * metric writes land in deterministic shards and DRAM trace events
  * land on the right module timeline. Nests (saves and restores).
  */
 class MetricScope
 {
   public:
-    MetricScope(std::uint64_t module, std::uint64_t tile);
+    explicit MetricScope(std::uint64_t module);
     ~MetricScope();
     MetricScope(const MetricScope &) = delete;
     MetricScope &operator=(const MetricScope &) = delete;
 
   private:
     std::uint64_t savedModule_;
-    std::uint64_t savedTile_;
 };
 
 /**

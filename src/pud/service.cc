@@ -203,7 +203,7 @@ QueryService::runBatchOnModule(const FleetSession::Module &module,
     obs::Telemetry &tel = obs::global();
     // Direct single-module submits bypass runOverFleet, so (re)apply
     // the module scope here; under a fleet run this is idempotent.
-    const obs::MetricScope scope(module.index, 0);
+    const obs::MetricScope scope(module.index);
     obs::Span batchSpan(tel, "module_batch");
     batchSpan.arg("module",
                   static_cast<std::uint64_t>(module.index));

@@ -250,11 +250,11 @@ TEST(TelemetryRegistry, CountersAccumulateAcrossScopesAndMerge)
     const obs::MetricId c = tel.counter("t.count");
     tel.add(c);
     {
-        const obs::MetricScope scope(0, 0);
+        const obs::MetricScope scope(0);
         tel.add(c, 2);
     }
     {
-        const obs::MetricScope scope(1, 3);
+        const obs::MetricScope scope(1);
         tel.add(c, 4);
     }
     EXPECT_EQ(tel.value("t.count"), 7u);
@@ -267,15 +267,15 @@ TEST(TelemetryRegistry, GaugesMergeByMaxAcrossShards)
     tel.configure(metricsOnly());
     const obs::MetricId g = tel.gauge("t.gauge");
     {
-        const obs::MetricScope scope(0, 0);
+        const obs::MetricScope scope(0);
         tel.set(g, 5);
     }
     {
-        const obs::MetricScope scope(1, 0);
+        const obs::MetricScope scope(1);
         tel.set(g, 9);
     }
     {
-        const obs::MetricScope scope(2, 0);
+        const obs::MetricScope scope(2);
         tel.set(g, 3);
     }
     EXPECT_EQ(tel.value("t.gauge"), 9u);
@@ -533,7 +533,7 @@ TEST(TelemetryTrace, DramProgramsAdvanceTheModuleTimeline)
         {obs::Telemetry::DramCmdKind::Act, 0, 1, 0.0},
         {obs::Telemetry::DramCmdKind::Pre, 0, 0, 30.0},
     };
-    const obs::MetricScope scope(2, 0);
+    const obs::MetricScope scope(2);
     tel.recordDramProgram(program, "MAJ");
     tel.recordDramProgram(program, "MAJ");
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "dram/address.hh"
@@ -48,6 +50,30 @@ TEST(SchedulerTest, PropagatesTaskExceptions)
                                        throw std::runtime_error("boom");
                                }),
                  std::runtime_error);
+}
+
+TEST(SchedulerTest, RethrowsLowestIndexedFailureForAnyWorkerCount)
+{
+    // Task 3 fails last in wall-clock time, task 7 first; the error
+    // must not depend on that race or on the worker count.
+    for (const int workers : {1, 4}) {
+        const Scheduler scheduler(workers);
+        try {
+            scheduler.run(8, [](std::size_t i) {
+                if (i == 3) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(50));
+                    throw std::runtime_error("task 3");
+                }
+                if (i == 7)
+                    throw std::runtime_error("task 7");
+            });
+            ADD_FAILURE() << "no exception, workers=" << workers;
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "task 3")
+                << "workers=" << workers;
+        }
+    }
 }
 
 TEST(SchedulerTest, TaskSeedsAreStable)

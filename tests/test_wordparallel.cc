@@ -10,15 +10,19 @@
  * analog mechanism (NOT, N-input logic, RowClone, in-subarray MAJ,
  * Frac initialization, interrupted restore, multi-row writes) across
  * the manufacturer profiles and compare the full analog state of the
- * chip plus every readback.
+ * chip plus every readback. The SIMD kernels the word-parallel hot
+ * paths dispatch to are checked bit-exact against their scalar
+ * reference on randomized inputs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "bender/bender.hh"
 #include "common/rng.hh"
+#include "common/simd.hh"
 #include "fcdram/ops.hh"
 #include "testutil.hh"
 
@@ -238,6 +242,69 @@ TEST(CounterNoise, HashNormalBoundHolds)
     for (int i = 0; i < 10000; ++i) {
         const std::uint64_t key = rng.next();
         EXPECT_LE(std::abs(gaussianFromHash(key)), kHashNormalBound);
+    }
+}
+
+TEST(SimdKernels, ClassifyMarginsMatchesScalar)
+{
+    const simd::Kernels &scalar = simd::scalarKernels();
+    const simd::Kernels &active = simd::activeKernels();
+    if (active.classifyMarginsByClass == scalar.classifyMarginsByClass)
+        GTEST_SKIP() << "active kernel set is scalar ("
+                     << active.name << ")";
+
+    Rng rng(0x51D3);
+    for (int iteration = 0; iteration < 50; ++iteration) {
+        const std::size_t n = 1 + rng.next() % 300;
+        std::vector<std::uint8_t> classes(n);
+        for (auto &c : classes)
+            c = static_cast<std::uint8_t>(rng.next() % 3);
+        double margins3[3];
+        for (double &m : margins3)
+            m = (rng.uniform() - 0.5) * 0.4;
+        const double bound = rng.uniform() * 0.12;
+
+        const std::size_t words = (n + 63) / 64;
+        std::vector<std::uint64_t> det_a(words, ~std::uint64_t{0});
+        std::vector<std::uint64_t> det_b(words, ~std::uint64_t{0});
+        std::vector<std::uint32_t> amb_a(n), amb_b(n);
+        std::size_t count_a = 0, count_b = 0;
+
+        scalar.classifyMarginsByClass(classes.data(), n, margins3,
+                                      bound, det_a.data(),
+                                      amb_a.data(), &count_a);
+        active.classifyMarginsByClass(classes.data(), n, margins3,
+                                      bound, det_b.data(),
+                                      amb_b.data(), &count_b);
+
+        EXPECT_EQ(det_a, det_b) << "iteration " << iteration;
+        ASSERT_EQ(count_a, count_b) << "iteration " << iteration;
+        for (std::size_t i = 0; i < count_a; ++i)
+            EXPECT_EQ(amb_a[i], amb_b[i]) << "iteration " << iteration;
+    }
+}
+
+TEST(SimdKernels, BlendTowardRailMatchesScalar)
+{
+    const simd::Kernels &scalar = simd::scalarKernels();
+    const simd::Kernels &active = simd::activeKernels();
+    if (active.blendTowardRail == scalar.blendTowardRail)
+        GTEST_SKIP() << "active kernel set is scalar ("
+                     << active.name << ")";
+
+    Rng rng(0xB73D);
+    for (int iteration = 0; iteration < 50; ++iteration) {
+        const std::size_t n = 1 + rng.next() % 500;
+        std::vector<float> values(n);
+        for (auto &v : values)
+            v = static_cast<float>(rng.uniform() * kVdd);
+        std::vector<float> a = values, b = values;
+        const double progress = rng.uniform();
+        const double band = rng.uniform() * 0.05;
+
+        scalar.blendTowardRail(a.data(), n, progress, band);
+        active.blendTowardRail(b.data(), n, progress, band);
+        EXPECT_EQ(a, b) << "iteration " << iteration;
     }
 }
 
