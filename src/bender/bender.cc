@@ -45,11 +45,8 @@ DramBender::readRow(BankId bank, RowId row)
     if (tel.metricsOn())
         tel.add(tel.counter("bender.row_reads"));
     const obs::DramLabel label("RowRead");
-    ProgramBuilder builder = newProgram();
-    builder.act(bank, row, 0.0)
-        .readNominal(bank, row)
-        .preNominal(bank);
-    ExecResult result = execute(builder.build());
+    ExecResult result =
+        execute(hostReadProgram(chip_.profile().speed, bank, row));
     return result.reads.front();
 }
 

@@ -96,4 +96,59 @@ ProgramBuilder::build()
     return std::move(program_);
 }
 
+Program
+doubleActProgram(const SpeedGrade &speed, BankId bank, RowId first,
+                 RowId second)
+{
+    return ProgramBuilder(speed)
+        .act(bank, first, 0.0)
+        .pre(bank, kViolatedGapTargetNs)
+        .act(bank, second, kViolatedGapTargetNs)
+        .preNominal(bank)
+        .build();
+}
+
+Program
+copyProgram(const SpeedGrade &speed, BankId bank, RowId src, RowId dst)
+{
+    return ProgramBuilder(speed)
+        .act(bank, src, 0.0)
+        .pre(bank, TimingParams::nominal().tRas)
+        .act(bank, dst, kViolatedGapTargetNs)
+        .preNominal(bank)
+        .build();
+}
+
+Program
+fracProgram(const SpeedGrade &speed, BankId bank, RowId helper,
+            RowId target)
+{
+    return ProgramBuilder(speed)
+        .act(bank, helper, 0.0)
+        .pre(bank, kViolatedGapTargetNs)
+        .act(bank, target, kViolatedGapTargetNs)
+        .pre(bank, kViolatedGapTargetNs)
+        .build();
+}
+
+Program
+hostReadProgram(const SpeedGrade &speed, BankId bank, RowId row)
+{
+    return ProgramBuilder(speed)
+        .act(bank, row, 0.0)
+        .readNominal(bank, row)
+        .preNominal(bank)
+        .build();
+}
+
+Program
+hostWriteProgram(const SpeedGrade &speed, BankId bank, RowId row)
+{
+    return ProgramBuilder(speed)
+        .act(bank, row, 0.0)
+        .writeNominal(bank, row, BitVector())
+        .preNominal(bank)
+        .build();
+}
+
 } // namespace fcdram

@@ -87,6 +87,46 @@ class ProgramBuilder
     Program program_;
 };
 
+/*
+ * The command shapes of the FCDRAM operations and host row I/O, built
+ * only here: Ops, DramBender::readRow and the PuD lowering
+ * (pud/lower.hh) all call them, so the executed, linted, counted and
+ * priced streams are the same commands.
+ */
+
+/**
+ * Violated double activation: ACT first -> PRE -> ACT second, both
+ * gaps at the violated target, then a restoring PRE (N-input logic,
+ * SiMRA MAJ, the TRNG's metastable charge share).
+ */
+Program doubleActProgram(const SpeedGrade &speed, BankId bank,
+                         RowId first, RowId second);
+
+/**
+ * NOT / RowClone copy: ACT src with full tRAS -> PRE -> ACT dst after
+ * a violated tRP -> restoring PRE.
+ */
+Program copyProgram(const SpeedGrade &speed, BankId bank, RowId src,
+                    RowId dst);
+
+/**
+ * Frac: ACT helper -> PRE -> ACT target -> PRE with every gap
+ * violated, so the interrupted restore leaves both rows near VDD/2.
+ */
+Program fracProgram(const SpeedGrade &speed, BankId bank, RowId helper,
+                    RowId target);
+
+/** Nominal host read: ACT -> RD -> PRE. */
+Program hostReadProgram(const SpeedGrade &speed, BankId bank, RowId row);
+
+/**
+ * Nominal host write: ACT -> WR -> PRE. DramBender::writeRow lands
+ * row data directly, so this program carries no data: it is the
+ * command cost a host write stands for.
+ */
+Program hostWriteProgram(const SpeedGrade &speed, BankId bank,
+                         RowId row);
+
 } // namespace fcdram
 
 #endif // FCDRAM_BENDER_PROGRAM_HH

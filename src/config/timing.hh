@@ -77,7 +77,6 @@ struct TimingParams
     Ns tRas = 32.0; ///< ACT to PRE (restore complete).
     Ns tRp = 13.5;  ///< PRE to next ACT (precharge complete).
     Ns tRcd = 13.5; ///< ACT to first RD/WR.
-    Ns tWr = 15.0;  ///< Write recovery before PRE.
     Ns tRfc = 350.0; ///< Refresh cycle time.
 
     /**

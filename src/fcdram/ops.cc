@@ -17,23 +17,15 @@ Program
 Ops::buildDoubleAct(BankId bank, RowId firstGlobal,
                     RowId secondGlobal) const
 {
-    ProgramBuilder builder = bender_.newProgram();
-    builder.act(bank, firstGlobal, 0.0)
-        .pre(bank, kViolatedGapTargetNs)
-        .act(bank, secondGlobal, kViolatedGapTargetNs)
-        .preNominal(bank);
-    return builder.build();
+    return doubleActProgram(bender_.chip().profile().speed, bank,
+                            firstGlobal, secondGlobal);
 }
 
 Program
 Ops::buildNot(BankId bank, RowId srcGlobal, RowId dstGlobal) const
 {
-    ProgramBuilder builder = bender_.newProgram();
-    builder.act(bank, srcGlobal, 0.0)
-        .pre(bank, TimingParams::nominal().tRas)
-        .act(bank, dstGlobal, kViolatedGapTargetNs)
-        .preNominal(bank);
-    return builder.build();
+    return copyProgram(bender_.chip().profile().speed, bank, srcGlobal,
+                       dstGlobal);
 }
 
 Program
@@ -167,11 +159,11 @@ findPairActivatingDonor(const Chip &chip, RowId targetLocal,
     return kInvalidRow;
 }
 
-std::optional<RowId>
-Ops::fracInit(BankId bank, RowId rowGlobal,
-              const std::vector<RowId> &avoid)
+RowId
+fracHelper(const Chip &chip, RowId rowGlobal,
+           const std::vector<RowId> &avoid)
 {
-    const GeometryConfig &geometry = bender_.chip().geometry();
+    const GeometryConfig &geometry = chip.geometry();
     const RowAddress address = decomposeRow(geometry, rowGlobal);
     std::vector<RowId> avoid_local;
     for (const RowId r : avoid) {
@@ -179,25 +171,29 @@ Ops::fracInit(BankId bank, RowId rowGlobal,
         if (a.subarray == address.subarray)
             avoid_local.push_back(a.localRow);
     }
-    const RowId helper_local = findPairActivatingDonor(
-        bender_.chip(), address.localRow, avoid_local);
-    if (helper_local == kInvalidRow)
+    const RowId helper_local =
+        findPairActivatingDonor(chip, address.localRow, avoid_local);
+    return helper_local == kInvalidRow
+               ? kInvalidRow
+               : composeRow(geometry, address.subarray, helper_local);
+}
+
+std::optional<RowId>
+Ops::fracInit(BankId bank, RowId rowGlobal,
+              const std::vector<RowId> &avoid)
+{
+    const RowId helper = fracHelper(bender_.chip(), rowGlobal, avoid);
+    if (helper == kInvalidRow)
         return std::nullopt;
-    const RowId helper =
-        composeRow(geometry, address.subarray, helper_local);
     // Charge-share an all-1s helper with an all-0s target and
     // interrupt the restore: both rows settle near VDD/2.
-    BitVector ones(static_cast<std::size_t>(geometry.columns), true);
-    BitVector zeros(static_cast<std::size_t>(geometry.columns), false);
-    bender_.writeRow(bank, helper, ones);
-    bender_.writeRow(bank, rowGlobal, zeros);
-    ProgramBuilder builder = bender_.newProgram();
-    builder.act(bank, helper, 0.0)
-        .pre(bank, kViolatedGapTargetNs)
-        .act(bank, rowGlobal, kViolatedGapTargetNs)
-        .pre(bank, kViolatedGapTargetNs);
+    const auto columns =
+        static_cast<std::size_t>(bender_.chip().geometry().columns);
+    bender_.writeRow(bank, helper, BitVector(columns, true));
+    bender_.writeRow(bank, rowGlobal, BitVector(columns, false));
     const obs::DramLabel label("Frac");
-    bender_.execute(builder.build());
+    bender_.execute(fracProgram(bender_.chip().profile().speed, bank,
+                                helper, rowGlobal));
     return helper;
 }
 

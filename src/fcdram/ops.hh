@@ -38,18 +38,11 @@ class Ops
   public:
     explicit Ops(DramBender &bender);
 
-    /**
-     * The violated-timing double-activation program
-     * ACT first -> PRE -> ACT second (both gaps at the violated
-     * target), followed by a restoring wait and PRE.
-     */
+    /** doubleActProgram (bender/program.hh) at this chip's speed. */
     Program buildDoubleAct(BankId bank, RowId firstGlobal,
                            RowId secondGlobal) const;
 
-    /**
-     * The NOT program: ACT src (full tRAS) -> PRE -> ACT dst
-     * (violated tRP) -> restore wait -> PRE.
-     */
+    /** The NOT program: copyProgram at this chip's speed. */
     Program buildNot(BankId bank, RowId srcGlobal,
                      RowId dstGlobal) const;
 
@@ -167,6 +160,14 @@ class Ops
  */
 RowId findPairActivatingDonor(const Chip &chip, RowId targetLocal,
                               const std::vector<RowId> &avoidLocal);
+
+/**
+ * Frac helper of @p rowGlobal: the global row in its subarray that
+ * pair-activates with it (findPairActivatingDonor), skipping the
+ * global rows in @p avoid. kInvalidRow when none exists.
+ */
+RowId fracHelper(const Chip &chip, RowId rowGlobal,
+                 const std::vector<RowId> &avoid);
 
 /**
  * Find (rf, rl) local-row pairs on a chip whose neighbor activation

@@ -24,12 +24,7 @@ DramTrng::rawSample()
     ops_.fracInit(bank_, rowB_, {rowA_});
     // Metastable charge share: both bitline terminals sit at VDD/2,
     // so the amplification outcome is thermal-noise driven.
-    ProgramBuilder builder = bender_.newProgram();
-    builder.act(bank_, rowA_, 0.0)
-        .pre(bank_, kViolatedGapTargetNs)
-        .act(bank_, rowB_, kViolatedGapTargetNs)
-        .preNominal(bank_);
-    bender_.execute(builder.build());
+    bender_.execute(ops_.buildDoubleAct(bank_, rowA_, rowB_));
     ++rawSamples_;
     return bender_.readRow(bank_, rowA_);
 }

@@ -8,8 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "bender/bender.hh"
 #include "common/rng.hh"
-#include "fcdram/ops.hh"
 
 namespace fcdram::pud {
 
@@ -101,80 +101,55 @@ VoteSet::majorityBits(int trials) const
 
 namespace {
 
-/**
- * Analytic cost model of the command primitives the executor issues.
- * Latencies derive from the nominal DDR4 timing parameters plus the
- * executor's restore window; energies are rough whole-row DDR4
- * numbers (order-of-magnitude, for comparing schedules — not a power
- * model): ACT 0.9 nJ, PRE 0.45 nJ, WR 1.3 nJ, RD 1.1 nJ.
- */
-class CostModel
+/** Rough whole-row DDR4 command energy (nJ), for comparing schedules. */
+double
+commandEnergyNj(CommandType type)
 {
-  public:
-    explicit CostModel(const Chip &chip)
-        : timing_(TimingParams::nominal()),
-          gapNs_(chip.profile().speed.quantizedGapNs(
-              kViolatedGapTargetNs))
-    {
+    switch (type) {
+      case CommandType::Act: return 0.9;
+      case CommandType::Pre: return 0.45;
+      case CommandType::Wr: return 1.3;
+      case CommandType::Rd: return 1.1;
+      case CommandType::Ref:
+      case CommandType::Nop: break;
     }
+    return 0.0;
+}
 
-    /** Direct row write: ACT + WR + PRE. */
-    QueryCost hostWrite() const
-    {
-        return {3, timing_.tRcd + timing_.tWr + timing_.tRp,
-                kActNj + kWrNj + kPreNj};
-    }
+/**
+ * Cost of one program: its command count, its issue timeline closed
+ * by tRP, and the per-command energy table.
+ */
+QueryCost
+priceProgram(const Program &program)
+{
+    QueryCost cost;
+    cost.commands = program.size();
+    cost.latencyNs =
+        program.commands.back().issueNs + TimingParams::nominal().tRp;
+    for (const Command &command : program.commands)
+        cost.energyNj += commandEnergyNj(command.type);
+    return cost;
+}
 
-    /** Nominal row read: ACT + RD + PRE. */
-    QueryCost hostRead() const
-    {
-        return {3, timing_.tRcd + kBurstNs + timing_.tRp,
-                kActNj + kRdNj + kPreNj};
-    }
+QueryCost
+priceSteps(const std::vector<LoweredStep> &steps)
+{
+    QueryCost cost;
+    for (const LoweredStep &step : steps)
+        cost.add(priceProgram(step.program));
+    return cost;
+}
 
-    /** Violated ACT-PRE-ACT-PRE logic sequence (incl. restore). */
-    QueryCost logicProgram() const
-    {
-        return {4, 2.0 * gapNs_ + kRestoreNs + timing_.tRp,
-                2.0 * (kActNj + kPreNj)};
-    }
-
-    /** NOT / RowClone sequence: full-tRAS first ACT, violated second. */
-    QueryCost copyProgram() const
-    {
-        return {4, timing_.tRas + gapNs_ + kRestoreNs + timing_.tRp,
-                2.0 * (kActNj + kPreNj)};
-    }
-
-    /** Interrupted Frac charge-sharing sequence. */
-    QueryCost fracProgram() const
-    {
-        return {4, 3.0 * gapNs_ + timing_.tRp,
-                2.0 * (kActNj + kPreNj)};
-    }
-
-    /**
-     * SiMRA in-subarray MAJ activation: the same violated
-     * ACT-PRE-ACT restore-PRE shape as the cross-subarray logic
-     * sequence.
-     */
-    QueryCost majProgram() const { return logicProgram(); }
-
-    const TimingParams &timing() const { return timing_; }
-
-  private:
-    static constexpr double kActNj = 0.9;
-    static constexpr double kPreNj = 0.45;
-    static constexpr double kWrNj = 1.3;
-    static constexpr double kRdNj = 1.1;
-    static constexpr Ns kBurstNs = 5.0;
-
-    /** Restore wait before the final PRE (executor's restore-done). */
-    static constexpr Ns kRestoreNs = 20.0;
-
-    TimingParams timing_;
-    Ns gapNs_;
-};
+/** Rows an executed program opened behind its second ACT. */
+std::size_t
+openedRows(const ExecResult &result)
+{
+    std::size_t rows = 0;
+    for (const ActivationEvent &event : result.activations)
+        rows += event.sets.secondRows.size();
+    return rows;
+}
 
 /**
  * CPU bulk-bitwise baseline: the scan streams every referenced
@@ -185,8 +160,7 @@ class CostModel
  * at a rough 20 pJ/byte of DRAM traffic.
  */
 QueryCost
-cpuBaselineCost(const Chip &chip, const TimingParams &timing,
-                int loads, std::size_t bits)
+cpuBaselineCost(const Chip &chip, int loads, std::size_t bits)
 {
     const double bytes =
         (static_cast<double>(loads) + 1.0) *
@@ -194,7 +168,7 @@ cpuBaselineCost(const Chip &chip, const TimingParams &timing,
     QueryCost cost;
     cost.commands = 0;
     cost.latencyNs = bytes / chip.profile().speed.bytesPerNs() +
-                     timing.hostCopyOverheadNs;
+                     TimingParams::nominal().hostCopyOverheadNs;
     cost.energyNj = bytes * 0.02;
     return cost;
 }
@@ -459,8 +433,6 @@ PudEngine::execute(const MicroProgram &program,
     execSpan.arg("ops",
                  static_cast<std::uint64_t>(program.ops.size()));
     DramBender bender(chip, benderSeed, options_.execMode);
-    Ops ops(bender);
-    const CostModel cost(chip);
     const int trials = options_.redundancy;
 
     const std::vector<BitVector> golden =
@@ -477,20 +449,10 @@ PudEngine::execute(const MicroProgram &program,
     std::vector<BitVector> values(program.numValues);
     std::vector<BitVector> masks(program.numValues,
                                  BitVector(numColumns, false));
-    std::vector<bool> isColumn(program.numValues, false);
 
     // Latency bookkeeping: commands serialize within a bank, waves of
     // independent gates overlap across banks.
     std::map<std::pair<int, int>, double> waveBankNs;
-    // Per-op costs accumulate locally and commit only when the op's
-    // DRAM result is actually used; an op that aborts to the CPU
-    // fallback charges nothing.
-    const auto commitCost = [&](const MicroOp &op, BankId bank,
-                                const QueryCost &c) {
-        result.dram.commands += c.commands;
-        result.dram.energyNj += c.energyNj;
-        waveBankNs[{op.wave, static_cast<int>(bank)}] += c.latencyNs;
-    };
 
     // Trusted DRAM bits overwrite the golden fallback; every trusted
     // bit is also checked against the golden model for the accuracy
@@ -523,6 +485,15 @@ PudEngine::execute(const MicroProgram &program,
             values[op.referenceValue] = golden[op.referenceValue];
     };
 
+    const std::vector<LoweredOp> lowered =
+        lower(program, placement, chip, options_.copyIn);
+    const BitVector ones(numColumns, true);
+    const BitVector zeros(numColumns, false);
+    // Residency: one host write lands a column in DRAM; every query
+    // after that reuses it in place.
+    const QueryCost residency =
+        priceProgram(hostWriteProgram(chip.profile().speed, 0, 0));
+
     // One span per topological wave (re-emplaced on wave change), so
     // the trace shows the engine's wave pipeline under each query.
     std::optional<obs::Span> waveSpan;
@@ -535,228 +506,88 @@ PudEngine::execute(const MicroProgram &program,
                           static_cast<std::uint64_t>(op.wave));
             spanWave = op.wave;
         }
-        switch (op.kind) {
-          case MicroOpKind::Load: {
+        if (op.kind == MicroOpKind::Load) {
             values[op.computeValue] = columns.at(op.column);
             assert(values[op.computeValue].size() == numColumns);
-            isColumn[op.computeValue] = true;
-            // Residency: one write lands the column in DRAM; every
-            // query after that reuses it in place.
-            result.load.add(cost.hostWrite());
-            break;
-          }
-          case MicroOpKind::Wide: {
-            const int slotIndex = placement.gateSlotOf[i];
-            if (slotIndex < 0) {
-                cpuFallback(op);
-                break;
-            }
-            const GateSlot &slot = placement.gateSlots[slotIndex];
-            const BankId bank = slot.context.bank;
-            const int width = op.width();
-
-            // Copy-in plan: RowClone from staging for resident
-            // columns, host write otherwise. Clone unreliability
-            // shrinks this gate's masks.
-            BitVector copyMask(numColumns, true);
-            std::vector<bool> viaClone(
-                static_cast<std::size_t>(width), false);
-            for (int j = 0; j < width; ++j) {
-                const auto idx = static_cast<std::size_t>(j);
-                if (options_.copyIn == CopyInMode::RowClone &&
-                    isColumn[op.inputs[idx]] &&
-                    slot.stagingRows[idx] != kInvalidRow) {
-                    viaClone[idx] = true;
-                    copyMask &= slot.stagingMasks[idx];
-                }
-            }
-
-            VoteSet computeVotes(numColumns);
-            VoteSet referenceVotes(numColumns);
-            QueryCost opCost;
-            bool ok = true;
-            for (int trial = 0; ok && trial < trials; ++trial) {
-                if (!ops.initReference(bank, op.family,
-                                       slot.refRows)) {
-                    ok = false;
-                    break;
-                }
-                opCost.add(cost.fracProgram());
-                for (int w = 0; w < width + 1; ++w)
-                    opCost.add(cost.hostWrite());
-                {
-                    obs::Span copySpan(tel, "copy_in");
-                    copySpan.arg(
-                        "operands",
-                        static_cast<std::uint64_t>(width));
-                    for (int j = 0; j < width; ++j) {
-                        const auto idx =
-                            static_cast<std::size_t>(j);
-                        const BitVector &operand =
-                            values[op.inputs[idx]];
-                        if (viaClone[idx]) {
-                            if (trial == 0) {
-                                // The staging copy is the resident
-                                // data.
-                                bender.writeRow(
-                                    bank, slot.stagingRows[idx],
-                                    operand);
-                            }
-                            ops.executeRowClone(
-                                bank, slot.stagingRows[idx],
-                                slot.computeRows[idx]);
-                            opCost.add(cost.copyProgram());
-                        } else {
-                            bender.writeRow(bank,
-                                            slot.computeRows[idx],
-                                            operand);
-                            opCost.add(cost.hostWrite());
-                        }
-                    }
-                }
-                const LogicOpResult trialResult = ops.executeLogic(
-                    bank, op.family, slot.refAnchor, slot.comAnchor,
-                    slot.refRows, slot.computeRows);
-                opCost.add(cost.logicProgram());
-                opCost.add(cost.hostRead());
-                opCost.add(cost.hostRead());
-                computeVotes.add(trialResult.computeResult);
-                referenceVotes.add(trialResult.referenceResult);
-            }
-            if (!ok) {
-                cpuFallback(op);
-                break;
-            }
-            commitCost(op, bank, opCost);
-            if (op.computeValue != kNoValue) {
-                BitVector computeMask = slot.mask(op.family);
-                computeMask &= copyMask;
-                assemble(op.computeValue, computeMask, computeVotes);
-            }
-            if (op.referenceValue != kNoValue) {
-                const BoolOp inverted = op.family == BoolOp::And
-                                            ? BoolOp::Nand
-                                            : BoolOp::Nor;
-                BitVector referenceMask = slot.mask(inverted);
-                referenceMask &= copyMask;
-                assemble(op.referenceValue, referenceMask,
-                         referenceVotes);
-            }
-            break;
-          }
-          case MicroOpKind::Maj: {
-            const int slotIndex = placement.majSlotOf[i];
-            if (slotIndex < 0) {
-                cpuFallback(op);
-                break;
-            }
-            const MajSlot &slot = placement.majSlots[slotIndex];
-            const BankId bank = slot.context.bank;
-            const int width = op.width();
-            assert(static_cast<int>(slot.rows.size()) ==
-                   op.activatedRows);
-            assert(width + op.constantOnes + op.constantZeros +
-                       op.neutralRows ==
-                   op.activatedRows);
-
-            // Row assignment within the group: operands first (the
-            // measured first row carries operand 0), then the bias
-            // constants, then the Frac tiebreaker(s) at the end.
-            VoteSet votes(numColumns);
-            QueryCost opCost;
-            bool ok = true;
-            const BitVector onesRow(numColumns, true);
-            const BitVector zerosRow(numColumns, false);
-            for (int trial = 0; ok && trial < trials; ++trial) {
-                // The tiebreaker Fracs first: its helper activation
-                // would disturb data written before it.
-                for (int n = 0; ok && n < op.neutralRows; ++n) {
-                    const RowId neutral =
-                        slot.rows[slot.rows.size() - 1 -
-                                  static_cast<std::size_t>(n)];
-                    if (!ops.fracInit(bank, neutral, slot.rows)) {
-                        ok = false;
-                        break;
-                    }
-                    opCost.add(cost.fracProgram());
-                    opCost.add(cost.hostWrite());
-                    opCost.add(cost.hostWrite());
-                }
-                if (!ok)
-                    break;
-                std::size_t next = 0;
-                for (int j = 0; j < width; ++j, ++next) {
-                    bender.writeRow(
-                        bank, slot.rows[next],
-                        values[op.inputs[static_cast<std::size_t>(
-                            j)]]);
-                    opCost.add(cost.hostWrite());
-                }
-                for (int j = 0; j < op.constantOnes; ++j, ++next) {
-                    bender.writeRow(bank, slot.rows[next], onesRow);
-                    opCost.add(cost.hostWrite());
-                }
-                for (int j = 0; j < op.constantZeros; ++j, ++next) {
-                    bender.writeRow(bank, slot.rows[next], zerosRow);
-                    opCost.add(cost.hostWrite());
-                }
-                const auto activated = ops.executeMajActivation(
-                    bank, slot.rfAnchor, slot.rlAnchor);
-                opCost.add(cost.majProgram());
-                if (activated.size() != slot.rows.size()) {
-                    ok = false;
-                    break;
-                }
-                votes.add(bender.readRow(bank, slot.rows.front()));
-                opCost.add(cost.hostRead());
-            }
-            if (!ok) {
-                cpuFallback(op);
-                break;
-            }
-            commitCost(op, bank, opCost);
-            assemble(op.computeValue, slot.mask, votes);
-            break;
-          }
-          case MicroOpKind::Not: {
-            const int slotIndex = placement.notSlotOf[i];
-            if (slotIndex < 0) {
-                cpuFallback(op);
-                break;
-            }
-            const NotSlot &slot = placement.notSlots[slotIndex];
-            const BankId bank = slot.context.bank;
-            const BitVector &input = values[op.inputs.front()];
-            VoteSet votes(numColumns);
-            QueryCost opCost;
-            bool ok = true;
-            for (int trial = 0; ok && trial < trials; ++trial) {
-                bender.writeRow(bank, slot.srcRow, input);
-                // Initialize the destination with the source value so
-                // a failed (retaining) cell reads as stale data, not
-                // as an accidental success.
-                bender.writeRow(bank, slot.dstRow, input);
-                opCost.add(cost.hostWrite());
-                opCost.add(cost.hostWrite());
-                const auto destinations =
-                    ops.executeNot(bank, slot.srcRow, slot.dstRow);
-                opCost.add(cost.copyProgram());
-                if (destinations.empty()) {
-                    ok = false;
-                    break;
-                }
-                votes.add(bender.readRow(bank, destinations.front()));
-                opCost.add(cost.hostRead());
-            }
-            if (!ok) {
-                cpuFallback(op);
-                break;
-            }
-            commitCost(op, bank, opCost);
-            assemble(op.computeValue, slot.mask, votes);
-            break;
-          }
+            result.load.add(residency);
+            continue;
         }
+        const LoweredOp &steps = lowered[i];
+        if (steps.body.empty()) {
+            cpuFallback(op);
+            continue;
+        }
+
+        const auto rowData =
+            [&](const LoweredStep &step) -> const BitVector & {
+            switch (step.source) {
+              case LoweredStep::Source::Ones: return ones;
+              case LoweredStep::Source::Zeros: return zeros;
+              case LoweredStep::Source::Operand: break;
+            }
+            return values[op.inputs[step.operand]];
+        };
+        for (const LoweredStep &step : steps.prologue)
+            bender.writeRow(step.bank, step.row, rowData(step));
+        VoteSet computeVotes(numColumns);
+        VoteSet referenceVotes(numColumns);
+        bool ok = true;
+        for (int trial = 0; ok && trial < trials; ++trial) {
+            for (const LoweredStep &step : steps.body) {
+                if (step.kind == LoweredStep::Kind::Write) {
+                    bender.writeRow(step.bank, step.row, rowData(step));
+                } else if (step.kind == LoweredStep::Kind::Read) {
+                    (step.sink == LoweredStep::Sink::Reference
+                         ? referenceVotes
+                         : computeVotes)
+                        .add(bender.readRow(step.bank, step.row));
+                } else {
+                    const obs::DramLabel label(step.label);
+                    const ExecResult run = bender.execute(step.program);
+                    ok = step.mustOpen == 0 ||
+                         openedRows(run) == step.mustOpen;
+                    if (!ok)
+                        break;
+                }
+            }
+        }
+        if (!ok) {
+            cpuFallback(op);
+            continue;
+        }
+
+        // Per-op costs commit only when the op's DRAM result is used.
+        result.load.add(priceSteps(steps.prologue));
+        const QueryCost trialCost = priceSteps(steps.body);
+        const int bank = static_cast<int>(steps.body.front().bank);
+        for (int trial = 0; trial < trials; ++trial) {
+            result.dram.commands += trialCost.commands;
+            result.dram.energyNj += trialCost.energyNj;
+            waveBankNs[{op.wave, bank}] += trialCost.latencyNs;
+        }
+
+        BitVector computeMask;
+        BitVector referenceMask;
+        if (op.kind == MicroOpKind::Wide) {
+            const GateSlot &slot =
+                placement.gateSlots[placement.gateSlotOf[i]];
+            computeMask = slot.mask(op.family);
+            referenceMask = slot.mask(
+                op.family == BoolOp::And ? BoolOp::Nand : BoolOp::Nor);
+            // Clone unreliability shrinks the gate's masks.
+            for (const LoweredStep &staging : steps.prologue) {
+                computeMask &= slot.stagingMasks[staging.operand];
+                referenceMask &= slot.stagingMasks[staging.operand];
+            }
+        } else if (op.kind == MicroOpKind::Not) {
+            computeMask = placement.notSlots[placement.notSlotOf[i]].mask;
+        } else {
+            computeMask = placement.majSlots[placement.majSlotOf[i]].mask;
+        }
+        if (op.computeValue != kNoValue)
+            assemble(op.computeValue, computeMask, computeVotes);
+        if (op.referenceValue != kNoValue)
+            assemble(op.referenceValue, referenceMask, referenceVotes);
     }
 
     // Waves overlap across banks; the command bus serializes within
@@ -777,9 +608,8 @@ PudEngine::execute(const MicroProgram &program,
             ? 0.0
             : static_cast<double>(result.mask.popcount()) /
                   static_cast<double>(numColumns);
-    result.cpuBaseline = cpuBaselineCost(chip, cost.timing(),
-                                         program.loadOps(),
-                                         numColumns);
+    result.cpuBaseline =
+        cpuBaselineCost(chip, program.loadOps(), numColumns);
     if (tel.metricsOn()) {
         tel.add(tel.counter("engine.executes"));
         tel.add(tel.counter("engine.checked_bits"),

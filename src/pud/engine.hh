@@ -1,21 +1,22 @@
 /**
  * @file
  * PuD query executor: runs compiled μprograms on simulated COTS DRAM
- * chips and reports accuracy and analytic cost next to a CPU golden
- * baseline.
+ * chips and reports accuracy and the priced DRAM cost next to a CPU
+ * golden baseline.
  *
  * The engine is the compile -> allocate -> execute pipeline in one
  * place: expressions lower to wide-gate μprograms (pud/compiler.hh),
  * the allocator places gates on qualifying activation pairs with
- * reliability masks (pud/allocator.hh), and the executor drives the
- * DramBender command path gate by gate. Columns outside a gate's
- * reliable mask fall back to the CPU golden model per bit position,
- * optional majority voting (EngineOptions::redundancy) suppresses
- * residual noise on the masked columns, and operand copy-in can run
- * either as host writes or as in-DRAM RowClone from staging rows.
- * Independent gates of one topological wave are batched onto
- * distinct subarray pairs; the analytic latency model overlaps waves
- * across banks while the command bus serializes within a bank.
+ * reliability masks (pud/allocator.hh), each placed op lowers to its
+ * command stream (pud/lower.hh), and the executor interprets those
+ * steps on the DramBender command path gate by gate. Columns outside
+ * a gate's reliable mask fall back to the CPU golden model per bit
+ * position, optional majority voting (EngineOptions::redundancy)
+ * suppresses residual noise on the masked columns, and operand
+ * copy-in can run either as host writes or as in-DRAM RowClone from
+ * staging rows. Independent gates of one topological wave are
+ * batched onto distinct subarray pairs; the latency model overlaps
+ * waves across banks while the command bus serializes within a bank.
  *
  * Fleet-scale runs go through FleetSession::runOverFleet, so results
  * are deterministic in the worker count and chips/pair discovery are
@@ -43,6 +44,7 @@
 #include "obs/telemetry.hh"
 #include "pud/allocator.hh"
 #include "pud/compiler.hh"
+#include "pud/lower.hh"
 #include "verify/certify.hh"
 #include "verify/pressure.hh"
 
@@ -67,20 +69,6 @@ enum class BackendChoice : std::uint8_t {
 
 /** Printable name of a backend choice. */
 const char *toString(BackendChoice choice);
-
-/** How operand values reach the compute rows. */
-enum class CopyInMode : std::uint8_t {
-    /** Deterministic host write per operand (3 commands). */
-    HostWrite,
-
-    /**
-     * In-DRAM RowClone from the slot's staging rows (4 commands, no
-     * host data movement); columns outside the copy's reliable mask
-     * shrink the gate mask accordingly. Falls back to a host write
-     * for compute rows without a staging pair.
-     */
-    RowClone,
-};
 
 /**
  * Static-verification policy applied to every derived plan
@@ -217,7 +205,13 @@ class VoteSet
     std::vector<BitVector> planes_;
 };
 
-/** Analytic DRAM command/latency/energy tally. */
+/**
+ * DRAM command/latency/energy tally, priced from the lowered programs:
+ * one command per program command, each program's last issue time
+ * plus tRP, and rough whole-row DDR4 energies (ACT 0.9, PRE 0.45,
+ * WR 1.3, RD 1.1 nJ; order of magnitude, for comparing schedules). A
+ * host row write counts as its nominal ACT-WR-PRE.
+ */
 struct QueryCost
 {
     std::uint64_t commands = 0;
@@ -266,7 +260,10 @@ struct QueryResult
     /** Fraction of result columns computed in DRAM. */
     double dramCoverage = 0.0;
 
-    /** Per-query DRAM work (excludes the amortized data load). */
+    /**
+     * Per-query DRAM work: every executed op's lowered body, once per
+     * trial (excludes the amortized data load).
+     */
     QueryCost dram;
 
     /**
@@ -277,7 +274,10 @@ struct QueryResult
      */
     std::map<int, double> bankBusyNs;
 
-    /** One-time residency cost of the input columns. */
+    /**
+     * One-time residency cost of the input columns: one host write per
+     * Load plus the RowClone staging writes.
+     */
     QueryCost load;
 
     /** Analytic CPU bulk-bitwise baseline for the same query. */

@@ -1,0 +1,134 @@
+/**
+ * @file
+ * The PuD lowering: one pure function from a placed μprogram to the
+ * ordered DDR4 command stream each op issues. It is the only
+ * description of what the simulator does per op:
+ *
+ *  - PudEngine::execute interprets the steps;
+ *  - verify::verifyPlan lints their programs;
+ *  - verify::analyzeActivationPressure counts their ACTs;
+ *  - verify::certifyPlan reads the clone-or-write choice from them;
+ *  - the engine prices QueryResult::dram, load and bankBusyNs from
+ *    their programs.
+ *
+ * Every program comes from the command-shape builders of
+ * bender/program.hh. Per trial, an op issues:
+ *
+ *  - wide N-input gate: the N-1 reference constants (all-1s for the
+ *    AND family, all-0s for OR), the Frac init of the last reference
+ *    row, the constants once more (Ops::initReference), one copy-in
+ *    per operand (host write, or RowClone from its staging row), the
+ *    violated double activation, then the compute and reference reads;
+ *  - NOT: source and destination writes, the copy program, the
+ *    destination read;
+ *  - SiMRA MAJ: one Frac per neutral row, the operand and constant
+ *    writes, the group activation, the first row's read.
+ */
+
+#ifndef FCDRAM_PUD_LOWER_HH
+#define FCDRAM_PUD_LOWER_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "bender/program.hh"
+#include "dram/chip.hh"
+#include "pud/allocator.hh"
+#include "pud/compiler.hh"
+
+namespace fcdram::pud {
+
+/** How operand values reach the compute rows. */
+enum class CopyInMode : std::uint8_t {
+    /** One host write per operand and trial. */
+    HostWrite,
+
+    /**
+     * In-DRAM RowClone from the slot's staging rows for loaded
+     * columns: the staging write is residency (once per op), each
+     * trial clones. Computed operands and compute rows without a
+     * staging row are host-written. Columns outside the copy's
+     * reliable mask shrink the gate mask.
+     */
+    RowClone,
+};
+
+/** One step of a lowered op. */
+struct LoweredStep
+{
+    enum class Kind : std::uint8_t {
+        Write, ///< Host row write (DramBender::writeRow).
+        Run,   ///< Violated-timing program under DramLabel `label`.
+        Read,  ///< Host row read (DramBender::readRow) into a vote set.
+    };
+
+    /** Data a Write lands in its row. */
+    enum class Source : std::uint8_t {
+        Operand, ///< The op's input number `operand`.
+        Ones,
+        Zeros,
+    };
+
+    /** Vote set a Read feeds. */
+    enum class Sink : std::uint8_t {
+        Compute,   ///< AND/OR, NOT or MAJ result.
+        Reference, ///< NAND/NOR result of a wide gate.
+    };
+
+    Kind kind = Kind::Run;
+
+    /**
+     * DramLabel epoch the commands execute under: "Frac", "Logic",
+     * "MAJ", "NOT" or "RowClone" for a Run, "RowRead" for a Read.
+     */
+    const char *label = "";
+
+    /**
+     * The step's commands. A Write's ACT-WR-PRE is what the direct
+     * host write stands for: priced and counted, never executed.
+     */
+    Program program;
+
+    BankId bank = 0;
+
+    /** Write and Read: the target row. */
+    RowId row = 0;
+
+    Source source = Source::Operand;
+    std::size_t operand = 0;
+    Sink sink = Sink::Compute;
+
+    /**
+     * Run: rows the executed program must open behind its second ACT
+     * (the NOT destination, the whole MAJ group); any other count
+     * sends the op to the CPU. 0 leaves the program unchecked.
+     */
+    std::size_t mustOpen = 0;
+};
+
+/** One μop's command stream. */
+struct LoweredOp
+{
+    /** Once per op: the RowClone staging writes (residency). */
+    std::vector<LoweredStep> prologue;
+
+    /**
+     * One majority-vote trial in issue order, repeated per trial.
+     * Empty when the op runs on the CPU: Loads, unplaced ops, and
+     * gates whose Frac row has no pair-activating donor.
+     */
+    std::vector<LoweredStep> body;
+};
+
+/**
+ * Lower every op of @p program as placed by @p placement on @p chip;
+ * element i belongs to program.ops[i]. Malformed placements (the
+ * placement lint's UPL0xx findings) lower to empty ops.
+ */
+std::vector<LoweredOp> lower(const MicroProgram &program,
+                             const Placement &placement,
+                             const Chip &chip, CopyInMode copyIn);
+
+} // namespace fcdram::pud
+
+#endif // FCDRAM_PUD_LOWER_HH

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/mathutil.hh"
+#include "pud/lower.hh"
 
 namespace fcdram::verify {
 
@@ -31,9 +32,6 @@ struct ValueState
      * Two values with disjoint supports have independent errors.
      */
     std::vector<std::uint32_t> support;
-
-    /** Defined by a Load (a named column operand). */
-    bool isColumn = false;
 };
 
 std::vector<std::uint32_t>
@@ -186,7 +184,6 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
                 return;
             ValueState &state = values[value];
             state.support = support;
-            state.isColumn = false;
             for (std::size_t col = 0; col < columns; ++col) {
                 if (mask.size() != columns || !mask.get(col)) {
                     // CPU fallback path: the golden value from the
@@ -212,16 +209,17 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
             }
         };
 
+    const std::vector<pud::LoweredOp> lowered = pud::lower(
+        program, placement, chip,
+        rowCloneCopyIn ? pud::CopyInMode::RowClone
+                       : pud::CopyInMode::HostWrite);
     const std::vector<double> noClone;
     for (std::size_t i = 0; i < n; ++i) {
         const MicroOp &op = program.ops[i];
         const auto opIndex = static_cast<std::uint32_t>(i);
         switch (op.kind) {
-        case MicroOpKind::Load: {
-            if (op.computeValue != kNoValue)
-                values[op.computeValue].isColumn = true;
+        case MicroOpKind::Load:
             break;
-        }
         case MicroOpKind::Wide: {
             const int g = placement.gateSlotOf[i];
             if (g < 0 ||
@@ -231,33 +229,21 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
             const pud::GateSlot &slot = placement.gateSlots[g];
             const BankId bank = slot.context.bank;
 
-            // RowClone copy-in: the staging->compute clone re-runs
-            // every trial, so its flip probability adds to the
-            // per-trial flip; columns the clone cannot serve reliably
-            // are excluded from the DRAM mask (the executor's
-            // copyMask) and fall back to the CPU.
+            // RowClone copy-in (the lowering's staged operands): the
+            // staging->compute clone re-runs every trial, so its flip
+            // probability adds to the per-trial flip; columns the
+            // clone cannot serve reliably are excluded from the DRAM
+            // mask (the executor's copy mask) and fall back to the CPU.
             BitVector copyMask(columns, true);
             std::vector<double> cloneFlip(columns, 0.0);
-            if (rowCloneCopyIn) {
-                const std::size_t staged =
-                    std::min(slot.stagingRows.size(),
-                             slot.computeRows.size());
-                for (std::size_t k = 0;
-                     k < op.inputs.size() && k < staged; ++k) {
-                    if (!values[op.inputs[k]].isColumn ||
-                        slot.stagingRows[k] == kInvalidRow ||
-                        slot.stagingMasks[k].size() != columns)
-                        continue;
-                    copyMask &= slot.stagingMasks[k];
-                    const auto cloneWorst =
-                        pud::rowCloneSuccessProbabilities(
-                            chip, bank, slot.stagingRows[k],
-                            slot.computeRows[k], temperature,
-                            pud::MarginCase::Worst);
-                    for (std::size_t col = 0; col < columns; ++col)
-                        cloneFlip[col] +=
-                            flipFromWorst(cloneWorst, col);
-                }
+            for (const pud::LoweredStep &staging : lowered[i].prologue) {
+                const std::size_t k = staging.operand;
+                copyMask &= slot.stagingMasks[k];
+                const auto cloneWorst = pud::rowCloneSuccessProbabilities(
+                    chip, bank, slot.stagingRows[k], slot.computeRows[k],
+                    temperature, pud::MarginCase::Worst);
+                for (std::size_t col = 0; col < columns; ++col)
+                    cloneFlip[col] += flipFromWorst(cloneWorst, col);
             }
 
             const InputCombination in =

@@ -3,75 +3,37 @@
 #include <sstream>
 #include <vector>
 
-#include "verify/synthesis.hh"
+#include "pud/lower.hh"
 
 namespace fcdram::verify {
 
-namespace {
-
-using pud::MicroOp;
-using pud::MicroOpKind;
-using pud::MicroProgram;
-using pud::Placement;
-
-void
-countActs(const std::vector<SlotProgram> &programs,
-          std::int64_t weight, ActivationPressureProfile &profile)
-{
-    for (const SlotProgram &slot : programs) {
-        for (const Command &command : slot.program.commands) {
-            if (command.type != CommandType::Act)
-                continue;
-            profile.rowActivations[{command.bank, command.row}] +=
-                weight;
-            profile.totalActivations += weight;
-        }
-    }
-}
-
-} // namespace
-
 ActivationPressureProfile
-analyzeActivationPressure(const MicroProgram &program,
-                          const Placement &placement, const Chip &chip,
-                          int redundancy, bool rowCloneCopyIn,
+analyzeActivationPressure(const pud::MicroProgram &program,
+                          const pud::Placement &placement,
+                          const Chip &chip, int redundancy,
+                          bool rowCloneCopyIn,
                           const PressureBudget &budget,
                           DiagnosticSink &sink)
 {
     ActivationPressureProfile profile;
     profile.redundancy = redundancy;
 
-    const std::size_t n = program.ops.size();
-    if (placement.gateSlotOf.size() != n ||
-        placement.notSlotOf.size() != n ||
-        placement.majSlotOf.size() != n)
-        return profile; // Malformed envelopes are UPL010's job.
-
-    // Per op, not per distinct slot: every op occurrence re-issues
-    // its slot's programs on every redundancy trial.
+    // Every trial re-issues each op's body: its programs' ACTs plus
+    // the ACT of each host write and read. The once-per-op staging
+    // writes are residency and stay out of the census.
     const auto weight = static_cast<std::int64_t>(redundancy);
-    for (std::size_t i = 0; i < n; ++i) {
-        const MicroOp &op = program.ops[i];
-        const int g = placement.gateSlotOf[i];
-        if (op.kind == MicroOpKind::Wide && g >= 0 &&
-            static_cast<std::size_t>(g) < placement.gateSlots.size()) {
-            countActs(synthesizeGatePrograms(
-                          chip, placement.gateSlots[g], rowCloneCopyIn),
-                      weight, profile);
-        }
-        const int t = placement.notSlotOf[i];
-        if (op.kind == MicroOpKind::Not && t >= 0 &&
-            static_cast<std::size_t>(t) < placement.notSlots.size()) {
-            countActs(
-                synthesizeNotPrograms(chip, placement.notSlots[t]),
-                weight, profile);
-        }
-        const int m = placement.majSlotOf[i];
-        if (op.kind == MicroOpKind::Maj && m >= 0 &&
-            static_cast<std::size_t>(m) < placement.majSlots.size()) {
-            countActs(synthesizeMajPrograms(chip, placement.majSlots[m],
-                                            op.neutralRows),
-                      weight, profile);
+    for (const pud::LoweredOp &op : pud::lower(
+             program, placement, chip,
+             rowCloneCopyIn ? pud::CopyInMode::RowClone
+                            : pud::CopyInMode::HostWrite)) {
+        for (const pud::LoweredStep &step : op.body) {
+            for (const Command &command : step.program.commands) {
+                if (command.type != CommandType::Act)
+                    continue;
+                profile.rowActivations[{command.bank, command.row}] +=
+                    weight;
+                profile.totalActivations += weight;
+            }
         }
     }
 

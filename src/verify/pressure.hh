@@ -1,17 +1,15 @@
 /**
  * @file
  * Static activation-pressure analysis: counts, per (bank, row), the
- * ACT commands one plan's execution implies — from the same
- * synthesized slot programs the command lint checks
- * (verify/synthesis.hh) — and flags rows whose count exceeds a
- * configurable disturbance budget (UPL201).
+ * ACT commands one plan's execution implies and flags rows whose
+ * count exceeds a configurable disturbance budget (UPL201).
  *
- * Unlike the command lint, which synthesizes each distinct slot once
- * (the timing shape is slot-invariant), the pressure analysis counts
- * per *op* and multiplies by the engine's redundancy: the executor
- * re-issues every slot program on every op occurrence and every
- * majority-vote trial, and rowhammer-style disturbance accumulates
- * per physical activation, not per distinct shape.
+ * The count reads the lowering the engine interprets (pud/lower.hh):
+ * each op's per-trial body — the ACTs of its violated-timing
+ * programs, plus one per host row write or read — multiplied by the
+ * engine's redundancy, because rowhammer-style disturbance
+ * accumulates per physical activation. The once-per-op RowClone
+ * staging writes are residency and stay out of the census.
  */
 
 #ifndef FCDRAM_VERIFY_PRESSURE_HH
@@ -66,9 +64,9 @@ struct ActivationPressureProfile
  * and report every row exceeding @p budget as UPL201 into @p sink.
  *
  * @param redundancy Majority-vote trial count (every trial re-issues
- *        each slot program).
- * @param rowCloneCopyIn Include the staging->compute RowClone
- *        programs (CopyInMode::RowClone engines).
+ *        each op's body).
+ * @param rowCloneCopyIn Lower with CopyInMode::RowClone (staged
+ *        operands cloned instead of host-written).
  */
 ActivationPressureProfile
 analyzeActivationPressure(const pud::MicroProgram &program,

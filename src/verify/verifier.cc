@@ -1,38 +1,15 @@
 #include "verify/verifier.hh"
 
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "verify/synthesis.hh"
+#include "pud/lower.hh"
 
 namespace fcdram::verify {
 
-namespace {
-
-using pud::MicroOp;
-using pud::MicroOpKind;
 using pud::MicroProgram;
 using pud::Placement;
-
-/** Feed each synthesized slot program through the command lint. */
-void
-lintSlotPrograms(const std::vector<SlotProgram> &programs,
-                 const Chip &chip, const std::string &locus,
-                 DiagnosticSink &sink)
-{
-    for (const SlotProgram &slot : programs) {
-        CommandLintContext context;
-        context.epoch = slot.epoch.c_str();
-        context.ignoresViolatedCommands =
-            chip.profile().decoder.ignoresViolatedCommands;
-        std::ostringstream prefixed;
-        prefixed << locus << " " << slot.epoch;
-        context.locus = prefixed.str();
-        lintCommandProgram(slot.program, context, sink);
-    }
-}
-
-} // namespace
 
 DiagnosticSink
 verifyPlan(const MicroProgram &program, const Placement &placement,
@@ -51,53 +28,24 @@ verifyPlan(const MicroProgram &program, const Placement &placement,
         sink.report("UPL009", "plan", message.str());
     }
 
-    // Command-level lint of what each placed slot will issue. Every
-    // distinct slot is synthesized once (slots are reused across the
-    // ops of one program, and the command stream depends only on the
-    // slot's rows).
-    const std::size_t n = program.ops.size();
-    if (placement.gateSlotOf.size() != n ||
-        placement.notSlotOf.size() != n ||
-        placement.majSlotOf.size() != n)
-        return sink; // Envelope error already reported.
-
-    std::vector<bool> gateDone(placement.gateSlots.size(), false);
-    std::vector<bool> notDone(placement.notSlots.size(), false);
-    std::vector<bool> majDone(placement.majSlots.size(), false);
-    for (std::size_t i = 0; i < n; ++i) {
-        const MicroOp &op = program.ops[i];
-        std::ostringstream locusStream;
-        locusStream << "op " << i;
-        const std::string locus = locusStream.str();
-        const int g = placement.gateSlotOf[i];
-        if (op.kind == MicroOpKind::Wide && g >= 0 &&
-            static_cast<std::size_t>(g) < gateDone.size() &&
-            !gateDone[g]) {
-            gateDone[g] = true;
-            lintSlotPrograms(
-                synthesizeGatePrograms(chip, placement.gateSlots[g],
-                                       rowCloneCopyIn),
-                chip, locus, sink);
-        }
-        const int t = placement.notSlotOf[i];
-        if (op.kind == MicroOpKind::Not && t >= 0 &&
-            static_cast<std::size_t>(t) < notDone.size() &&
-            !notDone[t]) {
-            notDone[t] = true;
-            lintSlotPrograms(
-                synthesizeNotPrograms(chip, placement.notSlots[t]),
-                chip, locus, sink);
-        }
-        const int m = placement.majSlotOf[i];
-        if (op.kind == MicroOpKind::Maj && m >= 0 &&
-            static_cast<std::size_t>(m) < majDone.size() &&
-            !majDone[m]) {
-            majDone[m] = true;
-            // One Frac probe covers the timing shape; the pressure
-            // analysis separately accounts for every neutral row.
-            lintSlotPrograms(
-                synthesizeMajPrograms(chip, placement.majSlots[m], 1),
-                chip, locus, sink);
+    // Command-level lint of what each op issues per trial: the
+    // lowered programs the engine executes (host writes land rows
+    // directly and issue no commands).
+    const std::vector<pud::LoweredOp> lowered = pud::lower(
+        program, placement, chip,
+        rowCloneCopyIn ? pud::CopyInMode::RowClone
+                       : pud::CopyInMode::HostWrite);
+    CommandLintContext context;
+    context.ignoresViolatedCommands =
+        chip.profile().decoder.ignoresViolatedCommands;
+    for (std::size_t i = 0; i < lowered.size(); ++i) {
+        for (const pud::LoweredStep &step : lowered[i].body) {
+            if (step.kind == pud::LoweredStep::Kind::Write)
+                continue;
+            context.epoch = step.label;
+            context.locus =
+                std::string("op ") + std::to_string(i) + " " + step.label;
+            lintCommandProgram(step.program, context, sink);
         }
     }
     return sink;

@@ -9,12 +9,12 @@
  *  1. the μprogram dataflow lint (verify/uplint.hh),
  *  2. the placement lint against the target chip,
  *  3. a mask-temperature consistency check (UPL009), and
- *  4. the command-program lint (verify/cmdlint.hh) over the command
- *     sequences the executor will issue per placed slot — the Frac
- *     reference init, the double-ACT logic sequence, cross-subarray
- *     NOT, the SiMRA MAJ activation, and RowClone copy-in when
- *     enabled — synthesized with the same ProgramBuilder shapes as
- *     fcdram/ops.cc and labeled with their DramLabel epochs.
+ *  4. the command-program lint (verify/cmdlint.hh) over every program
+ *     each op executes per trial — the Frac reference init, the
+ *     double-ACT logic sequence, cross-subarray NOT, the SiMRA MAJ
+ *     activation, RowClone copy-in when enabled, and the host reads —
+ *     taken from the lowering (pud/lower.hh) the engine interprets,
+ *     under their DramLabel epochs.
  *
  * The returned DiagnosticSink is the cached verdict: PlanCache stores
  * it in the PlacementPlan (so a warm submit re-checks nothing) and
@@ -64,8 +64,8 @@ class VerifyError : public std::runtime_error
  * @param executeTemperature Temperature the plan will execute at
  *        (UPL009 on mismatch; the runtime engine additionally
  *        enforces this as a hard error).
- * @param rowCloneCopyIn Also lint the staging->compute RowClone
- *        programs (CopyInMode::RowClone engines).
+ * @param rowCloneCopyIn Lower with CopyInMode::RowClone, so the
+ *        staging->compute RowClone programs are linted.
  */
 DiagnosticSink verifyPlan(const pud::MicroProgram &program,
                           const pud::Placement &placement,

@@ -6,6 +6,12 @@
 #ifndef FCDRAM_TESTS_TESTUTIL_HH
 #define FCDRAM_TESTS_TESTUTIL_HH
 
+#include <cctype>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "config/chipprofile.hh"
 #include "dram/geometry.hh"
 
@@ -57,6 +63,191 @@ tinyGeometry()
 {
     return GeometryConfig::tiny();
 }
+
+/** One parsed JSON value. */
+struct JsonValue
+{
+    enum class Type { Null, Bool, Number, String, Array, Object };
+    Type type = Type::Null;
+    bool boolean = false;
+    double number = 0.0;
+    std::string string;
+    std::vector<JsonValue> array;
+    std::map<std::string, JsonValue> object;
+
+    const JsonValue &at(const std::string &key) const
+    {
+        const auto it = object.find(key);
+        if (it == object.end())
+            throw std::runtime_error("missing key " + key);
+        return it->second;
+    }
+    bool has(const std::string &key) const
+    {
+        return object.count(key) != 0;
+    }
+};
+
+/** Minimal JSON parser for validating exported reports and traces. */
+class JsonParser
+{
+  public:
+    explicit JsonParser(const std::string &text) : text_(text) {}
+
+    JsonValue parse()
+    {
+        const JsonValue value = parseValue();
+        skipWs();
+        if (pos_ != text_.size())
+            throw std::runtime_error("trailing JSON content");
+        return value;
+    }
+
+  private:
+    void skipWs()
+    {
+        while (pos_ < text_.size() &&
+               std::isspace(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+    }
+
+    char peek()
+    {
+        skipWs();
+        if (pos_ >= text_.size())
+            throw std::runtime_error("unexpected end of JSON");
+        return text_[pos_];
+    }
+
+    void expect(char c)
+    {
+        if (peek() != c) {
+            throw std::runtime_error(std::string("expected '") + c +
+                                     "' at offset " +
+                                     std::to_string(pos_));
+        }
+        ++pos_;
+    }
+
+    JsonValue parseValue()
+    {
+        switch (peek()) {
+          case '{': return parseObject();
+          case '[': return parseArray();
+          case '"': return parseString();
+          case 't': return parseLiteral("true", true);
+          case 'f': return parseLiteral("false", false);
+          case 'n': return parseLiteral("null", false);
+          default: return parseNumber();
+        }
+    }
+
+    JsonValue parseLiteral(const std::string &word, bool value)
+    {
+        if (text_.compare(pos_, word.size(), word) != 0)
+            throw std::runtime_error("bad JSON literal");
+        pos_ += word.size();
+        JsonValue out;
+        out.type = word == "null" ? JsonValue::Type::Null
+                                  : JsonValue::Type::Bool;
+        out.boolean = value;
+        return out;
+    }
+
+    JsonValue parseNumber()
+    {
+        const std::size_t start = pos_;
+        while (pos_ < text_.size() &&
+               (std::isdigit(
+                    static_cast<unsigned char>(text_[pos_])) ||
+                text_[pos_] == '-' || text_[pos_] == '+' ||
+                text_[pos_] == '.' || text_[pos_] == 'e' ||
+                text_[pos_] == 'E'))
+            ++pos_;
+        if (pos_ == start)
+            throw std::runtime_error("bad JSON number");
+        JsonValue out;
+        out.type = JsonValue::Type::Number;
+        out.number = std::stod(text_.substr(start, pos_ - start));
+        return out;
+    }
+
+    JsonValue parseString()
+    {
+        expect('"');
+        JsonValue out;
+        out.type = JsonValue::Type::String;
+        while (pos_ < text_.size() && text_[pos_] != '"') {
+            char c = text_[pos_++];
+            if (c == '\\') {
+                if (pos_ >= text_.size())
+                    throw std::runtime_error("bad escape");
+                const char esc = text_[pos_++];
+                switch (esc) {
+                  case 'n': c = '\n'; break;
+                  case 't': c = '\t'; break;
+                  case 'r': c = '\r'; break;
+                  case 'u':
+                    if (pos_ + 4 > text_.size())
+                        throw std::runtime_error("bad \\u escape");
+                    c = static_cast<char>(std::stoi(
+                        text_.substr(pos_, 4), nullptr, 16));
+                    pos_ += 4;
+                    break;
+                  default: c = esc; break;
+                }
+            }
+            out.string.push_back(c);
+        }
+        expect('"');
+        return out;
+    }
+
+    JsonValue parseArray()
+    {
+        expect('[');
+        JsonValue out;
+        out.type = JsonValue::Type::Array;
+        if (peek() == ']') {
+            ++pos_;
+            return out;
+        }
+        for (;;) {
+            out.array.push_back(parseValue());
+            if (peek() == ',') {
+                ++pos_;
+                continue;
+            }
+            expect(']');
+            return out;
+        }
+    }
+
+    JsonValue parseObject()
+    {
+        expect('{');
+        JsonValue out;
+        out.type = JsonValue::Type::Object;
+        if (peek() == '}') {
+            ++pos_;
+            return out;
+        }
+        for (;;) {
+            const JsonValue key = parseString();
+            expect(':');
+            out.object.emplace(key.string, parseValue());
+            if (peek() == ',') {
+                ++pos_;
+                continue;
+            }
+            expect('}');
+            return out;
+        }
+    }
+
+    const std::string &text_;
+    std::size_t pos_ = 0;
+};
 
 } // namespace fcdram::test
 

@@ -6,11 +6,12 @@
  * sweep plus MAJ gates) for each of the paper's manufacturer profiles,
  * places the programs on a fresh chip, and runs the full static
  * verifier (verify::verifyPlan) over each plan: μprogram dataflow,
- * placement/capability, and the synthesized command programs. Prints a
- * per-plan text report to stdout, optionally dumps the findings as
- * JSON (--json-out=PATH, consumed by CI as a build artifact), and
- * exits non-zero when any Error-severity diagnostic fired — the same
- * plans QueryService::submit would reject under VerifyPolicy::Enforce.
+ * placement/capability, and the lowered command programs the engine
+ * executes (pud/lower.hh). Prints a per-plan text report to stdout,
+ * optionally dumps the findings as JSON (--json-out=PATH, consumed by
+ * CI as a build artifact), and exits non-zero when any Error-severity
+ * diagnostic fired — the same plans QueryService::submit would reject
+ * under VerifyPolicy::Enforce.
  *
  * --certify additionally derives each plan's reliability certificate
  * (verify::certifyPlan), executes the plan --certify-runs times with
