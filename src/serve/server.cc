@@ -1,6 +1,7 @@
 #include "serve/server.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "fcdram/scheduler.hh"
@@ -29,8 +30,7 @@ struct QueryServer::Entry
     std::uint64_t serveId = 0;
     pud::BoundQuery query;
     FleetSession::Module module;
-    std::uint64_t epoch = 0;
-    std::string tenant;
+    BatchKey key; ///< Computed once, at admission.
     std::promise<QueryResponse> promise;
 
     /** Admission timestamp; 0 unless the wallClock pillar is on. */
@@ -38,9 +38,21 @@ struct QueryServer::Entry
 };
 
 /**
- * One shard: tenant queues plus the dedicated drain thread. depth
- * counts queued entries, inflight counts entries inside a flush;
- * drain() waits for both to reach zero (idleCv).
+ * One live (non-empty) tenant queue. It carries the tenant's weight
+ * and its served-ledger slot, so seed selection looks nothing up.
+ */
+struct QueryServer::TenantQueue
+{
+    std::deque<Entry> entries;
+    double weight = 1.0;
+    double *served = nullptr; ///< Node of Shard::served (stable).
+};
+
+/**
+ * One shard: tenant queues plus the dedicated drain thread. Only
+ * non-empty queues exist (gatherWindow relies on it). depth counts
+ * queued entries, inflight counts entries inside a flush; drain()
+ * waits for both to reach zero (idleCv).
  */
 struct QueryServer::Shard
 {
@@ -48,9 +60,10 @@ struct QueryServer::Shard
     std::condition_variable cv;
     std::condition_variable idleCv;
 
-    std::map<QueueKey, std::deque<Entry>> queues;
+    std::map<QueueKey, TenantQueue> queues;
 
-    /** Weighted-fairness ledger: entries drained per tenant. */
+    /** Weighted-fairness ledger: entries drained per tenant. Outlives
+     * the tenant's queue. */
     std::map<std::string, double> served;
 
     std::size_t depth = 0;
@@ -122,10 +135,10 @@ QueryServer::enqueue(pud::BoundQuery query,
         *shards_[module.index % shards_.size()];
 
     Entry entry;
+    entry.key = BatchKey{module.index, query.query().exprHash(),
+                         service_->temperatureEpoch()};
     entry.query = std::move(query);
     entry.module = module;
-    entry.tenant = client.tenant;
-    entry.epoch = service_->temperatureEpoch();
     if (tel.wallClockOn())
         entry.admitUs = obs::Telemetry::nowUs();
     std::future<QueryResponse> future = entry.promise.get_future();
@@ -157,8 +170,13 @@ QueryServer::enqueue(pud::BoundQuery query,
         entry.serveId =
             nextServeId_.fetch_add(1, std::memory_order_relaxed);
         span.arg("serve_id", entry.serveId);
-        shard.queues[QueueKey{-client.priority, client.tenant}]
-            .push_back(std::move(entry));
+        const auto [queueIt, fresh] = shard.queues.try_emplace(
+            QueueKey{-client.priority, client.tenant});
+        if (fresh) {
+            queueIt->second.weight = tenantWeight(client.tenant);
+            queueIt->second.served = &shard.served[client.tenant];
+        }
+        queueIt->second.entries.push_back(std::move(entry));
         ++shard.depth;
         {
             const std::lock_guard<std::mutex> statsLock(statsMutex_);
@@ -178,43 +196,34 @@ QueryServer::gatherWindow(Shard &shard)
 {
     // Caller holds shard.mutex.
     //
-    // Seed selection: among the non-empty queues of the highest
+    // Seed selection: among the (all non-empty) queues of the highest
     // priority present, the tenant with the smallest served/weight
     // ratio wins; strict < keeps the lexicographically first tenant
     // on ties (map order), so the drain order is fully deterministic
     // given the queue state.
-    auto seedIt = shard.queues.end();
-    bool havePriority = false;
-    int activePriority = 0;
-    double bestScore = 0.0;
-    for (auto it = shard.queues.begin(); it != shard.queues.end();
+    if (shard.queues.empty())
+        return {};
+    const int activePriority = shard.queues.begin()->first.first;
+    auto seedIt = shard.queues.begin();
+    double bestScore = *seedIt->second.served / seedIt->second.weight;
+    for (auto it = std::next(seedIt);
+         it != shard.queues.end() && it->first.first == activePriority;
          ++it) {
-        if (it->second.empty())
-            continue;
-        if (!havePriority) {
-            havePriority = true;
-            activePriority = it->first.first;
-        } else if (it->first.first != activePriority) {
-            break; // Map order: later keys are lower priority.
-        }
-        const double score = shard.served[it->first.second] /
-                             tenantWeight(it->first.second);
-        if (seedIt == shard.queues.end() || score < bestScore) {
+        const double score = *it->second.served / it->second.weight;
+        if (score < bestScore) {
             seedIt = it;
             bestScore = score;
         }
     }
-    if (seedIt == shard.queues.end())
-        return {};
 
     std::vector<Entry> window;
     window.reserve(options_.maxBatch);
-    Entry seed = std::move(seedIt->second.front());
-    seedIt->second.pop_front();
-    const BatchKey key{seed.module.index,
-                       seed.query.query().exprHash(), seed.epoch};
-    shard.served[seed.tenant] += 1.0;
-    window.push_back(std::move(seed));
+    window.push_back(std::move(seedIt->second.entries.front()));
+    seedIt->second.entries.pop_front();
+    *seedIt->second.served += 1.0;
+    if (seedIt->second.entries.empty())
+        shard.queues.erase(seedIt);
+    const BatchKey key = window.front().key;
 
     // Coalesce compatible entries from EVERY tenant queue (same
     // module, plan hash, and temperature epoch), preserving each
@@ -222,23 +231,20 @@ QueryServer::gatherWindow(Shard &shard)
     // coalescing is the point: thousands of tenants sharing a few
     // hot query shapes dedup onto shared executions.
     for (auto it = shard.queues.begin();
-         it != shard.queues.end() && window.size() < options_.maxBatch;
-         ++it) {
-        std::deque<Entry> &queue = it->second;
+         it != shard.queues.end() && window.size() < options_.maxBatch;) {
+        std::deque<Entry> &queue = it->second.entries;
         for (auto entryIt = queue.begin();
              entryIt != queue.end() &&
              window.size() < options_.maxBatch;) {
-            const BatchKey candidate{
-                entryIt->module.index,
-                entryIt->query.query().exprHash(), entryIt->epoch};
-            if (candidate == key) {
-                shard.served[it->first.second] += 1.0;
+            if (entryIt->key == key) {
+                *it->second.served += 1.0;
                 window.push_back(std::move(*entryIt));
                 entryIt = queue.erase(entryIt);
             } else {
                 ++entryIt;
             }
         }
+        it = queue.empty() ? shard.queues.erase(it) : std::next(it);
     }
     shard.depth -= window.size();
     shard.inflight += window.size();
@@ -405,8 +411,12 @@ void
 QueryServer::resume()
 {
     paused_.store(false, std::memory_order_release);
-    for (auto &shard : shards_)
+    // Lock-step with each drain thread's predicate check so the
+    // wakeup cannot be lost.
+    for (auto &shard : shards_) {
+        { const std::lock_guard<std::mutex> lock(shard->mutex); }
         shard->cv.notify_all();
+    }
 }
 
 void
@@ -415,8 +425,10 @@ QueryServer::stop()
     const std::lock_guard<std::mutex> lock(stopMutex_);
     stopping_.store(true, std::memory_order_release);
     paused_.store(false, std::memory_order_release);
-    for (auto &shard : shards_)
+    for (auto &shard : shards_) { // Lock-step as in resume().
+        { const std::lock_guard<std::mutex> shardLock(shard->mutex); }
         shard->cv.notify_all();
+    }
     for (auto &shard : shards_) {
         if (shard->worker.joinable())
             shard->worker.join();

@@ -16,15 +16,20 @@
  *             always lands on shard m % shards, so the batching
  *             composition is invariant to the shard count;
  *   shard     weighted-FIFO fairness across tenants: queues are keyed
- *             (priority desc, tenant); the drain thread serves the
- *             highest priority present and, within it, the tenant
- *             with the smallest served/weight ratio (lexicographic
- *             tie-break — fully deterministic for tests);
+ *             (priority desc, tenant) and a shard holds only
+ *             non-empty ones — a drained queue is erased, while the
+ *             tenant's served count outlives it; the drain thread
+ *             serves the highest priority present and, within it,
+ *             the tenant with the smallest served/weight ratio
+ *             (lexicographic tie-break — fully deterministic for
+ *             tests);
  *   batch     a batching window coalesces queries compatible with the
  *             selected seed query — same module, same plan hash
  *             (hence same resolved backend/capability), same
- *             temperature epoch — up to maxBatch entries, pulling
- *             compatible entries from every tenant queue;
+ *             temperature epoch, keyed once at admission — up to
+ *             maxBatch entries, pulling compatible entries from every
+ *             tenant queue; a window's cost grows with the entries
+ *             queued on its shard, not with the tenants it has seen;
  *   flush     entries with identical (plan, dataKey) share ONE chip
  *             execution and the result fans out to every waiter
  *             (QueryResponse::shareCount); distinct datasets ride the
@@ -235,6 +240,7 @@ class QueryServer
 
   private:
     struct Entry;
+    struct TenantQueue;
     struct Shard;
 
     /** Queue key: (-priority, tenant) — map order = drain order. */

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
@@ -29,8 +31,10 @@ using namespace fcdram::serve;
  * Serving-tier tests: response identity against direct submits,
  * serveId/shard-count determinism, request coalescing and window
  * compatibility (plan hash, temperature epoch), backpressure,
- * weighted tenant fairness, priority classes, concurrent clients,
- * and error propagation through futures (admission + verify).
+ * weighted tenant fairness, priority classes, the drain order
+ * against a reference model of the policy, concurrent clients with
+ * tenant churn, and error propagation through futures (admission +
+ * verify).
  */
 
 std::vector<ExprId>
@@ -410,6 +414,216 @@ TEST_F(QueryServerTest, HigherPriorityDrainsFirst)
     EXPECT_LT(high.get().batchId, low.get().batchId);
 }
 
+TEST_F(QueryServerTest, ResumeNeverLosesTheWakeup)
+{
+    // An enqueue's notify wakes the paused drain thread; a resume()
+    // landing between that thread's predicate check and its wait must
+    // still wake it, or the entry stays queued forever.
+    auto service = makeService();
+    const PreparedQuery prepared = prepareShape(*service, 0);
+    const FleetSession::Module &module = modules().front();
+    ServerOptions options;
+    options.shards = 1;
+    options.startPaused = true;
+    for (int i = 0; i < 2000; ++i) {
+        QueryServer server(service, options);
+        auto future = server.enqueue(prepared.bindSeeded(1), module);
+        // Sweep the resume over 0-50 us so that some iterations land
+        // it inside the drain thread's wake -> check -> wait cycle.
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::nanoseconds(250 * (i % 200));
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        server.resume();
+        ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+                  std::future_status::ready)
+            << "iteration " << i;
+    }
+}
+
+/**
+ * Test-local reference of the shard drain policy: the highest
+ * priority present first; within it the tenant with the smallest
+ * served/weight ratio (lexicographic tie-break); then every entry
+ * sharing the seed's (module, plan hash, temperature epoch) across
+ * all tenant queues in (priority, tenant) order, FIFO within a
+ * queue, up to maxBatch. The served ledger spans drains.
+ */
+class DrainPolicyModel
+{
+  public:
+    struct Entry
+    {
+        std::uint64_t serveId = 0;
+        std::size_t moduleIndex = 0;
+        std::uint64_t exprHash = 0;
+        std::uint64_t epoch = 0;
+        std::uint64_t salt = 0;
+
+        bool sameBatch(const Entry &other) const
+        {
+            return moduleIndex == other.moduleIndex &&
+                   exprHash == other.exprHash && epoch == other.epoch;
+        }
+    };
+
+    DrainPolicyModel(std::size_t maxBatch,
+                     std::map<std::string, double> weights)
+        : maxBatch_(maxBatch), weights_(std::move(weights))
+    {
+    }
+
+    void enqueue(const std::string &tenant, int priority,
+                 const Entry &entry)
+    {
+        queues_[{-priority, tenant}].push_back(entry);
+    }
+
+    /** Every window until the queues are empty, in drain order. */
+    std::vector<std::vector<Entry>> drain()
+    {
+        std::vector<std::vector<Entry>> windows;
+        for (;;) {
+            auto seedIt = queues_.end();
+            double bestScore = 0.0;
+            for (auto it = queues_.begin(); it != queues_.end();
+                 ++it) {
+                if (it->second.empty())
+                    continue;
+                if (seedIt != queues_.end() &&
+                    it->first.first != seedIt->first.first)
+                    break;
+                const std::string &tenant = it->first.second;
+                const double score =
+                    served_[tenant] / weights_.at(tenant);
+                if (seedIt == queues_.end() || score < bestScore) {
+                    seedIt = it;
+                    bestScore = score;
+                }
+            }
+            if (seedIt == queues_.end())
+                return windows;
+
+            std::vector<Entry> window{seedIt->second.front()};
+            seedIt->second.pop_front();
+            served_[seedIt->first.second] += 1.0;
+            for (auto &[key, queue] : queues_) {
+                for (auto it = queue.begin();
+                     it != queue.end() && window.size() < maxBatch_;) {
+                    if (it->sameBatch(window.front())) {
+                        served_[key.second] += 1.0;
+                        window.push_back(*it);
+                        it = queue.erase(it);
+                    } else {
+                        ++it;
+                    }
+                }
+            }
+            windows.push_back(std::move(window));
+        }
+    }
+
+  private:
+    std::size_t maxBatch_;
+    std::map<std::string, double> weights_;
+    std::map<std::pair<int, std::string>, std::deque<Entry>> queues_;
+    std::map<std::string, double> served_;
+};
+
+TEST_F(QueryServerTest, DrainOrderMatchesReferencePolicy)
+{
+    auto service = makeService();
+    ServerOptions options;
+    options.shards = 1;
+    options.maxBatch = 4;
+    options.startPaused = true;
+    constexpr int kTenants = 24;
+    const auto tenantName = [](std::uint64_t t) {
+        return "tenant" + std::to_string(t);
+    };
+    for (int t = 0; t < kTenants; ++t)
+        options.tenantWeights[tenantName(t)] = 1.0 + t % 3;
+    QueryServer server(service, options);
+    DrainPolicyModel model(options.maxBatch, options.tenantWeights);
+
+    const std::vector<PreparedQuery> shapes{prepareShape(*service, 0),
+                                            prepareShape(*service, 1),
+                                            prepareShape(*service, 2)};
+    ASSERT_GE(modules().size(), 2u);
+    const std::vector<FleetSession::Module> targets{modules()[0],
+                                                    modules()[1]};
+
+    // Three preload -> resume -> drain -> pause phases: tenants whose
+    // queues emptied come back with their served counts intact, and
+    // one epoch bump mid-preload splits otherwise compatible entries.
+    Rng rng(1811);
+    constexpr int kPhases = 3;
+    constexpr int kPerPhase = 40;
+    std::uint64_t nextServeId = 1;
+    std::size_t sharedResponses = 0;
+    for (int phase = 0; phase < kPhases; ++phase) {
+        std::vector<std::future<QueryResponse>> futures;
+        for (int i = 0; i < kPerPhase; ++i) {
+            if (phase == 1 && i == kPerPhase / 2) {
+                service->setTemperature(
+                    session_->chip(targets[0]).temperature());
+            }
+            const std::string tenant = tenantName(rng.below(kTenants));
+            const int priority = 2 * static_cast<int>(rng.below(2));
+            const PreparedQuery &shape = shapes[rng.below(3)];
+            const FleetSession::Module &module = targets[rng.below(2)];
+            const std::uint64_t salt = 1 + rng.below(3);
+            model.enqueue(tenant, priority,
+                          {nextServeId++, module.index,
+                           shape.exprHash(),
+                           service->temperatureEpoch(), salt});
+            futures.push_back(server.enqueue(shape.bindSeeded(salt),
+                                             module,
+                                             {tenant, priority}));
+        }
+        server.resume();
+        server.drain();
+        server.pause();
+
+        std::map<std::uint64_t, std::set<std::uint64_t>> batches;
+        std::map<std::uint64_t, std::size_t> shareCounts;
+        for (auto &future : futures) {
+            const QueryResponse response = future.get();
+            batches[response.batchId].insert(response.serveId);
+            shareCounts[response.serveId] = response.shareCount;
+        }
+
+        const auto windows = model.drain();
+        ASSERT_EQ(batches.size(), windows.size()) << "phase " << phase;
+        auto batchIt = batches.begin();
+        for (std::size_t w = 0; w < windows.size(); ++w, ++batchIt) {
+            std::set<std::uint64_t> want;
+            for (const auto &entry : windows[w]) {
+                want.insert(entry.serveId);
+                const auto shared = static_cast<std::size_t>(
+                    std::count_if(windows[w].begin(),
+                                  windows[w].end(),
+                                  [&](const auto &peer) {
+                                      return peer.salt == entry.salt;
+                                  }));
+                EXPECT_EQ(shareCounts[entry.serveId], shared)
+                    << "phase " << phase << " serveId "
+                    << entry.serveId;
+                if (shared > 1)
+                    ++sharedResponses;
+            }
+            EXPECT_EQ(batchIt->second, want)
+                << "phase " << phase << " window " << w;
+        }
+    }
+    EXPECT_EQ(server.stats().completed,
+              static_cast<std::uint64_t>(kPhases * kPerPhase));
+    // The trace must actually exercise coalescing and dedup.
+    EXPECT_LT(server.stats().batches,
+              static_cast<std::uint64_t>(kPhases * kPerPhase));
+    EXPECT_GT(sharedResponses, 0u);
+}
+
 TEST_F(QueryServerTest, ConcurrentClientsAllComplete)
 {
     auto service = makeService();
@@ -420,7 +634,10 @@ TEST_F(QueryServerTest, ConcurrentClientsAllComplete)
 
     const PreparedQuery prepared = prepareShape(*service, 0);
     constexpr int kThreads = 4;
-    constexpr int kPerThread = 25;
+    constexpr int kPerThread = 100;
+    // Every client cycles over the same tenants at two priorities, so
+    // tenant queues are created and emptied while both shards drain.
+    constexpr int kTenants = 50;
 
     std::vector<std::thread> clients;
     std::vector<std::vector<std::future<QueryResponse>>> futures(
@@ -437,7 +654,8 @@ TEST_F(QueryServerTest, ConcurrentClientsAllComplete)
                             static_cast<std::uint64_t>(t) * 1000 +
                             static_cast<std::uint64_t>(i % 5)),
                         module,
-                        {"tenant" + std::to_string(t), 0}));
+                        {"tenant" + std::to_string(i % kTenants),
+                         (i / kTenants) % 2}));
             }
         });
     }
