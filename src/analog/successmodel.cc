@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "analog/chargesharing.hh"
 #include "analog/coupling.hh"
@@ -221,6 +223,36 @@ SuccessModel::sampleTrialAt(Volt margin, Volt staticOff,
     if (structFail)
         return uniformFromHash(noiseKey) < 0.5;
     return senseAmp_.sampleAt(margin - staticOff, noiseKey);
+}
+
+ColumnVariation::ColumnVariation(
+    const SuccessModel &model, BankId bank,
+    const std::vector<ColId> &columns,
+    const std::function<StripeId(ColId)> &stripeOf, int rowPairLoad)
+    : variation_(&model.variation()), bank_(bank)
+{
+    const double fail_fraction =
+        model.structuralFailFraction(rowPairLoad);
+    // A call's columns span one or two stripes: fold each stripe's
+    // (SA, fail) key prefixes once.
+    std::map<StripeId, std::pair<std::uint64_t, std::uint64_t>> prefixes;
+    columns_.reserve(columns.size());
+    for (const ColId col : columns) {
+        Column column;
+        column.col = col;
+        column.stripe = stripeOf(col);
+        const auto [it, added] = prefixes.try_emplace(column.stripe);
+        if (added) {
+            it->second = {variation_->saKeyPrefix(bank, column.stripe),
+                          variation_->failKeyPrefix(bank, column.stripe)};
+        }
+        const auto &[sa_prefix, fail_prefix] = it->second;
+        column.saOffset =
+            variation_->saOffsetFromKey(hashCombine(sa_prefix, col));
+        column.structFail = variation_->structuralFailFromKey(
+            hashCombine(fail_prefix, col), fail_fraction);
+        columns_.push_back(column);
+    }
 }
 
 } // namespace fcdram

@@ -21,8 +21,13 @@
 #ifndef FCDRAM_ANALOG_SUCCESSMODEL_HH
 #define FCDRAM_ANALOG_SUCCESSMODEL_HH
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "analog/senseamp.hh"
 #include "analog/variation.hh"
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "config/chipprofile.hh"
 
@@ -40,6 +45,8 @@ struct OpConditions
      * (0 for all-1s/all-0s data, ~0.5 for random data).
      */
     double couplingFraction = 0.5;
+
+    bool operator==(const OpConditions &) const = default;
 };
 
 /** Context of one NOT operation instance (analytic form). */
@@ -244,6 +251,65 @@ class SuccessModel
     ChipProfile profile_;
     VariationMap variation_;
     SenseAmpModel senseAmp_;
+};
+
+/**
+ * Static variation of one bank's cells on a set of columns, hoisted
+ * for bulk consumers (the analytic engine, the allocator's
+ * probability vectors). The sense-amplifier half does not depend on
+ * the row, so it is computed once per column at construction through
+ * VariationMap's key prefixes; forEachCell() then adds a row's cell
+ * offsets at one hashCombine and one normal quantile per cell. The
+ * values equal SuccessModel::staticOffset() and structuralFail() bit
+ * for bit. Holds no mutable state: build one per call. It reads the
+ * model's VariationMap, so it must not outlive the model.
+ */
+class ColumnVariation
+{
+  public:
+    /** One sensed column. */
+    struct Column
+    {
+        ColId col = 0;
+        StripeId stripe = 0;     ///< Stripe whose SA senses the column.
+        Volt saOffset = 0.0;     ///< saOffset(bank, stripe, col).
+        bool structFail = false; ///< structuralFail at the load.
+    };
+
+    /**
+     * @param columns Columns to cover, in iteration order.
+     * @param stripeOf Stripe that senses each column.
+     * @param rowPairLoad Load for the structural-fail flags. @pre >= 1
+     */
+    ColumnVariation(const SuccessModel &model, BankId bank,
+                    const std::vector<ColId> &columns,
+                    const std::function<StripeId(ColId)> &stripeOf,
+                    int rowPairLoad);
+
+    const std::vector<Column> &columns() const { return columns_; }
+
+    /**
+     * Call fn(column, offset) for every column in order, where offset
+     * is staticOffset(bank, globalRow, column.col, column.stripe).
+     */
+    template <typename Fn>
+    void forEachCell(RowId globalRow, Fn &&fn) const
+    {
+        const std::uint64_t prefix =
+            variation_->cellKeyPrefix(bank_, globalRow);
+        for (const Column &column : columns_) {
+            // cellOffset + saOffset, the sum staticOffset() returns.
+            const Volt offset = variation_->cellOffsetFromKey(
+                                    hashCombine(prefix, column.col)) +
+                                column.saOffset;
+            fn(column, offset);
+        }
+    }
+
+  private:
+    const VariationMap *variation_;
+    BankId bank_;
+    std::vector<Column> columns_;
 };
 
 } // namespace fcdram

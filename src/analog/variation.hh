@@ -43,7 +43,8 @@ class VariationMap
 
     /**
      * Prefix factorization of the per-cell hash keys for bulk
-     * consumers (the word-parallel executor): the key of
+     * consumers (the word-parallel executor, and ColumnVariation for
+     * the analytic engine and the allocator): the key of
      * cellOffset(bank, row, col) is exactly
      * hashCombine(cellKeyPrefix(bank, row), col), so a whole row's
      * offsets need one hashCombine per column instead of re-folding

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdlib>
+#include <numeric>
 
 namespace fcdram {
 
@@ -38,6 +39,14 @@ sharedColumns(const GeometryConfig &geometry, SubarrayId a,
         if (columnShared(a, b, col))
             columns.push_back(col);
     }
+    return columns;
+}
+
+std::vector<ColId>
+allColumns(const GeometryConfig &geometry)
+{
+    std::vector<ColId> columns(static_cast<std::size_t>(geometry.columns));
+    std::iota(columns.begin(), columns.end(), ColId{0});
     return columns;
 }
 

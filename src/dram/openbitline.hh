@@ -38,6 +38,9 @@ StripeId sharedStripe(SubarrayId a, SubarrayId b);
 std::vector<ColId> sharedColumns(const GeometryConfig &geometry,
                                  SubarrayId a, SubarrayId b);
 
+/** Every column of @p geometry, in order. */
+std::vector<ColId> allColumns(const GeometryConfig &geometry);
+
 /**
  * Terminal polarity at a stripe: the subarray *above* the stripe
  * (id == stripe - 1) connects to the true terminal; the subarray

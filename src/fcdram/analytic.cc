@@ -92,25 +92,24 @@ AnalyticAnalyzer::notSamples(BankId bank, RowId srcGlobal,
     ctx.srcRegion = src_sub.regionFor(src.localRow, stripe);
     ctx.cond = cond;
 
+    const ColumnVariation statics(
+        model, bank, columns, [stripe](ColId) { return stripe; },
+        pair_load);
     samples.reserve(sets.secondRows.size() * columns.size());
     for (const RowId local : sets.secondRows) {
         ctx.dstRegion = dst_sub.regionFor(local, stripe);
         const Volt margin = model.notMargin(ctx);
         const RowId global = composeRow(geometry, dst.subarray, local);
-        for (const ColId col : columns) {
-            const Volt offset =
-                model.staticOffset(bank, global, col, stripe);
-            const bool fail_struct =
-                model.structuralFail(bank, stripe, col, pair_load);
+        statics.forEachCell(global, [&](const auto &column, Volt offset) {
             CellSample sample;
             sample.rowLocal = local;
-            sample.col = col;
+            sample.col = column.col;
             sample.ownRegion = ctx.dstRegion;
             sample.otherRegion = ctx.srcRegion;
             sample.probability = model.cellSuccessProbability(
-                margin, offset, fail_struct);
+                margin, offset, column.structFail);
             samples.push_back(sample);
-        }
+        });
     }
     return samples;
 }
@@ -161,32 +160,31 @@ AnalyticAnalyzer::majSamples(BankId bank, RowId rfGlobal,
         margins[static_cast<std::size_t>(k)] = model.majMargin(ctx);
     }
 
+    const ColumnVariation statics(
+        model, bank, allColumns(geometry),
+        [&](ColId col) { return stripeFor(rf.subarray, col); },
+        pair_load);
     samples.reserve(set.size() *
                     static_cast<std::size_t>(geometry.columns));
     for (const RowId local : set) {
         const RowId global = composeRow(geometry, rf.subarray, local);
-        for (ColId col = 0; col < static_cast<ColId>(geometry.columns);
-             ++col) {
-            const StripeId stripe = stripeFor(rf.subarray, col);
-            const Volt offset =
-                model.staticOffset(bank, global, col, stripe);
-            const bool fail_struct =
-                model.structuralFail(bank, stripe, col, pair_load);
+        statics.forEachCell(global, [&](const auto &column, Volt offset) {
             double p = 0.0;
             for (std::size_t k = 0; k < weights.size(); ++k) {
                 if (weights[k] == 0.0)
                     continue;
-                p += weights[k] * model.cellSuccessProbability(
-                                      margins[k], offset, fail_struct);
+                p += weights[k] *
+                     model.cellSuccessProbability(margins[k], offset,
+                                                  column.structFail);
             }
             CellSample sample;
             sample.rowLocal = local;
-            sample.col = col;
-            sample.ownRegion = subarray.regionFor(local, stripe);
+            sample.col = column.col;
+            sample.ownRegion = subarray.regionFor(local, column.stripe);
             sample.otherRegion = sample.ownRegion;
             sample.probability = p;
             samples.push_back(sample);
-        }
+        });
     }
     return samples;
 }
@@ -241,6 +239,8 @@ AnalyticAnalyzer::logicSamples(BankId bank, BoolOp op, RowId refGlobal,
     ctx.numInputs = n;
     ctx.cond = effective;
 
+    const ColumnVariation statics(
+        model, bank, columns, [stripe](ColId) { return stripe; }, n);
     samples.reserve(rows.size() * columns.size());
     for (const RowId local : rows) {
         const Region own = row_sub.regionFor(local, stripe);
@@ -259,26 +259,23 @@ AnalyticAnalyzer::logicSamples(BankId bank, BoolOp op, RowId refGlobal,
                 model.logicMargin(ctx);
         }
         const RowId global = composeRow(geometry, row_sa, local);
-        for (const ColId col : columns) {
-            const Volt offset =
-                model.staticOffset(bank, global, col, stripe);
-            const bool fail_struct =
-                model.structuralFail(bank, stripe, col, n);
+        statics.forEachCell(global, [&](const auto &column, Volt offset) {
             double p = 0.0;
             for (std::size_t k = 0; k < weights.size(); ++k) {
                 if (weights[k] == 0.0)
                     continue;
-                p += weights[k] * model.cellSuccessProbability(
-                                      margins[k], offset, fail_struct);
+                p += weights[k] *
+                     model.cellSuccessProbability(margins[k], offset,
+                                                  column.structFail);
             }
             CellSample sample;
             sample.rowLocal = local;
-            sample.col = col;
+            sample.col = column.col;
             sample.ownRegion = own;
             sample.otherRegion = measure_ref ? com_rep : ref_rep;
             sample.probability = p;
             samples.push_back(sample);
-        }
+        });
     }
     return samples;
 }

@@ -4,6 +4,13 @@
  * the Monte-Carlo executor in closed form, per cell, and (optionally)
  * samples a binomial at the paper's 10,000-trial budget so the
  * resulting distributions have realistic sampling texture.
+ *
+ * Each call computes the chip's static variation once per column and
+ * row, not once per cell: the SA offsets and structural-fail flags
+ * once per column (ColumnVariation), the cell-key prefix once per
+ * row, and per cell only the cell offset. The probabilities are
+ * bit-identical to the per-cell form (SuccessModel::staticOffset /
+ * structuralFail), which tests/test_analytic.cc keeps as an oracle.
  */
 
 #ifndef FCDRAM_FCDRAM_ANALYTIC_HH

@@ -246,13 +246,17 @@ Campaign::notVsTemperature(const std::vector<int> &temperatures)
                 *session_, m, PairQuery::Activation::Simultaneous,
                 [&](const PairContext &context, int dest, RowId src,
                     RowId dst) {
+                    const OpConditions baseline;
                     const auto base = analyzer.notSamples(
-                        context.bank, src, dst, OpConditions());
+                        context.bank, src, dst, baseline);
                     for (const int temp : temperatures) {
                         OpConditions cond;
                         cond.temperature = temp;
-                        const auto samples = analyzer.notSamples(
-                            context.bank, src, dst, cond);
+                        const auto samples =
+                            cond == baseline
+                                ? base
+                                : analyzer.notSamples(context.bank, src,
+                                                      dst, cond);
                         for (std::size_t i = 0; i < samples.size();
                              ++i) {
                             // Only cells with >90% success at the
@@ -480,15 +484,19 @@ Campaign::logicVsTemperature(const std::vector<int> &temperatures)
                 [&](const PairContext &context, int inputs, RowId ref,
                     RowId com) {
                     for (const BoolOp op : kLogicOps) {
+                        const OpConditions baseline;
                         const auto base = analyzer.logicSamples(
-                            context.bank, op, ref, com, OpConditions(),
+                            context.bank, op, ref, com, baseline,
                             PatternClass::Random);
                         for (const int temp : temperatures) {
                             OpConditions cond;
                             cond.temperature = temp;
-                            const auto samples = analyzer.logicSamples(
-                                context.bank, op, ref, com, cond,
-                                PatternClass::Random);
+                            const auto samples =
+                                cond == baseline
+                                    ? base
+                                    : analyzer.logicSamples(
+                                          context.bank, op, ref, com,
+                                          cond, PatternClass::Random);
                             for (std::size_t i = 0; i < samples.size();
                                  ++i) {
                                 if (base[i].probability <= 0.9)

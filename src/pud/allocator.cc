@@ -134,12 +134,12 @@ logicSuccessProbabilities(const Chip &chip, BankId bank, BoolOp op,
     std::vector<double> probabilities(
         static_cast<std::size_t>(geometry.columns), -1.0);
     const RowId global = composeRow(geometry, rowSa, measured);
-    for (const ColId col : columns) {
-        const Volt offset = model.staticOffset(bank, global, col, stripe);
-        const bool failStruct = model.structuralFail(bank, stripe, col, n);
-        probabilities[col] = model.cellSuccessProbability(
-            extremeMargin, offset, failStruct);
-    }
+    const ColumnVariation statics(
+        model, bank, columns, [stripe](ColId) { return stripe; }, n);
+    statics.forEachCell(global, [&](const auto &column, Volt offset) {
+        probabilities[column.col] = model.cellSuccessProbability(
+            extremeMargin, offset, column.structFail);
+    });
     return probabilities;
 }
 
@@ -199,16 +199,14 @@ rowCloneSuccessProbabilities(const Chip &chip, BankId bank,
 
     std::vector<double> probabilities(
         static_cast<std::size_t>(geometry.columns), -1.0);
-    for (ColId col = 0; col < static_cast<ColId>(geometry.columns);
-         ++col) {
-        const StripeId stripe = stripeFor(dst.subarray, col);
-        const Volt offset =
-            model.staticOffset(bank, dstGlobal, col, stripe);
-        const bool failStruct =
-            model.structuralFail(bank, stripe, col, (total + 1) / 2);
-        probabilities[col] = model.cellSuccessProbability(
-            margin, offset, failStruct);
-    }
+    const ColumnVariation statics(
+        model, bank, allColumns(geometry),
+        [&](ColId col) { return stripeFor(dst.subarray, col); },
+        (total + 1) / 2);
+    statics.forEachCell(dstGlobal, [&](const auto &column, Volt offset) {
+        probabilities[column.col] = model.cellSuccessProbability(
+            margin, offset, column.structFail);
+    });
     return probabilities;
 }
 
@@ -256,16 +254,14 @@ majSuccessProbabilities(const Chip &chip, BankId bank, RowId rfGlobal,
     const int pair_load = (activatedRows + 1) / 2;
     std::vector<double> probabilities(
         static_cast<std::size_t>(geometry.columns), -1.0);
-    for (ColId col = 0; col < static_cast<ColId>(geometry.columns);
-         ++col) {
-        const StripeId stripe = stripeFor(rf.subarray, col);
-        const Volt offset =
-            model.staticOffset(bank, global, col, stripe);
-        const bool failStruct =
-            model.structuralFail(bank, stripe, col, pair_load);
-        probabilities[col] = model.cellSuccessProbability(
-            margin, offset, failStruct);
-    }
+    const ColumnVariation statics(
+        model, bank, allColumns(geometry),
+        [&](ColId col) { return stripeFor(rf.subarray, col); },
+        pair_load);
+    statics.forEachCell(global, [&](const auto &column, Volt offset) {
+        probabilities[column.col] = model.cellSuccessProbability(
+            margin, offset, column.structFail);
+    });
     return probabilities;
 }
 

@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <map>
+#include <string>
+
+#include "dram/address.hh"
+#include "dram/openbitline.hh"
 #include "fcdram/analytic.hh"
 #include "fcdram/ops.hh"
+#include "pud/allocator.hh"
 #include "testutil.hh"
 
 namespace fcdram {
@@ -123,6 +132,600 @@ TEST(Analytic, FixedOnesMatchesWeightedExtremes)
     ASSERT_EQ(worst.size(), best.size());
     for (std::size_t i = 0; i < worst.size(); ++i)
         EXPECT_LE(worst[i].probability, best[i].probability);
+}
+
+// ---- Per-cell oracles -------------------------------------------------
+//
+// Test-local references of the analyzer's and the allocator's cell
+// loops in their per-cell formulation: every cell asks the model for
+// its own staticOffset() and structuralFail(), with no hoisting. The
+// production loops must match them bit for bit.
+
+/** Binomial(n, 1/2) weights, in the analyzer's arithmetic order. */
+std::vector<double>
+referenceBinomialWeights(int n)
+{
+    std::vector<double> weights(static_cast<std::size_t>(n) + 1, 0.0);
+    double binom = 1.0;
+    const double scale = std::pow(0.5, n);
+    for (int k = 0; k <= n; ++k) {
+        weights[static_cast<std::size_t>(k)] = binom * scale;
+        binom = binom * static_cast<double>(n - k) /
+                static_cast<double>(k + 1);
+    }
+    return weights;
+}
+
+/** Weights of a fixed ones-count, else the pattern's binomial. */
+std::vector<double>
+referenceWeights(PatternClass pattern, int n, int fixedOnes)
+{
+    if (fixedOnes >= 0) {
+        std::vector<double> weights(static_cast<std::size_t>(n) + 1,
+                                    0.0);
+        weights[static_cast<std::size_t>(fixedOnes)] = 1.0;
+        return weights;
+    }
+    if (pattern == PatternClass::FixedOnes)
+        return std::vector<double>(static_cast<std::size_t>(n) + 1, 0.0);
+    return referenceBinomialWeights(n);
+}
+
+/** Weighted per-cell success probability from per-cell accessors. */
+double
+referenceCellProbability(const SuccessModel &model, BankId bank,
+                         RowId global, ColId col, StripeId stripe,
+                         int load, const std::vector<double> &weights,
+                         const std::vector<Volt> &margins)
+{
+    const Volt offset = model.staticOffset(bank, global, col, stripe);
+    const bool fail = model.structuralFail(bank, stripe, col, load);
+    double p = 0.0;
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+        if (weights[k] == 0.0)
+            continue;
+        p += weights[k] *
+             model.cellSuccessProbability(margins[k], offset, fail);
+    }
+    return p;
+}
+
+std::vector<CellSample>
+referenceNotSamples(const Chip &chip, BankId bank, RowId srcGlobal,
+                    RowId dstGlobal, const OpConditions &cond)
+{
+    const GeometryConfig &geometry = chip.geometry();
+    const RowAddress src = decomposeRow(geometry, srcGlobal);
+    const RowAddress dst = decomposeRow(geometry, dstGlobal);
+    const ActivationSets sets =
+        chip.decoder().neighborActivation(src.localRow, dst.localRow);
+    std::vector<CellSample> samples;
+    if (!sets.simultaneous && !sets.sequential)
+        return samples;
+    const SuccessModel &model = chip.model();
+    const Bank &bank_ref = chip.bank(bank);
+    const StripeId stripe = sharedStripe(src.subarray, dst.subarray);
+    const int total = sets.nrf() + sets.nrl();
+    NotContext ctx;
+    ctx.totalActivatedRows = total;
+    ctx.srcRegion = bank_ref.subarray(src.subarray)
+                        .regionFor(src.localRow, stripe);
+    ctx.cond = cond;
+    for (const RowId local : sets.secondRows) {
+        ctx.dstRegion =
+            bank_ref.subarray(dst.subarray).regionFor(local, stripe);
+        const Volt margin = model.notMargin(ctx);
+        const RowId global = composeRow(geometry, dst.subarray, local);
+        for (const ColId col :
+             sharedColumns(geometry, src.subarray, dst.subarray)) {
+            CellSample sample;
+            sample.rowLocal = local;
+            sample.col = col;
+            sample.ownRegion = ctx.dstRegion;
+            sample.otherRegion = ctx.srcRegion;
+            sample.probability = model.cellSuccessProbability(
+                margin, model.staticOffset(bank, global, col, stripe),
+                model.structuralFail(bank, stripe, col,
+                                     (total + 1) / 2));
+            samples.push_back(sample);
+        }
+    }
+    return samples;
+}
+
+std::vector<CellSample>
+referenceLogicSamples(const Chip &chip, BankId bank, BoolOp op,
+                      RowId refGlobal, RowId comGlobal,
+                      const OpConditions &cond, PatternClass pattern,
+                      int fixedOnes)
+{
+    const GeometryConfig &geometry = chip.geometry();
+    const RowAddress ref = decomposeRow(geometry, refGlobal);
+    const RowAddress com = decomposeRow(geometry, comGlobal);
+    const ActivationSets sets =
+        chip.decoder().neighborActivation(ref.localRow, com.localRow);
+    std::vector<CellSample> samples;
+    if (!sets.simultaneous || sets.nrf() != sets.nrl())
+        return samples;
+    const int n = sets.nrl();
+    const SuccessModel &model = chip.model();
+    const Bank &bank_ref = chip.bank(bank);
+    const Subarray &ref_sub = bank_ref.subarray(ref.subarray);
+    const Subarray &com_sub = bank_ref.subarray(com.subarray);
+    const StripeId stripe = sharedStripe(ref.subarray, com.subarray);
+    const std::vector<double> weights =
+        referenceWeights(pattern, n, fixedOnes);
+    const bool measure_ref = isInvertedOp(op);
+    const Region ref_rep = ref_sub.regionFor(ref.localRow, stripe);
+    const Region com_rep = com_sub.regionFor(com.localRow, stripe);
+    LogicContext ctx;
+    ctx.op = op;
+    ctx.numInputs = n;
+    ctx.cond = cond;
+    if (pattern != PatternClass::Random)
+        ctx.cond.couplingFraction = 0.0;
+    for (const RowId local :
+         measure_ref ? sets.firstRows : sets.secondRows) {
+        const Region own =
+            (measure_ref ? ref_sub : com_sub).regionFor(local, stripe);
+        ctx.refRegion = measure_ref ? own : ref_rep;
+        ctx.comRegion = measure_ref ? com_rep : own;
+        std::vector<Volt> margins;
+        for (int k = 0; k <= n; ++k) {
+            ctx.numOnes = k;
+            margins.push_back(model.logicMargin(ctx));
+        }
+        const RowId global = composeRow(
+            geometry, measure_ref ? ref.subarray : com.subarray, local);
+        for (const ColId col :
+             sharedColumns(geometry, ref.subarray, com.subarray)) {
+            CellSample sample;
+            sample.rowLocal = local;
+            sample.col = col;
+            sample.ownRegion = own;
+            sample.otherRegion = measure_ref ? com_rep : ref_rep;
+            sample.probability = referenceCellProbability(
+                model, bank, global, col, stripe, n, weights, margins);
+            samples.push_back(sample);
+        }
+    }
+    return samples;
+}
+
+std::vector<CellSample>
+referenceMajSamples(const Chip &chip, BankId bank, RowId rfGlobal,
+                    RowId rlGlobal, int operandCells, int neutralCells,
+                    const OpConditions &cond, int fixedOnes)
+{
+    const GeometryConfig &geometry = chip.geometry();
+    const RowAddress rf = decomposeRow(geometry, rfGlobal);
+    const RowAddress rl = decomposeRow(geometry, rlGlobal);
+    const auto set =
+        chip.decoder().sameSubarrayActivation(rf.localRow, rl.localRow);
+    const int n = static_cast<int>(set.size());
+    std::vector<CellSample> samples;
+    if (n < 2 || operandCells + neutralCells > n)
+        return samples;
+    const SuccessModel &model = chip.model();
+    const std::vector<double> weights =
+        referenceWeights(PatternClass::Random, operandCells, fixedOnes);
+    MajContext ctx;
+    ctx.activatedRows = n;
+    ctx.neutralCells = neutralCells;
+    ctx.cond = cond;
+    std::vector<Volt> margins;
+    for (int k = 0; k < static_cast<int>(weights.size()); ++k) {
+        ctx.numOnes = k + (n - operandCells - neutralCells) / 2;
+        margins.push_back(model.majMargin(ctx));
+    }
+    for (const RowId local : set) {
+        const RowId global = composeRow(geometry, rf.subarray, local);
+        for (ColId col = 0; col < static_cast<ColId>(geometry.columns);
+             ++col) {
+            const StripeId stripe = stripeFor(rf.subarray, col);
+            CellSample sample;
+            sample.rowLocal = local;
+            sample.col = col;
+            sample.ownRegion = chip.bank(bank)
+                                   .subarray(rf.subarray)
+                                   .regionFor(local, stripe);
+            sample.otherRegion = sample.ownRegion;
+            sample.probability = referenceCellProbability(
+                model, bank, global, col, stripe, (n + 1) / 2, weights,
+                margins);
+            samples.push_back(sample);
+        }
+    }
+    return samples;
+}
+
+using pud::MarginCase;
+
+std::vector<double>
+referenceLogicProbabilities(const Chip &chip, BankId bank, BoolOp op,
+                            RowId refGlobal, RowId comGlobal,
+                            Celsius temperature, MarginCase marginCase)
+{
+    const GeometryConfig &geometry = chip.geometry();
+    const RowAddress ref = decomposeRow(geometry, refGlobal);
+    const RowAddress com = decomposeRow(geometry, comGlobal);
+    const ActivationSets sets =
+        chip.decoder().neighborActivation(ref.localRow, com.localRow);
+    if (!sets.simultaneous || sets.nrf() != sets.nrl())
+        return {};
+    const int n = sets.nrl();
+    const SuccessModel &model = chip.model();
+    const Bank &bank_ref = chip.bank(bank);
+    const StripeId stripe = sharedStripe(ref.subarray, com.subarray);
+    const bool measure_ref = isInvertedOp(op);
+    const RowId measured =
+        (measure_ref ? sets.firstRows : sets.secondRows).front();
+    const SubarrayId row_sa = measure_ref ? ref.subarray : com.subarray;
+    const Region own =
+        bank_ref.subarray(row_sa).regionFor(measured, stripe);
+    LogicContext ctx;
+    ctx.op = op;
+    ctx.numInputs = n;
+    ctx.cond.couplingFraction =
+        marginCase == MarginCase::Worst ? 1.0 : 0.0;
+    ctx.cond.temperature = temperature;
+    ctx.refRegion = measure_ref ? own
+                                : bank_ref.subarray(ref.subarray)
+                                      .regionFor(ref.localRow, stripe);
+    ctx.comRegion = measure_ref ? bank_ref.subarray(com.subarray)
+                                      .regionFor(com.localRow, stripe)
+                                : own;
+    Volt margin = 0.0;
+    for (int k = 0; k <= n; ++k) {
+        ctx.numOnes = k;
+        const Volt candidate = model.logicMargin(ctx);
+        if (k == 0)
+            margin = candidate;
+        else if (marginCase == MarginCase::Worst)
+            margin = std::min(margin, candidate);
+        else
+            margin = std::max(margin, candidate);
+    }
+    std::vector<double> probabilities(
+        static_cast<std::size_t>(geometry.columns), -1.0);
+    const RowId global = composeRow(geometry, row_sa, measured);
+    for (const ColId col :
+         sharedColumns(geometry, ref.subarray, com.subarray)) {
+        probabilities[col] = model.cellSuccessProbability(
+            margin, model.staticOffset(bank, global, col, stripe),
+            model.structuralFail(bank, stripe, col, n));
+    }
+    return probabilities;
+}
+
+/** Per-column probabilities of one row at stripeFor(subarray, col). */
+std::vector<double>
+referenceRowProbabilities(const Chip &chip, BankId bank, RowId global,
+                          Volt margin, int load)
+{
+    const GeometryConfig &geometry = chip.geometry();
+    const SubarrayId subarray = decomposeRow(geometry, global).subarray;
+    const SuccessModel &model = chip.model();
+    std::vector<double> probabilities;
+    for (ColId col = 0; col < static_cast<ColId>(geometry.columns);
+         ++col) {
+        const StripeId stripe = stripeFor(subarray, col);
+        probabilities.push_back(model.cellSuccessProbability(
+            margin, model.staticOffset(bank, global, col, stripe),
+            model.structuralFail(bank, stripe, col, load)));
+    }
+    return probabilities;
+}
+
+std::vector<double>
+referenceRowCloneProbabilities(const Chip &chip, BankId bank,
+                               RowId srcGlobal, RowId dstGlobal,
+                               Celsius temperature,
+                               MarginCase marginCase)
+{
+    const GeometryConfig &geometry = chip.geometry();
+    const auto set = chip.decoder().sameSubarrayActivation(
+        decomposeRow(geometry, srcGlobal).localRow,
+        decomposeRow(geometry, dstGlobal).localRow);
+    if (set.size() != 2)
+        return {};
+    const int total = 3;
+    ComparisonContext ctx;
+    ctx.cellsPerSide = total;
+    ctx.couplingFraction = marginCase == MarginCase::Worst ? 1.0 : 0.0;
+    ctx.temperature = temperature;
+    return referenceRowProbabilities(
+        chip, bank, dstGlobal,
+        chip.model().driveMarginMech(total + 1, ctx), (total + 1) / 2);
+}
+
+std::vector<double>
+referenceMajProbabilities(const Chip &chip, BankId bank, RowId rfGlobal,
+                          RowId rlGlobal, int activatedRows,
+                          Celsius temperature, MarginCase marginCase)
+{
+    const GeometryConfig &geometry = chip.geometry();
+    const RowAddress rf = decomposeRow(geometry, rfGlobal);
+    const auto set = chip.decoder().sameSubarrayActivation(
+        rf.localRow, decomposeRow(geometry, rlGlobal).localRow);
+    if (static_cast<int>(set.size()) != activatedRows ||
+        activatedRows < 2)
+        return {};
+    const SuccessModel &model = chip.model();
+    MajContext ctx;
+    ctx.activatedRows = activatedRows;
+    ctx.neutralCells = 1;
+    ctx.cond.couplingFraction =
+        marginCase == MarginCase::Worst ? 1.0 : 0.0;
+    ctx.cond.temperature = temperature;
+    Volt margin = 0.0;
+    if (marginCase == MarginCase::Worst) {
+        ctx.numOnes = activatedRows / 2;
+        margin = model.majMargin(ctx);
+    } else {
+        for (int k = 0; k < activatedRows; ++k) {
+            ctx.numOnes = k;
+            const Volt candidate = model.majMargin(ctx);
+            margin = k == 0 ? candidate : std::max(margin, candidate);
+        }
+    }
+    return referenceRowProbabilities(
+        chip, bank, composeRow(geometry, rf.subarray, set.front()),
+        margin, (activatedRows + 1) / 2);
+}
+
+void
+expectSameBits(double got, double want)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << got << " vs " << want;
+}
+
+void
+expectSameSamples(const std::vector<CellSample> &got,
+                  const std::vector<CellSample> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].rowLocal, want[i].rowLocal);
+        EXPECT_EQ(got[i].col, want[i].col);
+        EXPECT_EQ(got[i].ownRegion, want[i].ownRegion);
+        EXPECT_EQ(got[i].otherRegion, want[i].otherRegion);
+        expectSameBits(got[i].probability, want[i].probability);
+    }
+}
+
+void
+expectSameProbabilities(const std::vector<double> &got,
+                        const std::vector<double> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectSameBits(got[i], want[i]);
+}
+
+/** An activating (rf, rl) pair of global rows. */
+struct OraclePair
+{
+    int rows; ///< NRL of a neighbor pair; group size of a SiMRA pair.
+    RowId rf;
+    RowId rl;
+};
+
+/** Cross-subarray pairs of every N:N and N:2N shape. */
+std::vector<OraclePair>
+neighborPairs(const Chip &chip)
+{
+    const GeometryConfig &geometry = chip.geometry();
+    std::vector<OraclePair> pairs;
+    for (const auto &[nrf, nrl] : std::vector<std::pair<int, int>>{
+             {1, 1}, {2, 2}, {4, 4}, {8, 8}, {16, 16}, {1, 2}, {2, 4},
+             {4, 8}}) {
+        for (const auto &[rf, rl] :
+             findActivationPairs(chip, nrf, nrl, 1, 5)) {
+            // Both directions across a stripe: 0 -> 1 and 2 -> 1.
+            pairs.push_back({nrl, composeRow(geometry, 0, rf),
+                             composeRow(geometry, 1, rl)});
+            pairs.push_back({nrl, composeRow(geometry, 2, rf),
+                             composeRow(geometry, 1, rl)});
+        }
+    }
+    return pairs;
+}
+
+/** Same-subarray SiMRA pairs of every group size. */
+std::vector<OraclePair>
+simraPairs(const Chip &chip)
+{
+    std::vector<OraclePair> pairs;
+    for (const int rows : {2, 4, 8, 16}) {
+        for (const auto &[rf, rl] : findSimraPairs(chip, rows, 1, 5)) {
+            pairs.push_back({rows, composeRow(chip.geometry(), 1, rf),
+                             composeRow(chip.geometry(), 1, rl)});
+        }
+    }
+    return pairs;
+}
+
+/**
+ * The four manufacturer profiles as calibrated, and again with a
+ * structural-fail rate high enough that a tiny chip shows how the
+ * fail flags depend on the row-pair load.
+ */
+std::vector<ChipProfile>
+oracleProfiles()
+{
+    std::vector<ChipProfile> profiles = test::manufacturerProfiles();
+    for (ChipProfile profile : test::manufacturerProfiles()) {
+        profile.analog.structuralFailPerPair = 0.1;
+        profiles.push_back(profile);
+    }
+    return profiles;
+}
+
+/** Conditions the oracles run under: the 50 C baseline and 95 C. */
+std::vector<OpConditions>
+oracleConditions()
+{
+    OpConditions hot;
+    hot.temperature = 95.0;
+    return {OpConditions(), hot};
+}
+
+TEST(AnalyticOracle, NotSamplesMatchPerCellReference)
+{
+    int compared = 0;
+    for (const ChipProfile &profile : oracleProfiles()) {
+        const Chip chip(profile, test::tinyGeometry(), 3);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        for (const OraclePair &pair : neighborPairs(chip)) {
+            for (const OpConditions &cond : oracleConditions()) {
+                const auto want =
+                    referenceNotSamples(chip, 0, pair.rf, pair.rl, cond);
+                expectSameSamples(
+                    analyzer.notSamples(0, pair.rf, pair.rl, cond), want);
+                compared += static_cast<int>(want.size());
+            }
+        }
+    }
+    EXPECT_GT(compared, 0);
+}
+
+TEST(AnalyticOracle, LogicSamplesMatchPerCellReference)
+{
+    int compared = 0;
+    for (const ChipProfile &profile : oracleProfiles()) {
+        const Chip chip(profile, test::tinyGeometry(), 3);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        for (const OraclePair &pair : neighborPairs(chip)) {
+            for (const OpConditions &cond : oracleConditions()) {
+                for (const BoolOp op : {BoolOp::And, BoolOp::Or,
+                                        BoolOp::Nand, BoolOp::Nor}) {
+                    for (const PatternClass pattern :
+                         {PatternClass::Random, PatternClass::AllOnes,
+                          PatternClass::AllZeros,
+                          PatternClass::FixedOnes}) {
+                        // -1 integrates over the pattern's weights;
+                        // 0..N is the Fig. 16 ones-count sweep.
+                        for (int ones = -1; ones <= pair.rows; ++ones) {
+                            const auto want = referenceLogicSamples(
+                                chip, 0, op, pair.rf, pair.rl, cond,
+                                pattern, ones);
+                            expectSameSamples(
+                                analyzer.logicSamples(0, op, pair.rf,
+                                                      pair.rl, cond,
+                                                      pattern, ones),
+                                want);
+                            compared += static_cast<int>(want.size());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 0);
+}
+
+TEST(AnalyticOracle, MajSamplesMatchPerCellReference)
+{
+    int compared = 0;
+    for (const ChipProfile &profile : oracleProfiles()) {
+        const Chip chip(profile, test::tinyGeometry(), 3);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        for (const OraclePair &pair : simraPairs(chip)) {
+            for (const OpConditions &cond : oracleConditions()) {
+                // MAJ3, MAJ5 and MAJ(rows - 1), one tiebreaker each.
+                for (const int operands : {3, 5, pair.rows - 1}) {
+                    for (int ones = -1; ones <= operands; ++ones) {
+                        const auto want =
+                            referenceMajSamples(chip, 0, pair.rf, pair.rl,
+                                                operands, 1, cond, ones);
+                        expectSameSamples(
+                            analyzer.majSamples(0, pair.rf, pair.rl,
+                                                operands, 1, cond, ones),
+                            want);
+                        compared += static_cast<int>(want.size());
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 0);
+}
+
+TEST(AnalyticOracle, AllocatorProbabilitiesMatchPerCellReference)
+{
+    // Entries compared per probability function; none may be vacuous.
+    std::map<std::string, std::size_t> compared;
+    for (const ChipProfile &profile : oracleProfiles()) {
+        const Chip chip(profile, test::tinyGeometry(), 3);
+        for (const OpConditions &cond : oracleConditions()) {
+            const Celsius temp = cond.temperature;
+            for (const MarginCase margin_case :
+                 {MarginCase::Worst, MarginCase::Best}) {
+                for (const OraclePair &pair : neighborPairs(chip)) {
+                    for (const BoolOp op : {BoolOp::And, BoolOp::Or,
+                                            BoolOp::Nand,
+                                            BoolOp::Nor}) {
+                        const auto want = referenceLogicProbabilities(
+                            chip, 0, op, pair.rf, pair.rl, temp,
+                            margin_case);
+                        expectSameProbabilities(
+                            pud::logicSuccessProbabilities(
+                                chip, 0, op, pair.rf, pair.rl, temp,
+                                margin_case),
+                            want);
+                        compared["logic"] += want.size();
+                    }
+                    // NOT: the first destination row of the samples.
+                    OpConditions not_cond;
+                    not_cond.temperature = temp;
+                    not_cond.couplingFraction =
+                        margin_case == MarginCase::Worst ? 1.0 : 0.0;
+                    const auto samples = referenceNotSamples(
+                        chip, 0, pair.rf, pair.rl, not_cond);
+                    std::vector<double> want;
+                    if (!samples.empty()) {
+                        want.assign(static_cast<std::size_t>(
+                                        chip.geometry().columns),
+                                    -1.0);
+                        for (const CellSample &sample : samples) {
+                            if (sample.rowLocal == samples.front().rowLocal)
+                                want[sample.col] = sample.probability;
+                        }
+                    }
+                    expectSameProbabilities(
+                        pud::notSuccessProbabilities(
+                            chip, 0, pair.rf, pair.rl, temp,
+                            margin_case),
+                        want);
+                    compared["not"] += want.size();
+                }
+                for (const OraclePair &pair : simraPairs(chip)) {
+                    const auto clone = referenceRowCloneProbabilities(
+                        chip, 0, pair.rf, pair.rl, temp, margin_case);
+                    expectSameProbabilities(
+                        pud::rowCloneSuccessProbabilities(
+                            chip, 0, pair.rf, pair.rl, temp,
+                            margin_case),
+                        clone);
+                    const auto maj = referenceMajProbabilities(
+                        chip, 0, pair.rf, pair.rl, pair.rows, temp,
+                        margin_case);
+                    expectSameProbabilities(
+                        pud::majSuccessProbabilities(
+                            chip, 0, pair.rf, pair.rl, pair.rows, temp,
+                            margin_case),
+                        maj);
+                    compared["rowclone"] += clone.size();
+                    compared["maj"] += maj.size();
+                }
+            }
+        }
+    }
+    for (const char *kind : {"logic", "not", "rowclone", "maj"})
+        EXPECT_GT(compared[kind], 0u) << kind;
 }
 
 /**

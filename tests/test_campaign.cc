@@ -101,6 +101,51 @@ TEST_F(CampaignFixture, TemperatureEffectIsSmall)
     }
 }
 
+TEST_F(CampaignFixture, NotTemperatureSweepReusesBaselineExactly)
+{
+    // The 50 C entry reuses the baseline samples; every entry must
+    // equal a sweep of that temperature alone.
+    const auto both = campaign_.notVsTemperature({50, 95});
+    const auto cold = campaign_.notVsTemperature({50});
+    const auto hot = campaign_.notVsTemperature({95});
+    ASSERT_FALSE(both.empty());
+    ASSERT_EQ(both.size(), cold.size());
+    ASSERT_EQ(both.size(), hot.size());
+    bool temperature_matters = false;
+    for (const auto &[dest, temps] : both) {
+        ASSERT_EQ(temps.size(), 2u) << "dest=" << dest;
+        EXPECT_EQ(temps.at(50), cold.at(dest).at(50)) << "dest=" << dest;
+        EXPECT_EQ(temps.at(95), hot.at(dest).at(95)) << "dest=" << dest;
+        temperature_matters |= temps.at(50) != temps.at(95);
+    }
+    // The 95 C entry is not the baseline reused.
+    EXPECT_TRUE(temperature_matters);
+}
+
+TEST_F(CampaignFixture, LogicTemperatureSweepReusesBaselineExactly)
+{
+    const auto both = campaign_.logicVsTemperature({50, 95});
+    const auto cold = campaign_.logicVsTemperature({50});
+    const auto hot = campaign_.logicVsTemperature({95});
+    ASSERT_FALSE(both.empty());
+    ASSERT_EQ(both.size(), cold.size());
+    ASSERT_EQ(both.size(), hot.size());
+    bool temperature_matters = false;
+    for (const auto &[op, by_inputs] : both) {
+        ASSERT_EQ(by_inputs.size(), cold.at(op).size());
+        ASSERT_EQ(by_inputs.size(), hot.at(op).size());
+        for (const auto &[inputs, temps] : by_inputs) {
+            ASSERT_EQ(temps.size(), 2u) << "inputs=" << inputs;
+            EXPECT_EQ(temps.at(50), cold.at(op).at(inputs).at(50))
+                << "inputs=" << inputs;
+            EXPECT_EQ(temps.at(95), hot.at(op).at(inputs).at(95))
+                << "inputs=" << inputs;
+            temperature_matters |= temps.at(50) != temps.at(95);
+        }
+    }
+    EXPECT_TRUE(temperature_matters);
+}
+
 TEST_F(CampaignFixture, SpeedDipAt2400)
 {
     const auto by_speed = campaign_.notVsSpeed();

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <tuple>
 
 #include "analog/successmodel.hh"
 #include "common/rng.hh"
+#include "dram/address.hh"
+#include "dram/openbitline.hh"
 #include "testutil.hh"
 
 namespace fcdram {
@@ -176,6 +179,86 @@ TEST(SuccessModel, StaticOffsetsCombineCellAndSa)
     const double off = model.staticOffset(0, 5, 6, 1);
     EXPECT_DOUBLE_EQ(off, model.variation().cellOffset(0, 5, 6) +
                               model.variation().saOffset(0, 1, 6));
+}
+
+/**
+ * Check one ColumnVariation of @p sub's rows against the per-cell
+ * accessors, exactly; counts the structural-fail flags seen.
+ */
+void
+expectExactStatics(const SuccessModel &model, BankId bank,
+                   SubarrayId sub,
+                   const std::function<StripeId(ColId)> &stripeOf,
+                   int load, int (&flagCounts)[2])
+{
+    const GeometryConfig geometry = GeometryConfig::standard();
+    const std::vector<ColId> columns = allColumns(geometry);
+    const VariationMap &variation = model.variation();
+    const ColumnVariation statics(model, bank, columns, stripeOf, load);
+    ASSERT_EQ(statics.columns().size(), columns.size());
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        const auto &column = statics.columns()[i];
+        ASSERT_EQ(column.col, columns[i]);
+        ASSERT_EQ(column.stripe, stripeOf(column.col));
+        EXPECT_EQ(column.saOffset,
+                  variation.saOffset(bank, column.stripe, column.col));
+        EXPECT_EQ(column.structFail,
+                  model.structuralFail(bank, column.stripe, column.col,
+                                       load));
+        ++flagCounts[column.structFail ? 1 : 0];
+    }
+    for (const RowId local : {0u, 257u, 511u}) {
+        const RowId row = composeRow(geometry, sub, local);
+        const std::uint64_t prefix = variation.cellKeyPrefix(bank, row);
+        std::size_t visited = 0;
+        statics.forEachCell(row, [&](const auto &column, Volt offset) {
+            const Volt expected =
+                model.staticOffset(bank, row, column.col, column.stripe);
+            EXPECT_EQ(variation.cellOffsetFromKey(
+                          hashCombine(prefix, column.col)) +
+                          column.saOffset,
+                      expected);
+            EXPECT_EQ(offset, expected);
+            EXPECT_EQ(&column, &statics.columns()[visited]);
+            ++visited;
+        });
+        EXPECT_EQ(visited, columns.size());
+    }
+}
+
+/**
+ * ColumnVariation computes the SA half of the static variation once
+ * per column; combined with a row's cell offsets it must reproduce
+ * the per-cell accessors bit for bit.
+ */
+TEST(ColumnVariation, MatchesPerCellAccessorsExactly)
+{
+    int flagCounts[2] = {0, 0};
+    for (const ChipProfile &profile : test::manufacturerProfiles()) {
+        for (const std::uint64_t seed : {1ULL, 0x11D7ULL, 0xC0FFEEULL}) {
+            const SuccessModel model(profile, seed);
+            for (BankId bank = 0; bank < 2; ++bank) {
+                for (const SubarrayId sub : {0, 3, 7}) {
+                    // Per-column stripes cover both parities; the
+                    // single-stripe forms are the shared stripes of
+                    // cross-subarray pairs.
+                    const std::function<StripeId(ColId)> stripings[] = {
+                        [sub](ColId col) { return stripeFor(sub, col); },
+                        [sub](ColId) { return StripeId(sub); },
+                        [sub](ColId) { return StripeId(sub + 1); }};
+                    for (const auto &stripeOf : stripings) {
+                        for (int load = 1; load <= 16; ++load)
+                            expectExactStatics(model, bank, sub,
+                                               stripeOf, load,
+                                               flagCounts);
+                    }
+                }
+            }
+        }
+    }
+    // Both flag values occur, so the comparison is not vacuous.
+    EXPECT_GT(flagCounts[0], 0);
+    EXPECT_GT(flagCounts[1], 0);
 }
 
 TEST(SuccessModel, SampleTrialMatchesProbability)

@@ -57,6 +57,19 @@ idealProfileN2N()
     return profile;
 }
 
+/**
+ * The four calibrated designs pudlint and bench_certify sweep: SK
+ * Hynix 4Gb M- and A-die, Samsung 4Gb F-die and Micron 8Gb B-die.
+ */
+inline std::vector<ChipProfile>
+manufacturerProfiles()
+{
+    return {ChipProfile::make(Manufacturer::SkHynix, 4, 'M', 8, 2666),
+            ChipProfile::make(Manufacturer::SkHynix, 4, 'A', 8, 2133),
+            ChipProfile::make(Manufacturer::Samsung, 4, 'F', 8, 2666),
+            ChipProfile::make(Manufacturer::Micron, 8, 'B', 8, 2666)};
+}
+
 /** Small geometry for fast functional tests. */
 inline GeometryConfig
 tinyGeometry()
