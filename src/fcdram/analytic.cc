@@ -1,5 +1,6 @@
 #include "fcdram/analytic.hh"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -241,22 +242,28 @@ AnalyticAnalyzer::logicSamples(BankId bank, BoolOp op, RowId refGlobal,
 
     const ColumnVariation statics(
         model, bank, columns, [stripe](ColId) { return stripe; }, n);
+    // Margins per numOnes depend on the row only through its region,
+    // so each region's vector is computed once per call.
+    std::array<std::vector<Volt>, 3> region_margins;
     samples.reserve(rows.size() * columns.size());
     for (const RowId local : rows) {
         const Region own = row_sub.regionFor(local, stripe);
-        if (measure_ref) {
-            ctx.refRegion = own;
-            ctx.comRegion = com_rep;
-        } else {
-            ctx.comRegion = own;
-            ctx.refRegion = ref_rep;
-        }
-        // Margins per numOnes are shared across this row's columns.
-        std::vector<Volt> margins(weights.size());
-        for (int k = 0; k < static_cast<int>(weights.size()); ++k) {
-            ctx.numOnes = k;
-            margins[static_cast<std::size_t>(k)] =
-                model.logicMargin(ctx);
+        std::vector<Volt> &margins =
+            region_margins[static_cast<std::size_t>(own)];
+        if (margins.empty()) {
+            if (measure_ref) {
+                ctx.refRegion = own;
+                ctx.comRegion = com_rep;
+            } else {
+                ctx.comRegion = own;
+                ctx.refRegion = ref_rep;
+            }
+            margins.resize(weights.size());
+            for (int k = 0; k < static_cast<int>(weights.size()); ++k) {
+                ctx.numOnes = k;
+                margins[static_cast<std::size_t>(k)] =
+                    model.logicMargin(ctx);
+            }
         }
         const RowId global = composeRow(geometry, row_sa, local);
         statics.forEachCell(global, [&](const auto &column, Volt offset) {

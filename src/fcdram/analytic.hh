@@ -11,6 +11,8 @@
  * row, and per cell only the cell offset. The probabilities are
  * bit-identical to the per-cell form (SuccessModel::staticOffset /
  * structuralFail), which tests/test_analytic.cc keeps as an oracle.
+ * logicSamples likewise computes its margins once per row region
+ * (at most three per call), not once per row.
  */
 
 #ifndef FCDRAM_FCDRAM_ANALYTIC_HH

@@ -66,6 +66,48 @@ forEachSquarePair(const FleetSession &session, const View &m,
     }
 }
 
+/** One call of the baseline logic sweep, as forEachBaseline visits it. */
+struct BaselineCall
+{
+    const PairContext &context;
+    int inputs;
+    RowId ref;
+    RowId com;
+    BoolOp op;
+    const LogicBaseline &base;
+};
+
+/**
+ * Shared inner loop of the logic figures that read the baseline sweep:
+ * visit the session's memoized baseline of every logic op on every
+ * qualifying N:N pair. Calls without cells are skipped; they add
+ * nothing to any of these figures.
+ */
+template <class Fn>
+void
+forEachBaseline(const FleetSession &session, const View &m, Fn &&fn)
+{
+    forEachSquarePair(
+        session, m,
+        [&](const PairContext &context, int inputs, RowId ref, RowId com) {
+            for (const BoolOp op : kLogicOps) {
+                const LogicBaseline &base = session.logicBaseline(
+                    m.module, context.bank, op, ref, com);
+                if (!base.probability.empty())
+                    fn(BaselineCall{context, inputs, ref, com, op, base});
+            }
+        });
+}
+
+/** Append each baseline cell to @p bucket as a (sampled) percentage. */
+void
+addPercents(AnalyticAnalyzer &analyzer, const LogicBaseline &base,
+            SampleSet &bucket)
+{
+    for (const double probability : base.probability)
+        bucket.add(analyzer.toPercent(probability));
+}
+
 } // namespace
 
 std::string
@@ -306,12 +348,13 @@ Campaign::notByDie()
         Fleet::Table1, [&](const View &m, Accum &out) {
             AnalyticAnalyzer analyzer(m.chip, config().analytic,
                                       m.seed);
+            const std::string label = dieLabel(m.spec);
             for (const PairContext &context : m.contexts) {
                 for (const auto &[src, dst] : session_->qualifyingPairs(
                          m.module, context, PairQuery::anyWithDest(1))) {
                     for (const CellSample &sample : analyzer.notSamples(
                              context.bank, src, dst, OpConditions())) {
-                        out[dieLabel(m.spec)].add(
+                        out[label].add(
                             analyzer.toPercent(sample.probability));
                     }
                 }
@@ -330,20 +373,10 @@ Campaign::logicVsInputs()
                 return;
             AnalyticAnalyzer analyzer(m.chip, config().analytic,
                                       m.seed);
-            forEachSquarePair(
-                *session_, m,
-                [&](const PairContext &context, int inputs, RowId ref,
-                    RowId com) {
-                    for (const BoolOp op : kLogicOps) {
-                        const auto samples = analyzer.logicSamples(
-                            context.bank, op, ref, com, OpConditions(),
-                            PatternClass::Random);
-                        for (const CellSample &sample : samples) {
-                            result[op][inputs].add(
-                                analyzer.toPercent(sample.probability));
-                        }
-                    }
-                });
+            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
+                addPercents(analyzer, call.base,
+                            result[call.op][call.inputs]);
+            });
         });
 }
 
@@ -388,32 +421,23 @@ Campaign::logicRegionHeatmap()
         Fleet::SkHynix, [&](const View &m, Accum &out) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
-            forEachSquarePair(
-                *session_, m,
-                [&](const PairContext &context, int, RowId ref,
-                    RowId com) {
-                    for (const BoolOp op : kLogicOps) {
-                        const auto samples = analyzer.logicSamples(
-                            context.bank, op, ref, com, OpConditions(),
-                            PatternClass::Random);
-                        for (const CellSample &sample : samples) {
-                            const int own =
-                                static_cast<int>(sample.ownRegion);
-                            const int other =
-                                static_cast<int>(sample.otherRegion);
-                            // Index convention: [compute][reference].
-                            const bool own_is_ref = isInvertedOp(op);
-                            const int com_idx =
-                                own_is_ref ? other : own;
-                            const int ref_idx =
-                                own_is_ref ? own : other;
-                            out[op][com_idx][ref_idx].add(
-                                100.0 * sample.probability);
-                        }
-                    }
-                });
+            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
+                const LogicBaseline &base = call.base;
+                const int other = static_cast<int>(base.otherRegion);
+                // Index convention: [compute][reference].
+                const bool own_is_ref = isInvertedOp(call.op);
+                for (std::size_t row = 0; row < base.rowRegion.size();
+                     ++row) {
+                    const int own = static_cast<int>(base.rowRegion[row]);
+                    SampleSet &bucket =
+                        out[call.op][own_is_ref ? other : own]
+                           [own_is_ref ? own : other];
+                    const std::size_t first = row * base.columnsPerRow;
+                    for (std::size_t i = first;
+                         i < first + base.columnsPerRow; ++i)
+                        bucket.add(100.0 * base.probability[i]);
+                }
+            });
         });
     std::map<BoolOp, RegionHeatmap> result;
     for (const BoolOp op : kLogicOps) {
@@ -451,18 +475,16 @@ Campaign::logicDataPattern()
                         const auto fixed = analyzer.logicSamples(
                             context.bank, op, ref, com, OpConditions(),
                             PatternClass::AllOnes);
-                        const auto random = analyzer.logicSamples(
-                            context.bank, op, ref, com, OpConditions(),
-                            PatternClass::Random);
                         auto &bucket = result[op][inputs];
                         for (const CellSample &sample : fixed) {
                             bucket.first.add(
                                 analyzer.toPercent(sample.probability));
                         }
-                        for (const CellSample &sample : random) {
-                            bucket.second.add(
-                                analyzer.toPercent(sample.probability));
-                        }
+                        addPercents(analyzer,
+                                    session_->logicBaseline(
+                                        m.module, context.bank, op, ref,
+                                        com),
+                                    bucket.second);
                     }
                 });
         });
@@ -479,34 +501,30 @@ Campaign::logicVsTemperature(const std::vector<int> &temperatures)
                 return;
             AnalyticAnalyzer analyzer(m.chip, config().analytic,
                                       m.seed);
-            forEachSquarePair(
-                *session_, m,
-                [&](const PairContext &context, int inputs, RowId ref,
-                    RowId com) {
-                    for (const BoolOp op : kLogicOps) {
-                        const OpConditions baseline;
-                        const auto base = analyzer.logicSamples(
-                            context.bank, op, ref, com, baseline,
-                            PatternClass::Random);
-                        for (const int temp : temperatures) {
-                            OpConditions cond;
-                            cond.temperature = temp;
-                            const auto samples =
-                                cond == baseline
-                                    ? base
-                                    : analyzer.logicSamples(
-                                          context.bank, op, ref, com,
-                                          cond, PatternClass::Random);
-                            for (std::size_t i = 0; i < samples.size();
-                                 ++i) {
-                                if (base[i].probability <= 0.9)
-                                    continue;
-                                out[op][inputs][temp].add(
-                                    100.0 * samples[i].probability);
-                            }
-                        }
+            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
+                const std::vector<double> &base = call.base.probability;
+                for (const int temp : temperatures) {
+                    OpConditions cond;
+                    cond.temperature = temp;
+                    // The 50 C entry reads the memoized baseline.
+                    const bool baseline = cond == OpConditions();
+                    const std::vector<CellSample> swept =
+                        baseline ? std::vector<CellSample>()
+                                 : analyzer.logicSamples(
+                                       call.context.bank, call.op,
+                                       call.ref, call.com, cond,
+                                       PatternClass::Random);
+                    for (std::size_t i = 0; i < base.size(); ++i) {
+                        // Only cells with >90% success at the 50 C
+                        // baseline are tracked (paper footnote 8).
+                        if (base[i] <= 0.9)
+                            continue;
+                        out[call.op][call.inputs][temp].add(
+                            100.0 *
+                            (baseline ? base[i] : swept[i].probability));
                     }
-                });
+                }
+            });
         });
     std::map<BoolOp, std::map<int, std::map<int, double>>> result;
     for (const auto &[op, by_inputs] : buckets)
@@ -529,20 +547,10 @@ Campaign::logicVsSpeed()
                 return;
             AnalyticAnalyzer analyzer(m.chip, config().analytic,
                                       m.seed);
-            forEachSquarePair(
-                *session_, m,
-                [&](const PairContext &context, int inputs, RowId ref,
-                    RowId com) {
-                    for (const BoolOp op : kLogicOps) {
-                        const auto samples = analyzer.logicSamples(
-                            context.bank, op, ref, com, OpConditions(),
-                            PatternClass::Random);
-                        for (const CellSample &sample : samples) {
-                            result[op][m.spec.speedMt][inputs].add(
-                                analyzer.toPercent(sample.probability));
-                        }
-                    }
-                });
+            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
+                addPercents(analyzer, call.base,
+                            result[call.op][m.spec.speedMt][call.inputs]);
+            });
         });
 }
 
@@ -556,20 +564,10 @@ Campaign::logicByDie()
                 return;
             AnalyticAnalyzer analyzer(m.chip, config().analytic,
                                       m.seed);
-            forEachSquarePair(
-                *session_, m,
-                [&](const PairContext &context, int, RowId ref,
-                    RowId com) {
-                    for (const BoolOp op : kLogicOps) {
-                        const auto samples = analyzer.logicSamples(
-                            context.bank, op, ref, com, OpConditions(),
-                            PatternClass::Random);
-                        for (const CellSample &sample : samples) {
-                            result[dieLabel(m.spec)][op].add(
-                                analyzer.toPercent(sample.probability));
-                        }
-                    }
-                });
+            const std::string label = dieLabel(m.spec);
+            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
+                addPercents(analyzer, call.base, result[label][call.op]);
+            });
         });
 }
 

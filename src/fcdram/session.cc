@@ -166,6 +166,14 @@ FleetSession::PairCacheKey::operator<(const PairCacheKey &other) const
                     other.query);
 }
 
+bool
+FleetSession::LogicCacheKey::operator<(const LogicCacheKey &other) const
+{
+    return std::tie(module, bank, op, ref, com) <
+           std::tie(other.module, other.bank, other.op, other.ref,
+                    other.com);
+}
+
 FleetSession::FleetSession(const CampaignConfig &config)
     : config_(config), scheduler_(config.workers)
 {
@@ -307,6 +315,48 @@ FleetSession::qualifyingPairs(const Module &module,
                                      config_.pairSamplesPerConfig, seed);
     std::lock_guard<std::mutex> lock(mutex_);
     return pairs_.emplace(key, std::move(found)).first->second;
+}
+
+const LogicBaseline &
+FleetSession::logicBaseline(const Module &module, BankId bank,
+                            BoolOp op, RowId ref, RowId com) const
+{
+    const LogicCacheKey key{module.index, bank, op, ref, com};
+    obs::Telemetry &tel = obs::global();
+    if (tel.metricsOn())
+        tel.add(tel.counter("session.logic_lookups"));
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.logicLookups;
+        const auto it = logic_.find(key);
+        if (it != logic_.end()) {
+            ++stats_.logicHits;
+            if (tel.metricsOn())
+                tel.add(tel.counter("session.logic_hits"));
+            return it->second;
+        }
+    }
+    // Evaluated outside the lock like discovery; logicSamples draws
+    // nothing from the analyzer's RNG, so its seed does not matter.
+    const AnalyticAnalyzer analyzer(chip(module), config_.analytic,
+                                    module.seed);
+    const std::vector<CellSample> samples = analyzer.logicSamples(
+        bank, op, ref, com, OpConditions(), PatternClass::Random);
+    LogicBaseline baseline;
+    baseline.probability.reserve(samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        const CellSample &sample = samples[i];
+        if (i == 0 || sample.rowLocal != samples[i - 1].rowLocal)
+            baseline.rowRegion.push_back(sample.ownRegion);
+        baseline.probability.push_back(sample.probability);
+    }
+    if (!samples.empty()) {
+        baseline.columnsPerRow =
+            samples.size() / baseline.rowRegion.size();
+        baseline.otherRegion = samples.front().otherRegion;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    return logic_.emplace(key, std::move(baseline)).first->second;
 }
 
 Chip

@@ -13,6 +13,16 @@
  * results, and every figure experiment shares the same discovery
  * caches: the O(figures x probes) redundant (RF, RL) probing the old
  * per-figure orchestration paid becomes O(probes), done once.
+ *
+ * The session also memoizes the baseline logic sweep: the
+ * default-condition, random-data logicSamples call that Figs. 15 and
+ * 17-21 all evaluate, keyed by (module, bank, op, reference row,
+ * compute row). An entry keeps 8 bytes per cell (its probability)
+ * plus one region per measured row. With the figure configuration
+ * each of those figures looks up 9,088 keys (4.29M cells), of which
+ * about 7,400 are distinct, so the memo holds about 28 MB. Only a
+ * session that runs several logic figures reuses it; a single-figure
+ * bench binary pays that memory for few hits.
  */
 
 #ifndef FCDRAM_FCDRAM_SESSION_HH
@@ -136,6 +146,20 @@ findQualifyingPairs(const Chip &chip, const PairContext &context,
                     std::uint64_t seed);
 
 /**
+ * What the logic figures read of one baseline logicSamples call
+ * (OpConditions(), PatternClass::Random): each cell's probability in
+ * logicSamples order and each measured row's region. Cell i belongs
+ * to row i / columnsPerRow.
+ */
+struct LogicBaseline
+{
+    std::vector<double> probability; ///< Per cell, logicSamples order.
+    std::vector<Region> rowRegion;   ///< ownRegion per measured row.
+    std::size_t columnsPerRow = 0;
+    Region otherRegion = Region::Middle; ///< Shared by every cell.
+};
+
+/**
  * Fleet-scale experiment engine with cached per-module state. Thread
  * safe: all caches are internally synchronized, and cached values are
  * immutable once published.
@@ -173,6 +197,8 @@ class FleetSession
         std::uint64_t chipBuilds = 0;  ///< Chips constructed so far.
         std::uint64_t pairLookups = 0; ///< qualifyingPairs() calls.
         std::uint64_t pairHits = 0;    ///< ... served from the cache.
+        std::uint64_t logicLookups = 0; ///< logicBaseline() calls.
+        std::uint64_t logicHits = 0;    ///< ... served from the memo.
     };
 
     explicit FleetSession(
@@ -205,6 +231,16 @@ class FleetSession
                     const PairQuery &query) const;
 
     /**
+     * Memoized baseline logic sweep of one (module, bank, op, ref,
+     * com): exactly what AnalyticAnalyzer::logicSamples(bank, op, ref,
+     * com, OpConditions(), PatternClass::Random) computes on the
+     * module's chip, reduced to probabilities and row regions.
+     */
+    const LogicBaseline &logicBaseline(const Module &module, BankId bank,
+                                       BoolOp op, RowId ref,
+                                       RowId com) const;
+
+    /**
      * Fresh private chip for command-level (mutating) flows such as
      * DramBender sessions; shares the session geometry.
      */
@@ -218,8 +254,9 @@ class FleetSession
     /**
      * Run @p visit once per module of @p fleet on the scheduler and
      * fold the per-module accumulators in module order (mergeAccum),
-     * which makes the result independent of the worker count. The
-     * visitor must derive all randomness from the view's seed.
+     * which makes the result independent of the worker count. Each
+     * partial is released as soon as it is folded. The visitor must
+     * derive all randomness from the view's seed.
      */
     template <class Accum, class Visit>
     Accum runOverFleet(Fleet fleet, Visit visit) const
@@ -237,8 +274,10 @@ class FleetSession
             visit(view, partials[i]);
         });
         Accum result{};
-        for (Accum &partial : partials)
+        for (Accum &partial : partials) {
             mergeAccum(result, std::move(partial));
+            partial = Accum{};
+        }
         return result;
     }
 
@@ -294,6 +333,17 @@ class FleetSession
         bool operator<(const PairCacheKey &other) const;
     };
 
+    struct LogicCacheKey
+    {
+        std::size_t module = 0;
+        BankId bank = 0;
+        BoolOp op = BoolOp::And;
+        RowId ref = 0;
+        RowId com = 0;
+
+        bool operator<(const LogicCacheKey &other) const;
+    };
+
     CampaignConfig config_;
     Scheduler scheduler_;
     std::vector<Module> table1Modules_;
@@ -305,6 +355,7 @@ class FleetSession
     mutable std::map<std::size_t, std::vector<PairContext>> contexts_;
     mutable std::map<PairCacheKey, std::vector<std::pair<RowId, RowId>>>
         pairs_;
+    mutable std::map<LogicCacheKey, LogicBaseline> logic_;
     mutable CacheStats stats_;
 };
 

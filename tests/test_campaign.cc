@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "fcdram/campaign.hh"
 #include "fcdram/reliablemask.hh"
 #include "fcdram/ops.hh"
@@ -144,6 +146,109 @@ TEST_F(CampaignFixture, LogicTemperatureSweepReusesBaselineExactly)
         }
     }
     EXPECT_TRUE(temperature_matters);
+}
+
+/** Exact equality of figure results, recursing through containers. */
+void
+expectSame(double got, double want)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << got << " vs " << want;
+}
+
+void
+expectSame(const SampleSet &got, const SampleSet &want)
+{
+    EXPECT_EQ(got.values(), want.values());
+}
+
+template <class A, class B>
+void expectSame(const std::pair<A, B> &got, const std::pair<A, B> &want);
+
+template <class T, std::size_t N>
+void expectSame(const std::array<T, N> &got,
+                const std::array<T, N> &want);
+
+template <class K, class V>
+void expectSame(const std::map<K, V> &got, const std::map<K, V> &want);
+
+template <class A, class B>
+void
+expectSame(const std::pair<A, B> &got, const std::pair<A, B> &want)
+{
+    expectSame(got.first, want.first);
+    expectSame(got.second, want.second);
+}
+
+template <class T, std::size_t N>
+void
+expectSame(const std::array<T, N> &got, const std::array<T, N> &want)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        expectSame(got[i], want[i]);
+}
+
+template <class K, class V>
+void
+expectSame(const std::map<K, V> &got, const std::map<K, V> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    auto it = want.begin();
+    for (const auto &[key, value] : got) {
+        EXPECT_TRUE(key == it->first);
+        expectSame(value, it->second);
+        ++it;
+    }
+}
+
+TEST(CampaignMemoTest, WarmLogicFiguresMatchColdSessions)
+{
+    // Fig. 15 fills the session's baseline logic memo; Figs. 17-21
+    // then read it. Each must return exactly what it returns on a
+    // fresh session, at one worker and at four (the concurrent fill).
+    for (const int workers : {1, 4}) {
+        CampaignConfig config = CampaignConfig::forTests();
+        config.workers = workers;
+        const std::vector<int> temperatures = {50, 95};
+        Campaign warm(config);
+        warm.logicVsInputs();
+        const FleetSession::CacheStats filled =
+            warm.session()->cacheStats();
+        ASSERT_GT(filled.logicLookups, 0u);
+
+        expectSame(warm.logicRegionHeatmap(),
+                   Campaign(config).logicRegionHeatmap());
+        expectSame(warm.logicDataPattern(),
+                   Campaign(config).logicDataPattern());
+        expectSame(warm.logicVsTemperature(temperatures),
+                   Campaign(config).logicVsTemperature(temperatures));
+        expectSame(warm.logicVsSpeed(), Campaign(config).logicVsSpeed());
+        expectSame(warm.logicByDie(), Campaign(config).logicByDie());
+
+        // Each warm figure looks up exactly Fig. 15's keys, all hits.
+        const FleetSession::CacheStats stats =
+            warm.session()->cacheStats();
+        EXPECT_EQ(stats.logicLookups, 6 * filled.logicLookups)
+            << "workers=" << workers;
+        EXPECT_EQ(stats.logicHits - filled.logicHits,
+                  5 * filled.logicLookups)
+            << "workers=" << workers;
+    }
+}
+
+TEST_F(CampaignFixture, LogicByDieLabelsOnlyMeasuredModules)
+{
+    // The label is built once per module, but a key is added only
+    // with its first sample: every label carries all four ops.
+    const auto by_die = campaign_.logicByDie();
+    ASSERT_FALSE(by_die.empty());
+    for (const auto &[label, by_op] : by_die) {
+        EXPECT_EQ(label.rfind("SKHynix-", 0), 0u) << label;
+        ASSERT_EQ(by_op.size(), 4u) << label;
+        for (const auto &[op, set] : by_op)
+            EXPECT_FALSE(set.empty()) << label << " " << toString(op);
+    }
 }
 
 TEST_F(CampaignFixture, SpeedDipAt2400)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <mutex>
 #include <stdexcept>
@@ -17,7 +18,8 @@ namespace {
 /**
  * FleetSession tests pin down the engine's two contracts: scheduler
  * determinism (worker count never changes results) and memoization
- * transparency (cached discovery equals direct discovery).
+ * transparency (cached discovery and baseline logic sweeps equal
+ * direct evaluation).
  */
 
 CampaignConfig
@@ -168,6 +170,67 @@ TEST(FleetSessionTest, MemoizedPairsMatchDirectDiscovery)
                 rf.localRow, rl.localRow);
         EXPECT_TRUE(query.matches(sets));
     }
+}
+
+TEST(FleetSessionTest, LogicBaselineMatchesDirectLogicSamples)
+{
+    // The memo is transparent: every entry is exactly the direct
+    // baseline logicSamples call, probability bit for bit, and each
+    // cell's row region and opposite region.
+    const FleetSession session(CampaignConfig::forTests());
+    std::size_t calls = 0;
+    std::size_t compared = 0;
+    for (const auto &module :
+         session.modules(FleetSession::Fleet::SkHynix)) {
+        const Chip &chip = session.chip(module);
+        if (!chip.profile().supportsLogicOps())
+            continue;
+        const AnalyticAnalyzer analyzer(chip, session.config().analytic,
+                                        module.seed);
+        for (const PairContext &context : session.pairContexts(module)) {
+            for (const int inputs : {2, 4, 8, 16}) {
+                if (inputs > chip.profile().maxLogicInputs())
+                    continue;
+                for (const auto &[ref, com] : session.qualifyingPairs(
+                         module, context, PairQuery::square(inputs))) {
+                    for (const BoolOp op : {BoolOp::And, BoolOp::Nand,
+                                            BoolOp::Or, BoolOp::Nor}) {
+                        const LogicBaseline &memo = session.logicBaseline(
+                            module, context.bank, op, ref, com);
+                        const auto direct = analyzer.logicSamples(
+                            context.bank, op, ref, com, OpConditions(),
+                            PatternClass::Random);
+                        ASSERT_FALSE(direct.empty());
+                        ASSERT_EQ(memo.probability.size(), direct.size());
+                        ASSERT_EQ(memo.rowRegion.size() *
+                                      memo.columnsPerRow,
+                                  direct.size());
+                        for (std::size_t i = 0; i < direct.size(); ++i) {
+                            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                                          memo.probability[i]),
+                                      std::bit_cast<std::uint64_t>(
+                                          direct[i].probability));
+                            EXPECT_EQ(
+                                memo.rowRegion[i / memo.columnsPerRow],
+                                direct[i].ownRegion);
+                            EXPECT_EQ(memo.otherRegion,
+                                      direct[i].otherRegion);
+                        }
+                        EXPECT_EQ(&session.logicBaseline(
+                                      module, context.bank, op, ref, com),
+                                  &memo)
+                            << "second lookup must hit the memo";
+                        calls += 2;
+                        compared += direct.size();
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 0u);
+    const FleetSession::CacheStats stats = session.cacheStats();
+    EXPECT_EQ(stats.logicLookups, calls);
+    EXPECT_GE(stats.logicHits, calls / 2);
 }
 
 TEST(FleetSessionTest, PairQueryPredicates)
