@@ -295,9 +295,22 @@ class ColumnVariation
     template <typename Fn>
     void forEachCell(RowId globalRow, Fn &&fn) const
     {
+        forEachCell(globalRow, [](std::size_t) { return true; }, fn);
+    }
+
+    /**
+     * As above, but only for the columns at the positions i where
+     * keep(i) holds; the others cost no offset.
+     */
+    template <typename Keep, typename Fn>
+    void forEachCell(RowId globalRow, Keep &&keep, Fn &&fn) const
+    {
         const std::uint64_t prefix =
             variation_->cellKeyPrefix(bank_, globalRow);
-        for (const Column &column : columns_) {
+        for (std::size_t i = 0; i < columns_.size(); ++i) {
+            if (!keep(i))
+                continue;
+            const Column &column = columns_[i];
             // cellOffset + saOffset, the sum staticOffset() returns.
             const Volt offset = variation_->cellOffsetFromKey(
                                     hashCombine(prefix, column.col)) +

@@ -64,19 +64,20 @@ AnalyticAnalyzer::onesWeights(PatternClass pattern, int n)
     return weights;
 }
 
-std::vector<CellSample>
-AnalyticAnalyzer::notSamples(BankId bank, RowId srcGlobal,
-                             RowId dstGlobal,
-                             const OpConditions &cond) const
+std::vector<std::vector<double>>
+AnalyticAnalyzer::notCells(BankId bank, RowId srcGlobal, RowId dstGlobal,
+                           const std::vector<OpConditions> &variants,
+                           const std::vector<bool> &keep,
+                           std::vector<CellSample> *samples) const
 {
+    std::vector<std::vector<double>> swept(samples ? 0 : variants.size());
     const GeometryConfig &geometry = chip_.geometry();
     const RowAddress src = decomposeRow(geometry, srcGlobal);
     const RowAddress dst = decomposeRow(geometry, dstGlobal);
     const ActivationSets sets =
         chip_.decoder().neighborActivation(src.localRow, dst.localRow);
-    std::vector<CellSample> samples;
     if (!sets.simultaneous && !sets.sequential)
-        return samples;
+        return swept;
 
     const SuccessModel &model = chip_.model();
     const Bank &bank_ref = chip_.bank(bank);
@@ -87,32 +88,66 @@ AnalyticAnalyzer::notSamples(BankId bank, RowId srcGlobal,
         sharedColumns(geometry, src.subarray, dst.subarray);
     const int total = sets.nrf() + sets.nrl();
     const int pair_load = (total + 1) / 2;
+    const std::size_t cells = sets.secondRows.size() * columns.size();
+    assert(keep.empty() || keep.size() == cells);
 
     NotContext ctx;
     ctx.totalActivatedRows = total;
     ctx.srcRegion = src_sub.regionFor(src.localRow, stripe);
-    ctx.cond = cond;
 
     const ColumnVariation statics(
         model, bank, columns, [stripe](ColId) { return stripe; },
         pair_load);
-    samples.reserve(sets.secondRows.size() * columns.size());
+    if (samples != nullptr)
+        samples->reserve(cells);
+    std::vector<Volt> margins(variants.size());
+    std::size_t row_first = 0;
     for (const RowId local : sets.secondRows) {
         ctx.dstRegion = dst_sub.regionFor(local, stripe);
-        const Volt margin = model.notMargin(ctx);
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+            ctx.cond = variants[v];
+            margins[v] = model.notMargin(ctx);
+        }
         const RowId global = composeRow(geometry, dst.subarray, local);
-        statics.forEachCell(global, [&](const auto &column, Volt offset) {
-            CellSample sample;
-            sample.rowLocal = local;
-            sample.col = column.col;
-            sample.ownRegion = ctx.dstRegion;
-            sample.otherRegion = ctx.srcRegion;
-            sample.probability = model.cellSuccessProbability(
-                margin, offset, column.structFail);
-            samples.push_back(sample);
-        });
+        statics.forEachCell(
+            global,
+            [&](std::size_t i) {
+                return keep.empty() || keep[row_first + i];
+            },
+            [&](const auto &column, Volt offset) {
+                for (std::size_t v = 0; v < variants.size(); ++v) {
+                    const double p = model.cellSuccessProbability(
+                        margins[v], offset, column.structFail);
+                    if (samples != nullptr)
+                        samples->push_back({local, column.col,
+                                            ctx.dstRegion, ctx.srcRegion,
+                                            p});
+                    else
+                        swept[v].push_back(p);
+                }
+            });
+        row_first += columns.size();
     }
+    return swept;
+}
+
+std::vector<CellSample>
+AnalyticAnalyzer::notSamples(BankId bank, RowId srcGlobal,
+                             RowId dstGlobal,
+                             const OpConditions &cond) const
+{
+    std::vector<CellSample> samples;
+    notCells(bank, srcGlobal, dstGlobal, {cond}, {}, &samples);
     return samples;
+}
+
+std::vector<std::vector<double>>
+AnalyticAnalyzer::notSweep(BankId bank, RowId srcGlobal,
+                           RowId dstGlobal,
+                           const std::vector<OpConditions> &variants,
+                           const std::vector<bool> &keep) const
+{
+    return notCells(bank, srcGlobal, dstGlobal, variants, keep, nullptr);
 }
 
 std::vector<CellSample>
@@ -190,21 +225,22 @@ AnalyticAnalyzer::majSamples(BankId bank, RowId rfGlobal,
     return samples;
 }
 
-std::vector<CellSample>
-AnalyticAnalyzer::logicSamples(BankId bank, BoolOp op, RowId refGlobal,
-                               RowId comGlobal, const OpConditions &cond,
-                               PatternClass pattern, int fixedOnes) const
+std::vector<std::vector<double>>
+AnalyticAnalyzer::logicCells(BankId bank, BoolOp op, RowId refGlobal,
+                             RowId comGlobal, PatternClass pattern,
+                             const std::vector<LogicVariant> &variants,
+                             const std::vector<bool> &keep,
+                             std::vector<CellSample> *samples) const
 {
-    std::vector<CellSample> samples;
+    std::vector<std::vector<double>> swept(samples ? 0 : variants.size());
     const GeometryConfig &geometry = chip_.geometry();
     const RowAddress ref = decomposeRow(geometry, refGlobal);
     const RowAddress com = decomposeRow(geometry, comGlobal);
     const ActivationSets sets =
         chip_.decoder().neighborActivation(ref.localRow, com.localRow);
     if (!sets.simultaneous || sets.nrf() != sets.nrl())
-        return samples;
+        return swept;
     const int n = sets.nrl();
-    assert(fixedOnes <= n);
 
     const SuccessModel &model = chip_.model();
     const Bank &bank_ref = chip_.bank(bank);
@@ -214,18 +250,21 @@ AnalyticAnalyzer::logicSamples(BankId bank, BoolOp op, RowId refGlobal,
     const auto columns =
         sharedColumns(geometry, ref.subarray, com.subarray);
 
-    // All-1s/all-0s row patterns (and Fig. 16 sweeps) have no
-    // neighbor disagreement.
-    OpConditions effective = cond;
-    if (pattern != PatternClass::Random)
-        effective.couplingFraction = 0.0;
-
+    // Weights per (variant, numOnes), flattened [v * ones + k]: a
+    // fixed ones-count, else the pattern's integration.
+    const std::size_t ones = static_cast<std::size_t>(n) + 1;
+    const std::vector<double> pattern_weights = onesWeights(pattern, n);
     std::vector<double> weights;
-    if (fixedOnes >= 0) {
-        weights.assign(static_cast<std::size_t>(n) + 1, 0.0);
-        weights[static_cast<std::size_t>(fixedOnes)] = 1.0;
-    } else {
-        weights = onesWeights(pattern, n);
+    for (const LogicVariant &variant : variants) {
+        assert(variant.fixedOnes <= n);
+        if (variant.fixedOnes < 0) {
+            weights.insert(weights.end(), pattern_weights.begin(),
+                           pattern_weights.end());
+        } else {
+            weights.resize(weights.size() + ones, 0.0);
+            weights[weights.size() - ones +
+                    static_cast<std::size_t>(variant.fixedOnes)] = 1.0;
+        }
     }
 
     const bool measure_ref = isInvertedOp(op);
@@ -234,57 +273,89 @@ AnalyticAnalyzer::logicSamples(BankId bank, BoolOp op, RowId refGlobal,
     const Subarray &row_sub = measure_ref ? ref_sub : com_sub;
     const Region ref_rep = ref_sub.regionFor(ref.localRow, stripe);
     const Region com_rep = com_sub.regionFor(com.localRow, stripe);
+    const Region other = measure_ref ? com_rep : ref_rep;
+    const std::size_t cells = rows.size() * columns.size();
+    assert(keep.empty() || keep.size() == cells);
 
     LogicContext ctx;
     ctx.op = op;
     ctx.numInputs = n;
-    ctx.cond = effective;
 
     const ColumnVariation statics(
         model, bank, columns, [stripe](ColId) { return stripe; }, n);
-    // Margins per numOnes depend on the row only through its region,
-    // so each region's vector is computed once per call.
+    // Margins per (variant, numOnes) depend on the row only through
+    // its region, so each region's vector is computed once per call.
     std::array<std::vector<Volt>, 3> region_margins;
-    samples.reserve(rows.size() * columns.size());
+    if (samples != nullptr)
+        samples->reserve(cells);
+    std::size_t row_first = 0;
     for (const RowId local : rows) {
         const Region own = row_sub.regionFor(local, stripe);
         std::vector<Volt> &margins =
             region_margins[static_cast<std::size_t>(own)];
         if (margins.empty()) {
-            if (measure_ref) {
-                ctx.refRegion = own;
-                ctx.comRegion = com_rep;
-            } else {
-                ctx.comRegion = own;
-                ctx.refRegion = ref_rep;
-            }
-            margins.resize(weights.size());
-            for (int k = 0; k < static_cast<int>(weights.size()); ++k) {
-                ctx.numOnes = k;
-                margins[static_cast<std::size_t>(k)] =
-                    model.logicMargin(ctx);
+            ctx.refRegion = measure_ref ? own : ref_rep;
+            ctx.comRegion = measure_ref ? com_rep : own;
+            for (const LogicVariant &variant : variants) {
+                // All-1s/all-0s row patterns (and Fig. 16 sweeps) have
+                // no neighbor disagreement.
+                ctx.cond = variant.cond;
+                if (pattern != PatternClass::Random)
+                    ctx.cond.couplingFraction = 0.0;
+                for (std::size_t k = 0; k < ones; ++k) {
+                    ctx.numOnes = static_cast<int>(k);
+                    margins.push_back(model.logicMargin(ctx));
+                }
             }
         }
         const RowId global = composeRow(geometry, row_sa, local);
-        statics.forEachCell(global, [&](const auto &column, Volt offset) {
-            double p = 0.0;
-            for (std::size_t k = 0; k < weights.size(); ++k) {
-                if (weights[k] == 0.0)
-                    continue;
-                p += weights[k] *
-                     model.cellSuccessProbability(margins[k], offset,
-                                                  column.structFail);
-            }
-            CellSample sample;
-            sample.rowLocal = local;
-            sample.col = column.col;
-            sample.ownRegion = own;
-            sample.otherRegion = measure_ref ? com_rep : ref_rep;
-            sample.probability = p;
-            samples.push_back(sample);
-        });
+        statics.forEachCell(
+            global,
+            [&](std::size_t i) {
+                return keep.empty() || keep[row_first + i];
+            },
+            [&](const auto &column, Volt offset) {
+                for (std::size_t v = 0; v < variants.size(); ++v) {
+                    double p = 0.0;
+                    for (std::size_t k = v * ones; k < (v + 1) * ones;
+                         ++k) {
+                        if (weights[k] == 0.0)
+                            continue;
+                        p += weights[k] *
+                             model.cellSuccessProbability(
+                                 margins[k], offset, column.structFail);
+                    }
+                    if (samples != nullptr)
+                        samples->push_back(
+                            {local, column.col, own, other, p});
+                    else
+                        swept[v].push_back(p);
+                }
+            });
+        row_first += columns.size();
     }
+    return swept;
+}
+
+std::vector<CellSample>
+AnalyticAnalyzer::logicSamples(BankId bank, BoolOp op, RowId refGlobal,
+                               RowId comGlobal, const OpConditions &cond,
+                               PatternClass pattern, int fixedOnes) const
+{
+    std::vector<CellSample> samples;
+    logicCells(bank, op, refGlobal, comGlobal, pattern,
+               {LogicVariant{cond, fixedOnes}}, {}, &samples);
     return samples;
+}
+
+std::vector<std::vector<double>>
+AnalyticAnalyzer::logicSweep(BankId bank, BoolOp op, RowId refGlobal,
+                             RowId comGlobal, PatternClass pattern,
+                             const std::vector<LogicVariant> &variants,
+                             const std::vector<bool> &keep) const
+{
+    return logicCells(bank, op, refGlobal, comGlobal, pattern, variants,
+                      keep, nullptr);
 }
 
 } // namespace fcdram

@@ -11,8 +11,16 @@
  * row, and per cell only the cell offset. The probabilities are
  * bit-identical to the per-cell form (SuccessModel::staticOffset /
  * structuralFail), which tests/test_analytic.cc keeps as an oracle.
- * logicSamples likewise computes its margins once per row region
- * (at most three per call), not once per row.
+ * Logic margins are computed once per row region (at most three per
+ * call), not once per row.
+ *
+ * The NOT and logic cell loops each exist once, as sweeps: one pass
+ * over a call's cells that computes each cell's static offset once
+ * and its probability under every requested variant (conditions, or
+ * a fixed ones-count), skipping the cells a keep mask drops. Figs. 10
+ * and 19 sweep the non-baseline temperatures over the cells their
+ * baseline keeps, and Fig. 16 all ones-counts of a pair in one pass;
+ * notSamples and logicSamples are the one-variant case.
  */
 
 #ifndef FCDRAM_FCDRAM_ANALYTIC_HH
@@ -36,6 +44,15 @@ struct AnalyticConfig
 
     /** If false, report exact probabilities instead of sampling. */
     bool sampleBinomial = true;
+};
+
+/** One variant of a logic sweep. */
+struct LogicVariant
+{
+    OpConditions cond;
+
+    /** When >= 0, a fixed operand ones-count (Fig. 16 sweeps). */
+    int fixedOnes = -1;
 };
 
 /** One evaluated cell with its physical context. */
@@ -92,6 +109,32 @@ class AnalyticAnalyzer
                                          int fixedOnes = -1) const;
 
     /**
+     * notSamples of one (src, dst) pair under each of @p variants, in
+     * one pass: result[v][j] is, bit for bit, the probability
+     * notSamples(bank, src, dst, variants[v]) reports for the j-th
+     * cell @p keep accepts (empty keeps all). One vector per variant,
+     * each empty if the pair does not activate.
+     */
+    std::vector<std::vector<double>>
+    notSweep(BankId bank, RowId srcGlobal, RowId dstGlobal,
+             const std::vector<OpConditions> &variants,
+             const std::vector<bool> &keep = {}) const;
+
+    /**
+     * logicSamples of one (ref, com) pair under each of @p variants,
+     * in one pass: result[v][j] is, bit for bit, the probability
+     * logicSamples(bank, op, ref, com, variants[v].cond, pattern,
+     * variants[v].fixedOnes) reports for the j-th cell @p keep accepts
+     * (empty keeps all). One vector per variant, each empty if the
+     * pair is not an N:N simultaneous activation.
+     */
+    std::vector<std::vector<double>>
+    logicSweep(BankId bank, BoolOp op, RowId refGlobal, RowId comGlobal,
+               PatternClass pattern,
+               const std::vector<LogicVariant> &variants,
+               const std::vector<bool> &keep = {}) const;
+
+    /**
      * Per-cell samples of a same-subarray SiMRA MAJ operation for one
      * (rf, rl) pair whose masked expansion forms the row group:
      * @p operandCells rows carry operand data, @p neutralCells are
@@ -122,6 +165,25 @@ class AnalyticAnalyzer
   private:
     /** Weight of each numOnes under a pattern class. */
     static std::vector<double> onesWeights(PatternClass pattern, int n);
+
+    /**
+     * The NOT cell loop behind notSamples and notSweep: result[v]
+     * holds each kept cell's probability under variants[v], unless
+     * @p samples is given (with one variant) to receive the cells.
+     */
+    std::vector<std::vector<double>>
+    notCells(BankId bank, RowId srcGlobal, RowId dstGlobal,
+             const std::vector<OpConditions> &variants,
+             const std::vector<bool> &keep,
+             std::vector<CellSample> *samples) const;
+
+    /** The logic cell loop behind logicSamples and logicSweep. */
+    std::vector<std::vector<double>>
+    logicCells(BankId bank, BoolOp op, RowId refGlobal, RowId comGlobal,
+               PatternClass pattern,
+               const std::vector<LogicVariant> &variants,
+               const std::vector<bool> &keep,
+               std::vector<CellSample> *samples) const;
 
     const Chip &chip_;
     AnalyticConfig config_;

@@ -25,45 +25,62 @@ using Fleet = FleetSession::Fleet;
 
 /**
  * Shared inner loop of the NOT figures: visit every qualifying
- * (source, destination) pair per (context, destination-row count).
+ * (source, destination) pair of one context per destination-row
+ * count.
  */
+template <class Fn>
+void
+forEachNotPair(const FleetSession &session, const View &m,
+               const PairContext &context,
+               PairQuery::Activation activation, Fn &&fn)
+{
+    for (const int dest : kDestRowCounts) {
+        const PairQuery query =
+            activation == PairQuery::Activation::Any
+                ? PairQuery::anyWithDest(dest)
+                : PairQuery::simultaneousWithDest(dest);
+        for (const auto &[src, dst] :
+             session.qualifyingPairs(m.module, context, query))
+            fn(context, dest, src, dst);
+    }
+}
+
+/** forEachNotPair over every context of the module, in order. */
 template <class Fn>
 void
 forEachNotPair(const FleetSession &session, const View &m,
                PairQuery::Activation activation, Fn &&fn)
 {
-    for (const PairContext &context : m.contexts) {
-        for (const int dest : kDestRowCounts) {
-            const PairQuery query =
-                activation == PairQuery::Activation::Any
-                    ? PairQuery::anyWithDest(dest)
-                    : PairQuery::simultaneousWithDest(dest);
-            for (const auto &[src, dst] :
-                 session.qualifyingPairs(m.module, context, query))
-                fn(context, dest, src, dst);
-        }
-    }
+    for (const PairContext &context : m.contexts)
+        forEachNotPair(session, m, context, activation, fn);
 }
 
 /**
  * Shared inner loop of the logic figures: visit every qualifying N:N
- * (reference, compute) pair per (context, input count) supported by
- * the module's design.
+ * (reference, compute) pair of one context per input count supported
+ * by the module's design.
  */
 template <class Fn>
 void
 forEachSquarePair(const FleetSession &session, const View &m,
-                  Fn &&fn)
+                  const PairContext &context, Fn &&fn)
 {
-    for (const PairContext &context : m.contexts) {
-        for (const int inputs : kInputCounts) {
-            if (inputs > m.chip.profile().maxLogicInputs())
-                continue;
-            for (const auto &[ref, com] : session.qualifyingPairs(
-                     m.module, context, PairQuery::square(inputs)))
-                fn(context, inputs, ref, com);
-        }
+    for (const int inputs : kInputCounts) {
+        if (inputs > m.chip.profile().maxLogicInputs())
+            continue;
+        for (const auto &[ref, com] : session.qualifyingPairs(
+                 m.module, context, PairQuery::square(inputs)))
+            fn(context, inputs, ref, com);
     }
+}
+
+/** forEachSquarePair over every context of the module, in order. */
+template <class Fn>
+void
+forEachSquarePair(const FleetSession &session, const View &m, Fn &&fn)
+{
+    for (const PairContext &context : m.contexts)
+        forEachSquarePair(session, m, context, fn);
 }
 
 /** One call of the baseline logic sweep, as forEachBaseline visits it. */
@@ -80,16 +97,17 @@ struct BaselineCall
 /**
  * Shared inner loop of the logic figures that read the baseline sweep:
  * visit the session's memoized baseline of every logic op on every
- * qualifying N:N pair. Calls without cells are skipped; they add
- * nothing to any of these figures.
+ * qualifying N:N pair of one context. Calls without cells are
+ * skipped; they add nothing to any of these figures.
  */
 template <class Fn>
 void
-forEachBaseline(const FleetSession &session, const View &m, Fn &&fn)
+forEachBaseline(const FleetSession &session, const View &m,
+                const PairContext &context, Fn &&fn)
 {
     forEachSquarePair(
-        session, m,
-        [&](const PairContext &context, int inputs, RowId ref, RowId com) {
+        session, m, context,
+        [&](const PairContext &, int inputs, RowId ref, RowId com) {
             for (const BoolOp op : kLogicOps) {
                 const LogicBaseline &base = session.logicBaseline(
                     m.module, context.bank, op, ref, com);
@@ -97,6 +115,15 @@ forEachBaseline(const FleetSession &session, const View &m, Fn &&fn)
                     fn(BaselineCall{context, inputs, ref, com, op, base});
             }
         });
+}
+
+/** forEachBaseline over every context of the module, in order. */
+template <class Fn>
+void
+forEachBaseline(const FleetSession &session, const View &m, Fn &&fn)
+{
+    for (const PairContext &context : m.contexts)
+        forEachBaseline(session, m, context, fn);
 }
 
 /** Append each baseline cell to @p bucket as a (sampled) percentage. */
@@ -107,6 +134,78 @@ addPercents(AnalyticAnalyzer &analyzer, const LogicBaseline &base,
     for (const double probability : base.probability)
         bucket.add(analyzer.toPercent(probability));
 }
+
+/** "nrf:nrl" label of an activation type, as Figs. 5 and 8 key it. */
+std::string
+activationLabel(int nrf, int nrl)
+{
+    return std::to_string(nrf) + ":" + std::to_string(nrl);
+}
+
+/**
+ * The temperature sweep of Figs. 10 and 19. Only cells with >90%
+ * success at the 50 C baseline are tracked (paper footnote 8), so
+ * only they are swept, and only at the other temperatures; the 50 C
+ * entry reads the baseline itself.
+ */
+template <class Variant>
+class TemperatureSweep
+{
+  public:
+    explicit TemperatureSweep(const std::vector<int> &temperatures)
+        : temperatures_(temperatures),
+          variantOf_(temperatures.size(), -1)
+    {
+        for (std::size_t t = 0; t < temperatures.size(); ++t) {
+            OpConditions cond;
+            cond.temperature = temperatures[t];
+            if (cond == OpConditions())
+                continue;
+            variantOf_[t] = static_cast<int>(variants_.size());
+            variants_.push_back(Variant{cond});
+        }
+    }
+
+    /**
+     * Add one call whose baseline probabilities are @p base, in cell
+     * order: sweep(variants, keep) evaluates the kept cells at the
+     * other temperatures, and mean(temperature) is the accumulator of
+     * each temperature, asked for only when it gets values.
+     */
+    template <class Sweep, class Mean>
+    void add(const std::vector<double> &base, Sweep &&sweep,
+             Mean &&mean) const
+    {
+        std::vector<bool> keep(base.size());
+        bool any = false;
+        for (std::size_t i = 0; i < base.size(); ++i) {
+            keep[i] = base[i] > 0.9;
+            any = any || keep[i];
+        }
+        if (!any)
+            return;
+        const std::vector<std::vector<double>> swept =
+            sweep(variants_, keep);
+        for (std::size_t t = 0; t < temperatures_.size(); ++t) {
+            RunningMean &bucket = mean(temperatures_[t]);
+            if (variantOf_[t] >= 0) {
+                for (const double probability :
+                     swept[static_cast<std::size_t>(variantOf_[t])])
+                    bucket.add(100.0 * probability);
+                continue;
+            }
+            for (std::size_t i = 0; i < base.size(); ++i) {
+                if (keep[i])
+                    bucket.add(100.0 * base[i]);
+            }
+        }
+    }
+
+  private:
+    std::vector<int> temperatures_;
+    std::vector<int> variantOf_; ///< Index into variants_; -1 at 50 C.
+    std::vector<Variant> variants_;
+};
 
 } // namespace
 
@@ -147,53 +246,49 @@ Campaign::table1() const
 std::map<std::string, SampleSet>
 Campaign::activationCoverage()
 {
+    // Every known activation type contributes a sample per (module,
+    // subarray pair) context, including zero coverage; otherwise
+    // modules lacking a capability (e.g. N:2N) would be silently
+    // dropped from its distribution.
+    static constexpr std::pair<int, int> kKnownTypes[] = {
+        {1, 1}, {1, 2}, {2, 2}, {2, 4},   {4, 4},
+        {4, 8}, {8, 8}, {8, 16}, {16, 16}, {16, 32}};
     using Accum = std::map<std::string, SampleSet>;
-    return session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &coverage) {
-            const GeometryConfig &geometry = m.chip.geometry();
+    return session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &coverage) {
             const auto rows =
-                static_cast<RowId>(geometry.rowsPerSubarray);
-            for (const PairContext &context : m.contexts) {
-                std::map<std::string, std::uint64_t> counts;
-                Rng rng(hashCombine(m.seed, 0xC0FEULL + context.bank +
-                                                context.lowSubarray));
-                const int probes = config().probesPerPair;
-                for (int i = 0; i < probes; ++i) {
-                    const auto rf = static_cast<RowId>(rng.below(rows));
-                    const auto rl = static_cast<RowId>(rng.below(rows));
-                    const ActivationSets sets =
-                        m.chip.decoder().neighborActivation(rf, rl);
-                    if (!sets.simultaneous)
-                        continue;
-                    std::ostringstream oss;
-                    oss << sets.nrf() << ":" << sets.nrl();
-                    ++counts[oss.str()];
-                }
-                // Every known activation type contributes a sample per
-                // (module, subarray pair) context, including zero
-                // coverage; otherwise modules lacking a capability
-                // (e.g. N:2N) would be silently dropped from its
-                // distribution.
-                static const char *kKnownTypes[] = {
-                    "1:1", "1:2", "2:2", "2:4", "4:4",
-                    "4:8", "8:8", "8:16", "16:16", "16:32"};
-                for (const char *type : kKnownTypes) {
-                    const auto it = counts.find(type);
-                    const double count =
-                        it == counts.end()
-                            ? 0.0
-                            : static_cast<double>(it->second);
-                    coverage[type].add(100.0 * count /
-                                       static_cast<double>(probes));
-                    if (it != counts.end())
-                        counts.erase(it);
-                }
-                for (const auto &[type, count] : counts) {
-                    coverage[type].add(100.0 *
-                                       static_cast<double>(count) /
-                                       static_cast<double>(probes));
+                static_cast<RowId>(m.chip.geometry().rowsPerSubarray);
+            // Counted by (NRF, NRL); each type's label is built once.
+            std::map<std::pair<int, int>, std::uint64_t> counts;
+            Rng rng(hashCombine(m.seed, 0xC0FEULL + context.bank +
+                                            context.lowSubarray));
+            const int probes = config().probesPerPair;
+            for (int i = 0; i < probes; ++i) {
+                const auto rf = static_cast<RowId>(rng.below(rows));
+                const auto rl = static_cast<RowId>(rng.below(rows));
+                const ActivationSets sets =
+                    m.chip.decoder().neighborActivation(rf, rl);
+                if (sets.simultaneous)
+                    ++counts[{sets.nrf(), sets.nrl()}];
+            }
+            const auto add = [&](const std::pair<int, int> &type,
+                                 std::uint64_t count) {
+                coverage[activationLabel(type.first, type.second)].add(
+                    100.0 * static_cast<double>(count) /
+                    static_cast<double>(probes));
+            };
+            for (const std::pair<int, int> &type : kKnownTypes) {
+                const auto it = counts.find(type);
+                if (it == counts.end()) {
+                    add(type, 0);
+                } else {
+                    add(type, it->second);
+                    counts.erase(it);
                 }
             }
+            for (const auto &[type, count] : counts)
+                add(type, count);
         });
 }
 
@@ -226,39 +321,50 @@ Campaign::notVsActivationType()
         Fleet::SkHynix, [&](const View &m, Accum &result) {
             AnalyticAnalyzer analyzer(m.chip, config().analytic,
                                       m.seed);
-            forEachNotPair(
-                *session_, m, PairQuery::Activation::Simultaneous,
-                [&](const PairContext &context, int, RowId src,
-                    RowId dst) {
-                    const GeometryConfig &geometry = m.chip.geometry();
-                    const RowAddress rf = decomposeRow(geometry, src);
-                    const RowAddress rl = decomposeRow(geometry, dst);
-                    const ActivationSets sets =
-                        m.chip.decoder().neighborActivation(
-                            rf.localRow, rl.localRow);
-                    std::ostringstream oss;
-                    oss << sets.nrf() << ":" << sets.nrl();
-                    for (const CellSample &sample : analyzer.notSamples(
-                             context.bank, src, dst, OpConditions())) {
-                        result[oss.str()].add(
-                            analyzer.toPercent(sample.probability));
-                    }
-                });
+            const GeometryConfig &geometry = m.chip.geometry();
+            for (const PairContext &context : m.contexts) {
+                // Each type's label is built once per context.
+                std::map<std::pair<int, int>, SampleSet *> buckets;
+                forEachNotPair(
+                    *session_, m, context,
+                    PairQuery::Activation::Simultaneous,
+                    [&](const PairContext &, int, RowId src, RowId dst) {
+                        const std::vector<CellSample> samples =
+                            analyzer.notSamples(context.bank, src, dst,
+                                                OpConditions());
+                        if (samples.empty())
+                            return;
+                        const ActivationSets sets =
+                            m.chip.decoder().neighborActivation(
+                                decomposeRow(geometry, src).localRow,
+                                decomposeRow(geometry, dst).localRow);
+                        SampleSet *&bucket =
+                            buckets[{sets.nrf(), sets.nrl()}];
+                        if (bucket == nullptr) {
+                            bucket = &result[activationLabel(
+                                sets.nrf(), sets.nrl())];
+                        }
+                        for (const CellSample &sample : samples)
+                            bucket->add(
+                                analyzer.toPercent(sample.probability));
+                    });
+            }
         });
 }
 
 RegionHeatmap
 Campaign::notRegionHeatmap()
 {
-    using Accum = std::array<std::array<SampleSet, 3>, 3>;
-    const Accum buckets = session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &out) {
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
+    using Accum = std::array<std::array<RunningMean, 3>, 3>;
+    const Accum buckets = session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &out) {
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic,
+                                            m.seed);
             forEachNotPair(
-                *session_, m, PairQuery::Activation::Simultaneous,
-                [&](const PairContext &context, int, RowId src,
-                    RowId dst) {
+                *session_, m, context,
+                PairQuery::Activation::Simultaneous,
+                [&](const PairContext &, int, RowId src, RowId dst) {
                     for (const CellSample &sample : analyzer.notSamples(
                              context.bank, src, dst, OpConditions())) {
                         out[static_cast<int>(sample.otherRegion)]
@@ -279,43 +385,36 @@ Campaign::notRegionHeatmap()
 std::map<int, std::map<int, double>>
 Campaign::notVsTemperature(const std::vector<int> &temperatures)
 {
-    using Accum = std::map<int, std::map<int, SampleSet>>;
-    const Accum buckets = session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &out) {
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
+    const TemperatureSweep<OpConditions> sweep(temperatures);
+    using Accum = std::map<int, std::map<int, RunningMean>>;
+    const Accum buckets = session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &out) {
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic,
+                                            m.seed);
             forEachNotPair(
-                *session_, m, PairQuery::Activation::Simultaneous,
-                [&](const PairContext &context, int dest, RowId src,
+                *session_, m, context,
+                PairQuery::Activation::Simultaneous,
+                [&](const PairContext &, int dest, RowId src,
                     RowId dst) {
-                    const OpConditions baseline;
-                    const auto base = analyzer.notSamples(
-                        context.bank, src, dst, baseline);
-                    for (const int temp : temperatures) {
-                        OpConditions cond;
-                        cond.temperature = temp;
-                        const auto samples =
-                            cond == baseline
-                                ? base
-                                : analyzer.notSamples(context.bank, src,
-                                                      dst, cond);
-                        for (std::size_t i = 0; i < samples.size();
-                             ++i) {
-                            // Only cells with >90% success at the
-                            // 50 C baseline are tracked (paper
-                            // footnote 8).
-                            if (base[i].probability <= 0.9)
-                                continue;
-                            out[dest][temp].add(
-                                100.0 * samples[i].probability);
-                        }
-                    }
+                    sweep.add(
+                        analyzer
+                            .notSweep(context.bank, src, dst,
+                                      {OpConditions()})
+                            .front(),
+                        [&](const auto &variants, const auto &keep) {
+                            return analyzer.notSweep(context.bank, src,
+                                                     dst, variants, keep);
+                        },
+                        [&](int temp) -> RunningMean & {
+                            return out[dest][temp];
+                        });
                 });
         });
     std::map<int, std::map<int, double>> result;
     for (const auto &[dest, by_temp] : buckets)
-        for (const auto &[temp, set] : by_temp)
-            result[dest][temp] = set.empty() ? 0.0 : set.mean();
+        for (const auto &[temp, mean] : by_temp)
+            result[dest][temp] = mean.empty() ? 0.0 : mean.mean();
     return result;
 }
 
@@ -383,32 +482,41 @@ Campaign::logicVsInputs()
 std::map<int, double>
 Campaign::logicVsOnes(BoolOp op, int numInputs)
 {
-    using Accum = std::map<int, SampleSet>;
-    const Accum buckets = session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &out) {
+    // Every ones-count of a pair in one pass over its cells.
+    std::vector<LogicVariant> variants(
+        static_cast<std::size_t>(numInputs) + 1);
+    for (std::size_t ones = 0; ones < variants.size(); ++ones)
+        variants[ones].fixedOnes = static_cast<int>(ones);
+    using Accum = std::map<int, RunningMean>;
+    const Accum buckets = session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &out) {
             if (!m.chip.profile().supportsLogicOps() ||
                 numInputs > m.chip.profile().maxLogicInputs()) {
                 return;
             }
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
-            for (const PairContext &context : m.contexts) {
-                for (const auto &[ref, com] : session_->qualifyingPairs(
-                         m.module, context,
-                         PairQuery::square(numInputs))) {
-                    for (int ones = 0; ones <= numInputs; ++ones) {
-                        const auto samples = analyzer.logicSamples(
-                            context.bank, op, ref, com, OpConditions(),
-                            PatternClass::FixedOnes, ones);
-                        for (const CellSample &sample : samples)
-                            out[ones].add(100.0 * sample.probability);
-                    }
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic,
+                                            m.seed);
+            for (const auto &[ref, com] : session_->qualifyingPairs(
+                     m.module, context, PairQuery::square(numInputs))) {
+                const auto swept =
+                    analyzer.logicSweep(context.bank, op, ref, com,
+                                        PatternClass::FixedOnes,
+                                        variants);
+                for (int ones = 0; ones <= numInputs; ++ones) {
+                    const std::vector<double> &probabilities =
+                        swept[static_cast<std::size_t>(ones)];
+                    if (probabilities.empty())
+                        continue;
+                    RunningMean &mean = out[ones];
+                    for (const double probability : probabilities)
+                        mean.add(100.0 * probability);
                 }
             }
         });
     std::map<int, double> result;
-    for (const auto &[ones, set] : buckets)
-        result[ones] = set.empty() ? 0.0 : set.mean();
+    for (const auto &[ones, mean] : buckets)
+        result[ones] = mean.empty() ? 0.0 : mean.mean();
     return result;
 }
 
@@ -416,28 +524,31 @@ std::map<BoolOp, RegionHeatmap>
 Campaign::logicRegionHeatmap()
 {
     using Accum =
-        std::map<BoolOp, std::array<std::array<SampleSet, 3>, 3>>;
-    const Accum buckets = session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &out) {
+        std::map<BoolOp, std::array<std::array<RunningMean, 3>, 3>>;
+    const Accum buckets = session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &out) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
-                const LogicBaseline &base = call.base;
-                const int other = static_cast<int>(base.otherRegion);
-                // Index convention: [compute][reference].
-                const bool own_is_ref = isInvertedOp(call.op);
-                for (std::size_t row = 0; row < base.rowRegion.size();
-                     ++row) {
-                    const int own = static_cast<int>(base.rowRegion[row]);
-                    SampleSet &bucket =
-                        out[call.op][own_is_ref ? other : own]
-                           [own_is_ref ? own : other];
-                    const std::size_t first = row * base.columnsPerRow;
-                    for (std::size_t i = first;
-                         i < first + base.columnsPerRow; ++i)
-                        bucket.add(100.0 * base.probability[i]);
-                }
-            });
+            forEachBaseline(
+                *session_, m, context, [&](const BaselineCall &call) {
+                    const LogicBaseline &base = call.base;
+                    const int other = static_cast<int>(base.otherRegion);
+                    // Index convention: [compute][reference].
+                    const bool own_is_ref = isInvertedOp(call.op);
+                    for (std::size_t row = 0; row < base.rowRegion.size();
+                         ++row) {
+                        const int own =
+                            static_cast<int>(base.rowRegion[row]);
+                        RunningMean &bucket =
+                            out[call.op][own_is_ref ? other : own]
+                               [own_is_ref ? own : other];
+                        const std::size_t first = row * base.columnsPerRow;
+                        for (std::size_t i = first;
+                             i < first + base.columnsPerRow; ++i)
+                            bucket.add(100.0 * base.probability[i]);
+                    }
+                });
         });
     std::map<BoolOp, RegionHeatmap> result;
     for (const BoolOp op : kLogicOps) {
@@ -493,45 +604,38 @@ Campaign::logicDataPattern()
 std::map<BoolOp, std::map<int, std::map<int, double>>>
 Campaign::logicVsTemperature(const std::vector<int> &temperatures)
 {
+    // The baseline is the session's memoized sweep.
+    const TemperatureSweep<LogicVariant> sweep(temperatures);
     using Accum =
-        std::map<BoolOp, std::map<int, std::map<int, SampleSet>>>;
-    const Accum buckets = session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &out) {
+        std::map<BoolOp, std::map<int, std::map<int, RunningMean>>>;
+    const Accum buckets = session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &out) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
-            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
-                const std::vector<double> &base = call.base.probability;
-                for (const int temp : temperatures) {
-                    OpConditions cond;
-                    cond.temperature = temp;
-                    // The 50 C entry reads the memoized baseline.
-                    const bool baseline = cond == OpConditions();
-                    const std::vector<CellSample> swept =
-                        baseline ? std::vector<CellSample>()
-                                 : analyzer.logicSamples(
-                                       call.context.bank, call.op,
-                                       call.ref, call.com, cond,
-                                       PatternClass::Random);
-                    for (std::size_t i = 0; i < base.size(); ++i) {
-                        // Only cells with >90% success at the 50 C
-                        // baseline are tracked (paper footnote 8).
-                        if (base[i] <= 0.9)
-                            continue;
-                        out[call.op][call.inputs][temp].add(
-                            100.0 *
-                            (baseline ? base[i] : swept[i].probability));
-                    }
-                }
-            });
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic,
+                                            m.seed);
+            forEachBaseline(
+                *session_, m, context, [&](const BaselineCall &call) {
+                    sweep.add(
+                        call.base.probability,
+                        [&](const auto &variants, const auto &keep) {
+                            return analyzer.logicSweep(
+                                context.bank, call.op, call.ref,
+                                call.com, PatternClass::Random, variants,
+                                keep);
+                        },
+                        [&](int temp) -> RunningMean & {
+                            return out[call.op][call.inputs][temp];
+                        });
+                });
         });
     std::map<BoolOp, std::map<int, std::map<int, double>>> result;
     for (const auto &[op, by_inputs] : buckets)
         for (const auto &[inputs, by_temp] : by_inputs)
-            for (const auto &[temp, set] : by_temp)
+            for (const auto &[temp, mean] : by_temp)
                 result[op][inputs][temp] =
-                    set.empty() ? 0.0 : set.mean();
+                    mean.empty() ? 0.0 : mean.mean();
     return result;
 }
 

@@ -226,56 +226,57 @@ FleetSession::findModule(Manufacturer manufacturer, int densityGbit,
 const Chip &
 FleetSession::chip(const Module &module) const
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = chips_.find(module.index);
-        if (it != chips_.end())
-            return *it->second;
-    }
-    // Built outside the lock so independent modules hydrate in
-    // parallel; a racing builder loses and its chip is discarded.
-    auto chip = std::make_unique<Chip>(module.spec->profile(),
-                                       config_.geometry, module.seed);
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] =
-        chips_.emplace(module.index, std::move(chip));
-    if (inserted) {
-        ++stats_.chipBuilds;
+    // Independent modules hydrate in parallel; tasks of one module
+    // wait for its single build.
+    bool hit = false;
+    const std::unique_ptr<Chip> &built =
+        chips_.get(module.index, hit, [&] {
+            return std::make_unique<Chip>(module.spec->profile(),
+                                          config_.geometry, module.seed);
+        });
+    if (!hit) {
+        {
+            const std::lock_guard<std::mutex> lock(statsMutex_);
+            ++stats_.chipBuilds;
+        }
         obs::Telemetry &tel = obs::global();
         if (tel.metricsOn())
             tel.add(tel.counter("session.chip_builds"));
     }
-    return *it->second;
+    return *built;
+}
+
+std::size_t
+FleetSession::contextsPerModule() const
+{
+    const int banks =
+        std::min(config_.banksPerChip, config_.geometry.numBanks);
+    return static_cast<std::size_t>(
+        std::max(0, banks * config_.subarrayPairsPerBank));
 }
 
 const std::vector<PairContext> &
 FleetSession::pairContexts(const Module &module) const
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = contexts_.find(module.index);
-        if (it != contexts_.end())
-            return it->second;
-    }
-    const Chip &moduleChip = chip(module);
-    std::vector<PairContext> contexts;
-    Rng rng(hashCombine(module.seed, 0x5041ULL));
-    const int banks =
-        std::min(config_.banksPerChip, moduleChip.numBanks());
-    const int maxLow =
-        moduleChip.geometry().subarraysPerBank - 1;
-    for (int b = 0; b < banks; ++b) {
-        for (int p = 0; p < config_.subarrayPairsPerBank; ++p) {
-            PairContext context;
-            context.bank = static_cast<BankId>(b);
-            context.lowSubarray = static_cast<SubarrayId>(
-                rng.below(static_cast<std::uint64_t>(maxLow)));
-            contexts.push_back(context);
+    bool hit = false;
+    return contexts_.get(module.index, hit, [&] {
+        const Chip &moduleChip = chip(module);
+        std::vector<PairContext> contexts;
+        Rng rng(hashCombine(module.seed, 0x5041ULL));
+        const int banks =
+            std::min(config_.banksPerChip, moduleChip.numBanks());
+        const int maxLow = moduleChip.geometry().subarraysPerBank - 1;
+        for (int b = 0; b < banks; ++b) {
+            for (int p = 0; p < config_.subarrayPairsPerBank; ++p) {
+                PairContext context;
+                context.bank = static_cast<BankId>(b);
+                context.lowSubarray = static_cast<SubarrayId>(
+                    rng.below(static_cast<std::uint64_t>(maxLow)));
+                contexts.push_back(context);
+            }
         }
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    return contexts_.emplace(module.index, std::move(contexts))
-        .first->second;
+        return contexts;
+    });
 }
 
 const std::vector<std::pair<RowId, RowId>> &
@@ -288,33 +289,32 @@ FleetSession::qualifyingPairs(const Module &module,
     key.bank = context.bank;
     key.lowSubarray = context.lowSubarray;
     key.query = query;
-    obs::Telemetry &tel = obs::global();
-    if (tel.metricsOn())
-        tel.add(tel.counter("session.pair_lookups"));
+    bool hit = false;
+    const auto &pairs = pairs_.get(key, hit, [&] {
+        // The discovery seed depends only on (module, context, query),
+        // so every figure asking the same question probes the same
+        // pairs and all but the first are cache hits.
+        const std::uint64_t seed = hashCombine(
+            module.seed,
+            hashCombine(query.key(),
+                        0xD15CULL + context.bank * 977 +
+                            context.lowSubarray * 131));
+        return findQualifyingPairs(chip(module), context, query,
+                                   config_.probesPerPair,
+                                   config_.pairSamplesPerConfig, seed);
+    });
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        const std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.pairLookups;
-        const auto it = pairs_.find(key);
-        if (it != pairs_.end()) {
-            ++stats_.pairHits;
-            if (tel.metricsOn())
-                tel.add(tel.counter("session.pair_hits"));
-            return it->second;
-        }
+        stats_.pairHits += hit ? 1 : 0;
     }
-    // The discovery seed depends only on (module, context, query), so
-    // every figure asking the same question probes the same pairs and
-    // all but the first are cache hits.
-    const std::uint64_t seed = hashCombine(
-        module.seed,
-        hashCombine(query.key(),
-                    0xD15CULL + context.bank * 977 +
-                        context.lowSubarray * 131));
-    auto found = findQualifyingPairs(chip(module), context, query,
-                                     config_.probesPerPair,
-                                     config_.pairSamplesPerConfig, seed);
-    std::lock_guard<std::mutex> lock(mutex_);
-    return pairs_.emplace(key, std::move(found)).first->second;
+    obs::Telemetry &tel = obs::global();
+    if (tel.metricsOn()) {
+        tel.add(tel.counter("session.pair_lookups"));
+        if (hit)
+            tel.add(tel.counter("session.pair_hits"));
+    }
+    return pairs;
 }
 
 const LogicBaseline &
@@ -322,41 +322,41 @@ FleetSession::logicBaseline(const Module &module, BankId bank,
                             BoolOp op, RowId ref, RowId com) const
 {
     const LogicCacheKey key{module.index, bank, op, ref, com};
-    obs::Telemetry &tel = obs::global();
-    if (tel.metricsOn())
-        tel.add(tel.counter("session.logic_lookups"));
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.logicLookups;
-        const auto it = logic_.find(key);
-        if (it != logic_.end()) {
-            ++stats_.logicHits;
-            if (tel.metricsOn())
-                tel.add(tel.counter("session.logic_hits"));
-            return it->second;
+    bool hit = false;
+    const LogicBaseline &baseline = logic_.get(key, hit, [&] {
+        // logicSamples draws nothing from the analyzer's RNG, so its
+        // seed does not matter.
+        const AnalyticAnalyzer analyzer(chip(module), config_.analytic,
+                                        module.seed);
+        const std::vector<CellSample> samples = analyzer.logicSamples(
+            bank, op, ref, com, OpConditions(), PatternClass::Random);
+        LogicBaseline entry;
+        entry.probability.reserve(samples.size());
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+            const CellSample &sample = samples[i];
+            if (i == 0 || sample.rowLocal != samples[i - 1].rowLocal)
+                entry.rowRegion.push_back(sample.ownRegion);
+            entry.probability.push_back(sample.probability);
         }
+        if (!samples.empty()) {
+            entry.columnsPerRow =
+                samples.size() / entry.rowRegion.size();
+            entry.otherRegion = samples.front().otherRegion;
+        }
+        return entry;
+    });
+    {
+        const std::lock_guard<std::mutex> lock(statsMutex_);
+        ++stats_.logicLookups;
+        stats_.logicHits += hit ? 1 : 0;
     }
-    // Evaluated outside the lock like discovery; logicSamples draws
-    // nothing from the analyzer's RNG, so its seed does not matter.
-    const AnalyticAnalyzer analyzer(chip(module), config_.analytic,
-                                    module.seed);
-    const std::vector<CellSample> samples = analyzer.logicSamples(
-        bank, op, ref, com, OpConditions(), PatternClass::Random);
-    LogicBaseline baseline;
-    baseline.probability.reserve(samples.size());
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const CellSample &sample = samples[i];
-        if (i == 0 || sample.rowLocal != samples[i - 1].rowLocal)
-            baseline.rowRegion.push_back(sample.ownRegion);
-        baseline.probability.push_back(sample.probability);
+    obs::Telemetry &tel = obs::global();
+    if (tel.metricsOn()) {
+        tel.add(tel.counter("session.logic_lookups"));
+        if (hit)
+            tel.add(tel.counter("session.logic_hits"));
     }
-    if (!samples.empty()) {
-        baseline.columnsPerRow =
-            samples.size() / baseline.rowRegion.size();
-        baseline.otherRegion = samples.front().otherRegion;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    return logic_.emplace(key, std::move(baseline)).first->second;
+    return baseline;
 }
 
 Chip
@@ -375,7 +375,7 @@ FleetSession::checkoutChip(const ChipProfile &profile,
 FleetSession::CacheStats
 FleetSession::cacheStats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(statsMutex_);
     return stats_;
 }
 

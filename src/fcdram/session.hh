@@ -6,13 +6,24 @@
  * A session owns one lazily-constructed, immutable Chip per module of
  * the Table-1 fleet, memoizes subarray-pair sampling and
  * qualifying-pair discovery keyed by (module, pair context, predicate
- * class), and fans per-module experiment work out over a
- * deterministic thread-pool scheduler. Per-module seeds derive from
- * the campaign seed and the module's stable fleet index, so
- * single-threaded and multi-threaded runs produce bit-identical
- * results, and every figure experiment shares the same discovery
- * caches: the O(figures x probes) redundant (RF, RL) probing the old
- * per-figure orchestration paid becomes O(probes), done once.
+ * class), and fans experiment work out over a deterministic
+ * thread-pool scheduler. Per-module seeds derive from the campaign
+ * seed and the module's stable fleet index, so single-threaded and
+ * multi-threaded runs produce bit-identical results, and every figure
+ * experiment shares the same discovery caches: the O(figures x
+ * probes) redundant (RF, RL) probing the old per-figure orchestration
+ * paid becomes O(probes), done once. Every memo fills an entry once:
+ * a concurrent lookup of the same key waits for that fill rather than
+ * repeating it, so cache counters do not depend on the worker count.
+ *
+ * Work fans out at one of two granularities. runOverFleet runs one
+ * task per module; a figure that draws binomial samples must use it,
+ * because its analyzer's random stream is per module and the draw
+ * order runs across that module's contexts. runOverContexts runs one
+ * task per (module, pair context), four times as many smaller tasks,
+ * for figures that draw nothing from that stream. Both fold each
+ * task's partial into the result in task order as soon as every
+ * earlier task has finished, and release it once folded.
  *
  * The session also memoizes the baseline logic sweep: the
  * default-condition, random-data logicSamples call that Figs. 15 and
@@ -29,6 +40,7 @@
 #define FCDRAM_FCDRAM_SESSION_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -252,36 +264,57 @@ class FleetSession
     CacheStats cacheStats() const;
 
     /**
-     * Run @p visit once per module of @p fleet on the scheduler and
-     * fold the per-module accumulators in module order (mergeAccum),
-     * which makes the result independent of the worker count. Each
-     * partial is released as soon as it is folded. The visitor must
-     * derive all randomness from the view's seed.
+     * Run @p visit(view, partial) once per module of @p fleet on the
+     * scheduler and fold the per-module partials in module order
+     * (mergeAccum), which makes the result independent of the worker
+     * count. The visitor must derive all randomness from the view's
+     * seed.
      */
     template <class Accum, class Visit>
     Accum runOverFleet(Fleet fleet, Visit visit) const
     {
         const std::vector<Module> &fleetModules = modules(fleet);
-        std::vector<Accum> partials(fleetModules.size());
-        scheduler_.run(fleetModules.size(), [&](std::size_t i) {
-            const Module &module = fleetModules[i];
-            const obs::MetricScope scope(module.index);
-            obs::Span span(obs::global(), "fleet.task");
-            span.arg("module",
-                     static_cast<std::uint64_t>(module.index));
-            const ModuleView view{module, *module.spec, chip(module),
-                                  module.seed, pairContexts(module)};
-            visit(view, partials[i]);
-        });
-        Accum result{};
-        for (Accum &partial : partials) {
-            mergeAccum(result, std::move(partial));
-            partial = Accum{};
-        }
-        return result;
+        return fanOut<Accum>(
+            fleetModules.size(), [&](std::size_t i, Accum &partial) {
+                const Module &module = fleetModules[i];
+                const obs::MetricScope scope(module.index);
+                obs::Span span(obs::global(), "fleet.task");
+                span.arg("module",
+                         static_cast<std::uint64_t>(module.index));
+                visit(view(module), partial);
+            });
     }
 
-    /** Accumulator folds used by runOverFleet. */
+    /**
+     * Run @p visit(view, context, partial) once per (module, pair
+     * context) of @p fleet on the scheduler and fold the partials in
+     * (module, context) order. For experiments that draw nothing from
+     * a per-module random stream: each task sees one context, so
+     * anything it draws must be seeded by the context alone.
+     */
+    template <class Accum, class Visit>
+    Accum runOverContexts(Fleet fleet, Visit visit) const
+    {
+        const std::vector<Module> &fleetModules = modules(fleet);
+        const std::size_t perModule = contextsPerModule();
+        return fanOut<Accum>(
+            fleetModules.size() * perModule,
+            [&](std::size_t i, Accum &partial) {
+                const Module &module = fleetModules[i / perModule];
+                const std::size_t context = i % perModule;
+                const obs::MetricScope scope(module.index);
+                obs::Span span(obs::global(), "fleet.task");
+                span.arg("module",
+                         static_cast<std::uint64_t>(module.index));
+                span.arg("context",
+                         static_cast<std::uint64_t>(context));
+                const ModuleView moduleView = view(module);
+                assert(moduleView.contexts.size() == perModule);
+                visit(moduleView, moduleView.contexts[context], partial);
+            });
+    }
+
+    /** Accumulator folds used by the fan-outs. */
     static void mergeAccum(SampleSet &into, SampleSet &&from)
     {
         into.merge(std::move(from));
@@ -323,6 +356,51 @@ class FleetSession
     }
 
   private:
+    /**
+     * Memo table that fills each key once. A lookup finds or creates
+     * the key's slot under the table lock and fills a new slot outside
+     * it, so distinct keys fill in parallel, while a concurrent lookup
+     * of the same key waits for that fill instead of repeating it.
+     * Exactly the lookup that creates a slot misses, whatever the
+     * worker count; values never move once filled.
+     */
+    template <class Key, class Value>
+    class OnceMemo
+    {
+      public:
+        /** The value of @p key, filled by fill() on first use. */
+        template <class Fill>
+        const Value &get(const Key &key, bool &hit, Fill &&fill)
+        {
+            Slot *slot = nullptr;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                auto [it, created] = slots_.try_emplace(key);
+                if (created)
+                    it->second = std::make_unique<Slot>();
+                slot = it->second.get();
+                hit = !created;
+            }
+            std::lock_guard<std::mutex> lock(slot->mutex);
+            if (!slot->filled) {
+                slot->value = fill();
+                slot->filled = true;
+            }
+            return slot->value;
+        }
+
+      private:
+        struct Slot
+        {
+            std::mutex mutex;
+            bool filled = false;
+            Value value;
+        };
+
+        std::mutex mutex_;
+        std::map<Key, std::unique_ptr<Slot>> slots_;
+    };
+
     struct PairCacheKey
     {
         std::size_t module = 0;
@@ -344,18 +422,61 @@ class FleetSession
         bool operator<(const LogicCacheKey &other) const;
     };
 
+    /** Pair contexts each module samples (the same for every chip). */
+    std::size_t contextsPerModule() const;
+
+    /** The visitor's view of @p module (chip and contexts built). */
+    ModuleView view(const Module &module) const
+    {
+        return {module, *module.spec, chip(module), module.seed,
+                pairContexts(module)};
+    }
+
+    /**
+     * Fan-out core of runOverFleet and runOverContexts: run
+     * task(i, partial) for every i < numTasks on the scheduler, each
+     * into its own partial, and fold the partials into the result in
+     * task order. A task that finishes folds, under the fold mutex,
+     * every partial from the first unfolded one up to the next task
+     * still running, and releases each as it goes, so a partial lives
+     * only until all earlier tasks are done. The fold order does not
+     * depend on the worker count or on timing. If tasks throw, the
+     * scheduler rethrows the lowest-indexed failure.
+     */
+    template <class Accum, class Task>
+    Accum fanOut(std::size_t numTasks, const Task &task) const
+    {
+        std::vector<Accum> partials(numTasks);
+        std::vector<bool> finished(numTasks, false);
+        std::size_t folded = 0;
+        std::mutex foldMutex;
+        Accum result{};
+        scheduler_.run(numTasks, [&](std::size_t i) {
+            task(i, partials[i]);
+            const std::lock_guard<std::mutex> lock(foldMutex);
+            finished[i] = true;
+            for (; folded < numTasks && finished[folded]; ++folded) {
+                mergeAccum(result, std::move(partials[folded]));
+                partials[folded] = Accum{};
+            }
+        });
+        return result;
+    }
+
     CampaignConfig config_;
     Scheduler scheduler_;
     std::vector<Module> table1Modules_;
     std::vector<Module> skHynixModules_;
     std::vector<ModuleSpec> skHynixSpecs_;
 
-    mutable std::mutex mutex_;
-    mutable std::map<std::size_t, std::unique_ptr<Chip>> chips_;
-    mutable std::map<std::size_t, std::vector<PairContext>> contexts_;
-    mutable std::map<PairCacheKey, std::vector<std::pair<RowId, RowId>>>
+    mutable OnceMemo<std::size_t, std::unique_ptr<Chip>> chips_;
+    mutable OnceMemo<std::size_t, std::vector<PairContext>> contexts_;
+    mutable OnceMemo<PairCacheKey, std::vector<std::pair<RowId, RowId>>>
         pairs_;
-    mutable std::map<LogicCacheKey, LogicBaseline> logic_;
+    mutable OnceMemo<LogicCacheKey, LogicBaseline> logic_;
+
+    /** Guards stats_. */
+    mutable std::mutex statsMutex_;
     mutable CacheStats stats_;
 };
 

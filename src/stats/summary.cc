@@ -99,4 +99,32 @@ SampleSet::ensureSorted() const
     }
 }
 
+void
+RunningMean::fold(const std::vector<double> &values)
+{
+    for (const double value : values)
+        sum_ += value;
+    count_ += values.size();
+}
+
+void
+RunningMean::mergeFrom(RunningMean &&other)
+{
+    assert(other.count_ == 0);
+    fold(pending_);
+    pending_ = {};
+    fold(other.pending_);
+    other.pending_ = {};
+}
+
+double
+RunningMean::mean() const
+{
+    assert(!empty());
+    double sum = sum_;
+    for (const double value : pending_)
+        sum += value;
+    return sum / static_cast<double>(count());
+}
+
 } // namespace fcdram

@@ -84,6 +84,45 @@ class SampleSet
     mutable bool sortedValid_ = false;
 };
 
+/**
+ * Mean of a value stream folded in order from buffered chunks, for
+ * figures that report only means. A task's partial buffers the values
+ * it adds; mergeFrom() folds another partial's buffer into a running
+ * sum one value at a time and frees it. As long as partials are folded
+ * in stream order, mean() equals SampleSet::mean() over the same
+ * sequence bit for bit (a left-to-right sum from 0.0, divided by the
+ * count), while only unfolded partials hold values.
+ */
+class RunningMean
+{
+  public:
+    /** Buffer one value. */
+    void add(double value) { pending_.push_back(value); }
+
+    /**
+     * Fold this accumulator's buffer, then @p other's, into the sum,
+     * and release @p other's buffer.
+     * @pre other has folded nothing itself (it is a task partial).
+     */
+    void mergeFrom(RunningMean &&other);
+
+    /** Number of values, folded or buffered. */
+    std::size_t count() const { return count_ + pending_.size(); }
+
+    bool empty() const { return count() == 0; }
+
+    /** Arithmetic mean. @pre !empty() */
+    double mean() const;
+
+  private:
+    /** Add @p values to the sum in order. */
+    void fold(const std::vector<double> &values);
+
+    std::vector<double> pending_;
+    double sum_ = 0.0;
+    std::size_t count_ = 0;
+};
+
 } // namespace fcdram
 
 #endif // FCDRAM_STATS_SUMMARY_HH

@@ -728,6 +728,155 @@ TEST(AnalyticOracle, AllocatorProbabilitiesMatchPerCellReference)
         EXPECT_GT(compared[kind], 0u) << kind;
 }
 
+// ---- Sweeps ------------------------------------------------------------
+//
+// A sweep evaluates several variants of one call in a single pass over
+// its cells. Variant by variant, over the cells a keep mask accepts,
+// it must equal the one-variant call bit for bit.
+
+/**
+ * Keep masks for a call of @p cells cells whose baseline
+ * probabilities are @p base: none (keep all), the temperature
+ * figures' >0.9 filter, and a fixed pattern that keeps two in three.
+ */
+std::vector<std::vector<bool>>
+sweepKeepMasks(const std::vector<CellSample> &base)
+{
+    std::vector<bool> above(base.size());
+    std::vector<bool> pattern(base.size());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        above[i] = base[i].probability > 0.9;
+        pattern[i] = i % 3 != 1;
+    }
+    return {{}, above, pattern};
+}
+
+/** got[v] equals want[v]'s probabilities at the kept cells, in order. */
+void
+expectSweepMatches(const std::vector<std::vector<double>> &got,
+                   const std::vector<std::vector<CellSample>> &want,
+                   const std::vector<bool> &keep, std::size_t &compared)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t v = 0; v < want.size(); ++v) {
+        ASSERT_TRUE(keep.empty() || keep.size() == want[v].size());
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < want[v].size(); ++i) {
+            if (!keep.empty() && !keep[i])
+                continue;
+            ASSERT_LT(kept, got[v].size()) << "variant " << v;
+            expectSameBits(got[v][kept++], want[v][i].probability);
+        }
+        EXPECT_EQ(kept, got[v].size()) << "variant " << v;
+        compared += kept;
+    }
+}
+
+TEST(AnalyticSweep, NotSweepMatchesNotSamplesPerVariant)
+{
+    OpConditions warm;
+    warm.temperature = 60.0;
+    OpConditions hot;
+    hot.temperature = 95.0;
+    OpConditions quiet;
+    quiet.couplingFraction = 0.0;
+    // The first variant equals the baseline.
+    const std::vector<OpConditions> variants = {OpConditions(), warm,
+                                                hot, quiet};
+    std::size_t compared = 0;
+    for (const ChipProfile &profile : oracleProfiles()) {
+        const Chip chip(profile, test::tinyGeometry(), 3);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        for (const OraclePair &pair : neighborPairs(chip)) {
+            std::vector<std::vector<CellSample>> want;
+            for (const OpConditions &cond : variants)
+                want.push_back(analyzer.notSamples(0, pair.rf, pair.rl, cond));
+            for (const std::vector<bool> &keep : sweepKeepMasks(want[0])) {
+                expectSweepMatches(
+                    analyzer.notSweep(0, pair.rf, pair.rl, variants, keep),
+                    want, keep, compared);
+            }
+        }
+    }
+    EXPECT_GT(compared, 0u);
+}
+
+TEST(AnalyticSweep, LogicSweepMatchesLogicSamplesPerVariant)
+{
+    OpConditions warm;
+    warm.temperature = 60.0;
+    OpConditions hot;
+    hot.temperature = 95.0;
+    std::size_t compared = 0;
+    for (const ChipProfile &profile : oracleProfiles()) {
+        const Chip chip(profile, test::tinyGeometry(), 3);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        for (const OraclePair &pair : neighborPairs(chip)) {
+            // The first variant equals the baseline; the rest vary the
+            // temperature, the ones-count, or both.
+            const std::vector<LogicVariant> variants = {
+                {OpConditions(), -1}, {warm, -1},
+                {hot, -1},            {OpConditions(), 0},
+                {hot, pair.rows},     {OpConditions(), pair.rows / 2}};
+            for (const BoolOp op : {BoolOp::And, BoolOp::Or,
+                                    BoolOp::Nand, BoolOp::Nor}) {
+                for (const PatternClass pattern :
+                     {PatternClass::Random, PatternClass::AllOnes,
+                      PatternClass::FixedOnes}) {
+                    std::vector<std::vector<CellSample>> want;
+                    for (const LogicVariant &variant : variants) {
+                        want.push_back(analyzer.logicSamples(
+                            0, op, pair.rf, pair.rl, variant.cond,
+                            pattern, variant.fixedOnes));
+                    }
+                    for (const std::vector<bool> &keep :
+                         sweepKeepMasks(want[0])) {
+                        expectSweepMatches(
+                            analyzer.logicSweep(0, op, pair.rf, pair.rl,
+                                                pattern, variants, keep),
+                            want, keep, compared);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 0u);
+}
+
+TEST(AnalyticSweep, SweepsReturnOneVectorPerVariant)
+{
+    const Chip chip(noisyProfile(), test::tinyGeometry(), 3);
+    const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+    const GeometryConfig &geometry = chip.geometry();
+    // A pair that does not activate has no cells under any variant.
+    RowId rf = kInvalidRow;
+    RowId rl = kInvalidRow;
+    const auto rows = static_cast<RowId>(geometry.rowsPerSubarray);
+    for (RowId a = 0; a < rows && rf == kInvalidRow; ++a) {
+        for (RowId b = 0; b < rows; ++b) {
+            const ActivationSets sets =
+                chip.decoder().neighborActivation(a, b);
+            if (!sets.simultaneous && !sets.sequential) {
+                rf = composeRow(geometry, 0, a);
+                rl = composeRow(geometry, 1, b);
+                break;
+            }
+        }
+    }
+    ASSERT_NE(rf, kInvalidRow);
+    const auto logic =
+        analyzer.logicSweep(0, BoolOp::And, rf, rl, PatternClass::Random,
+                            {LogicVariant{}, LogicVariant{}});
+    ASSERT_EQ(logic.size(), 2u);
+    EXPECT_TRUE(logic[0].empty() && logic[1].empty());
+    const auto no_cells =
+        analyzer.notSweep(0, rf, rl, {OpConditions(), OpConditions()});
+    ASSERT_EQ(no_cells.size(), 2u);
+    EXPECT_TRUE(no_cells[0].empty() && no_cells[1].empty());
+    // No variants, no vectors.
+    EXPECT_TRUE(analyzer.notSweep(0, rf, rl, {}).empty());
+}
+
 /**
  * The key cross-engine test: Monte-Carlo success rates through the
  * full command-level executor agree with the closed-form engine.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <sstream>
+#include <string>
 
 #include "fcdram/campaign.hh"
 #include "fcdram/reliablemask.hh"
@@ -235,6 +237,346 @@ TEST(CampaignMemoTest, WarmLogicFiguresMatchColdSessions)
                   5 * filled.logicLookups)
             << "workers=" << workers;
     }
+}
+
+// ---- Reference figure loops ---------------------------------------------
+//
+// Test-local copies of the per-module figure loops that Figs. 5, 9,
+// 10, 16, 17 and 19 ran before they moved to per-context tasks, one-
+// pass sweeps and running means: one formatted label per probe, a full
+// sweep per temperature followed by the >90% filter, one logicSamples
+// call per ones-count, and SampleSet buckets averaged at the end. The
+// production figures must match them bit for bit.
+
+using View = FleetSession::ModuleView;
+using Fleet = FleetSession::Fleet;
+
+constexpr int kReferenceDestRows[] = {1, 2, 4, 8, 16, 32};
+constexpr int kReferenceInputs[] = {2, 4, 8, 16};
+constexpr BoolOp kReferenceOps[] = {BoolOp::And, BoolOp::Nand,
+                                    BoolOp::Or, BoolOp::Nor};
+
+std::map<std::string, SampleSet>
+referenceActivationCoverage(const FleetSession &session)
+{
+    using Accum = std::map<std::string, SampleSet>;
+    return session.runOverFleet<Accum>(
+        Fleet::SkHynix, [&](const View &m, Accum &coverage) {
+            const auto rows =
+                static_cast<RowId>(m.chip.geometry().rowsPerSubarray);
+            for (const PairContext &context : m.contexts) {
+                std::map<std::string, std::uint64_t> counts;
+                Rng rng(hashCombine(m.seed, 0xC0FEULL + context.bank +
+                                                context.lowSubarray));
+                const int probes = session.config().probesPerPair;
+                for (int i = 0; i < probes; ++i) {
+                    const auto rf = static_cast<RowId>(rng.below(rows));
+                    const auto rl = static_cast<RowId>(rng.below(rows));
+                    const ActivationSets sets =
+                        m.chip.decoder().neighborActivation(rf, rl);
+                    if (!sets.simultaneous)
+                        continue;
+                    std::ostringstream oss;
+                    oss << sets.nrf() << ":" << sets.nrl();
+                    ++counts[oss.str()];
+                }
+                static const char *kKnownTypes[] = {
+                    "1:1", "1:2", "2:2", "2:4", "4:4",
+                    "4:8", "8:8", "8:16", "16:16", "16:32"};
+                for (const char *type : kKnownTypes) {
+                    const auto it = counts.find(type);
+                    const double count =
+                        it == counts.end()
+                            ? 0.0
+                            : static_cast<double>(it->second);
+                    coverage[type].add(100.0 * count /
+                                       static_cast<double>(probes));
+                    if (it != counts.end())
+                        counts.erase(it);
+                }
+                for (const auto &[type, count] : counts) {
+                    coverage[type].add(100.0 *
+                                       static_cast<double>(count) /
+                                       static_cast<double>(probes));
+                }
+            }
+        });
+}
+
+/** fn(context, dest, src, dst) over a module's simultaneous NOT pairs. */
+template <class Fn>
+void
+referenceNotPairs(const FleetSession &session, const View &m, Fn &&fn)
+{
+    for (const PairContext &context : m.contexts) {
+        for (const int dest : kReferenceDestRows) {
+            for (const auto &[src, dst] : session.qualifyingPairs(
+                     m.module, context,
+                     PairQuery::simultaneousWithDest(dest)))
+                fn(context, dest, src, dst);
+        }
+    }
+}
+
+/** fn(context, inputs, ref, com) over a module's N:N logic pairs. */
+template <class Fn>
+void
+referenceSquarePairs(const FleetSession &session, const View &m, Fn &&fn)
+{
+    for (const PairContext &context : m.contexts) {
+        for (const int inputs : kReferenceInputs) {
+            if (inputs > m.chip.profile().maxLogicInputs())
+                continue;
+            for (const auto &[ref, com] : session.qualifyingPairs(
+                     m.module, context, PairQuery::square(inputs)))
+                fn(context, inputs, ref, com);
+        }
+    }
+}
+
+RegionHeatmap
+referenceNotRegionHeatmap(const FleetSession &session)
+{
+    using Accum = std::array<std::array<SampleSet, 3>, 3>;
+    const Accum buckets = session.runOverFleet<Accum>(
+        Fleet::SkHynix, [&](const View &m, Accum &out) {
+            const AnalyticAnalyzer analyzer(
+                m.chip, session.config().analytic, m.seed);
+            referenceNotPairs(session, m, [&](const PairContext &context,
+                                              int, RowId src, RowId dst) {
+                for (const CellSample &sample : analyzer.notSamples(
+                         context.bank, src, dst, OpConditions())) {
+                    out[static_cast<int>(sample.otherRegion)]
+                       [static_cast<int>(sample.ownRegion)]
+                           .add(100.0 * sample.probability);
+                }
+            });
+        });
+    RegionHeatmap heatmap{};
+    for (int s = 0; s < 3; ++s)
+        for (int d = 0; d < 3; ++d)
+            heatmap[s][d] =
+                buckets[s][d].empty() ? 0.0 : buckets[s][d].mean();
+    return heatmap;
+}
+
+std::map<int, std::map<int, double>>
+referenceNotVsTemperature(const FleetSession &session,
+                          const std::vector<int> &temperatures)
+{
+    using Accum = std::map<int, std::map<int, SampleSet>>;
+    const Accum buckets = session.runOverFleet<Accum>(
+        Fleet::SkHynix, [&](const View &m, Accum &out) {
+            const AnalyticAnalyzer analyzer(
+                m.chip, session.config().analytic, m.seed);
+            referenceNotPairs(session, m, [&](const PairContext &context,
+                                              int dest, RowId src,
+                                              RowId dst) {
+                const auto base = analyzer.notSamples(context.bank, src,
+                                                      dst, OpConditions());
+                for (const int temp : temperatures) {
+                    OpConditions cond;
+                    cond.temperature = temp;
+                    const auto samples =
+                        analyzer.notSamples(context.bank, src, dst, cond);
+                    for (std::size_t i = 0; i < samples.size(); ++i) {
+                        if (base[i].probability <= 0.9)
+                            continue;
+                        out[dest][temp].add(100.0 *
+                                            samples[i].probability);
+                    }
+                }
+            });
+        });
+    std::map<int, std::map<int, double>> result;
+    for (const auto &[dest, by_temp] : buckets)
+        for (const auto &[temp, set] : by_temp)
+            result[dest][temp] = set.empty() ? 0.0 : set.mean();
+    return result;
+}
+
+std::map<int, double>
+referenceLogicVsOnes(const FleetSession &session, BoolOp op,
+                     int numInputs)
+{
+    using Accum = std::map<int, SampleSet>;
+    const Accum buckets = session.runOverFleet<Accum>(
+        Fleet::SkHynix, [&](const View &m, Accum &out) {
+            if (!m.chip.profile().supportsLogicOps() ||
+                numInputs > m.chip.profile().maxLogicInputs())
+                return;
+            const AnalyticAnalyzer analyzer(
+                m.chip, session.config().analytic, m.seed);
+            for (const PairContext &context : m.contexts) {
+                for (const auto &[ref, com] : session.qualifyingPairs(
+                         m.module, context, PairQuery::square(numInputs))) {
+                    for (int ones = 0; ones <= numInputs; ++ones) {
+                        for (const CellSample &sample :
+                             analyzer.logicSamples(
+                                 context.bank, op, ref, com,
+                                 OpConditions(), PatternClass::FixedOnes,
+                                 ones))
+                            out[ones].add(100.0 * sample.probability);
+                    }
+                }
+            }
+        });
+    std::map<int, double> result;
+    for (const auto &[ones, set] : buckets)
+        result[ones] = set.empty() ? 0.0 : set.mean();
+    return result;
+}
+
+std::map<BoolOp, RegionHeatmap>
+referenceLogicRegionHeatmap(const FleetSession &session)
+{
+    using Accum =
+        std::map<BoolOp, std::array<std::array<SampleSet, 3>, 3>>;
+    const Accum buckets = session.runOverFleet<Accum>(
+        Fleet::SkHynix, [&](const View &m, Accum &out) {
+            if (!m.chip.profile().supportsLogicOps())
+                return;
+            const AnalyticAnalyzer analyzer(
+                m.chip, session.config().analytic, m.seed);
+            referenceSquarePairs(session, m, [&](const PairContext &context,
+                                                 int, RowId ref, RowId com) {
+                for (const BoolOp op : kReferenceOps) {
+                    const bool own_is_ref = isInvertedOp(op);
+                    for (const CellSample &sample : analyzer.logicSamples(
+                             context.bank, op, ref, com, OpConditions(),
+                             PatternClass::Random)) {
+                        const int own = static_cast<int>(sample.ownRegion);
+                        const int other =
+                            static_cast<int>(sample.otherRegion);
+                        out[op][own_is_ref ? other : own]
+                           [own_is_ref ? own : other]
+                               .add(100.0 * sample.probability);
+                    }
+                }
+            });
+        });
+    std::map<BoolOp, RegionHeatmap> result;
+    for (const BoolOp op : kReferenceOps) {
+        RegionHeatmap heatmap{};
+        const auto it = buckets.find(op);
+        for (int c = 0; c < 3; ++c) {
+            for (int r = 0; r < 3; ++r) {
+                heatmap[c][r] =
+                    it == buckets.end() || it->second[c][r].empty()
+                        ? 0.0
+                        : it->second[c][r].mean();
+            }
+        }
+        result[op] = heatmap;
+    }
+    return result;
+}
+
+std::map<BoolOp, std::map<int, std::map<int, double>>>
+referenceLogicVsTemperature(const FleetSession &session,
+                            const std::vector<int> &temperatures)
+{
+    using Accum =
+        std::map<BoolOp, std::map<int, std::map<int, SampleSet>>>;
+    const Accum buckets = session.runOverFleet<Accum>(
+        Fleet::SkHynix, [&](const View &m, Accum &out) {
+            if (!m.chip.profile().supportsLogicOps())
+                return;
+            const AnalyticAnalyzer analyzer(
+                m.chip, session.config().analytic, m.seed);
+            referenceSquarePairs(session, m, [&](const PairContext &context,
+                                                 int inputs, RowId ref,
+                                                 RowId com) {
+                for (const BoolOp op : kReferenceOps) {
+                    const auto base = analyzer.logicSamples(
+                        context.bank, op, ref, com, OpConditions(),
+                        PatternClass::Random);
+                    for (const int temp : temperatures) {
+                        OpConditions cond;
+                        cond.temperature = temp;
+                        const auto samples = analyzer.logicSamples(
+                            context.bank, op, ref, com, cond,
+                            PatternClass::Random);
+                        for (std::size_t i = 0; i < samples.size(); ++i) {
+                            if (base[i].probability <= 0.9)
+                                continue;
+                            out[op][inputs][temp].add(
+                                100.0 * samples[i].probability);
+                        }
+                    }
+                }
+            });
+        });
+    std::map<BoolOp, std::map<int, std::map<int, double>>> result;
+    for (const auto &[op, by_inputs] : buckets)
+        for (const auto &[inputs, by_temp] : by_inputs)
+            for (const auto &[temp, set] : by_temp)
+                result[op][inputs][temp] = set.empty() ? 0.0 : set.mean();
+    return result;
+}
+
+TEST(CampaignReferenceTest, ContextFiguresMatchPerModuleReferenceLoops)
+{
+    const std::vector<int> temperatures = {50, 60, 95};
+    for (const int workers : {1, 4}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        CampaignConfig config = CampaignConfig::forTests();
+        config.workers = workers;
+        Campaign campaign(config);
+        const FleetSession reference(config);
+
+        expectSame(campaign.activationCoverage(),
+                   referenceActivationCoverage(reference));
+        expectSame(campaign.notRegionHeatmap(),
+                   referenceNotRegionHeatmap(reference));
+        expectSame(campaign.notVsTemperature(temperatures),
+                   referenceNotVsTemperature(reference, temperatures));
+        for (const BoolOp op : {BoolOp::And, BoolOp::Or}) {
+            for (const int inputs : {4, 16}) {
+                expectSame(campaign.logicVsOnes(op, inputs),
+                           referenceLogicVsOnes(reference, op, inputs));
+            }
+        }
+        expectSame(campaign.logicRegionHeatmap(),
+                   referenceLogicRegionHeatmap(reference));
+        expectSame(campaign.logicVsTemperature(temperatures),
+                   referenceLogicVsTemperature(reference, temperatures));
+    }
+}
+
+TEST(CampaignReferenceTest, RunningMeanEqualsSampleSetMean)
+{
+    // Magnitudes far apart make the sum depend on the order of adds,
+    // so only an in-order fold from 0.0 reproduces SampleSet::mean().
+    Rng rng(7);
+    std::vector<double> values;
+    for (int i = 0; i < 5000; ++i) {
+        const double scale = i % 7 == 0 ? 1e12 : (i % 3 == 0 ? 1e-6 : 1.0);
+        values.push_back(scale * (rng.uniform() - 0.3));
+    }
+    SampleSet set;
+    for (const double value : values)
+        set.add(value);
+
+    // Uneven partials folded in order, as the fan-out folds them.
+    RunningMean folded;
+    std::size_t at = 0;
+    for (const std::size_t chunk : {0u, 1u, 999u, 37u, 2500u, 463u, 1000u}) {
+        RunningMean partial;
+        for (std::size_t i = 0; i < chunk; ++i)
+            partial.add(values[at++]);
+        FleetSession::mergeAccum(folded, std::move(partial));
+        EXPECT_TRUE(partial.empty());
+    }
+    ASSERT_EQ(at, values.size());
+    EXPECT_EQ(folded.count(), set.count());
+    expectSame(folded.mean(), set.mean());
+
+    // An unfolded accumulator averages its own buffer the same way.
+    RunningMean buffered;
+    for (const double value : values)
+        buffered.add(value);
+    expectSame(buffered.mean(), set.mean());
 }
 
 TEST_F(CampaignFixture, LogicByDieLabelsOnlyMeasuredModules)

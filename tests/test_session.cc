@@ -2,8 +2,10 @@
 
 #include <bit>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -374,6 +376,144 @@ TEST(FleetSessionTest, MergeAccumSupportsMergeFromAccumulators)
         for (std::size_t i = 0; i < modules.size(); ++i)
             EXPECT_EQ(order.indices[i], modules[i].index);
     }
+}
+
+namespace {
+
+/** Task visits in fold order, as (module index, context index). */
+struct VisitAccum
+{
+    std::vector<std::pair<std::size_t, std::size_t>> visits;
+
+    void mergeFrom(VisitAccum &&other)
+    {
+        visits.insert(visits.end(), other.visits.begin(),
+                      other.visits.end());
+    }
+};
+
+/** Every (module, context) of @p fleet in enumeration order. */
+std::vector<std::pair<std::size_t, std::size_t>>
+allContexts(const FleetSession &session, FleetSession::Fleet fleet)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> expected;
+    for (const auto &module : session.modules(fleet)) {
+        for (std::size_t c = 0; c < session.pairContexts(module).size();
+             ++c)
+            expected.emplace_back(module.index, c);
+    }
+    return expected;
+}
+
+} // namespace
+
+TEST(FleetSessionTest, FanOutsVisitOnceAndFoldInTaskOrder)
+{
+    for (const int workers : {1, 2, 4}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        const FleetSession session(configWithWorkers(workers));
+        for (const auto fleet : {FleetSession::Fleet::SkHynix,
+                                 FleetSession::Fleet::Table1}) {
+            std::mutex mutex;
+            std::map<std::pair<std::size_t, std::size_t>, int> counts;
+            const VisitAccum byContext =
+                session.runOverContexts<VisitAccum>(
+                    fleet, [&](const FleetSession::ModuleView &view,
+                               const PairContext &context,
+                               VisitAccum &accum) {
+                        const auto c = static_cast<std::size_t>(
+                            &context - view.contexts.data());
+                        accum.visits.emplace_back(view.module.index, c);
+                        const std::lock_guard<std::mutex> lock(mutex);
+                        ++counts[{view.module.index, c}];
+                    });
+            const auto expected = allContexts(session, fleet);
+            ASSERT_FALSE(expected.empty());
+            EXPECT_EQ(byContext.visits, expected);
+            EXPECT_EQ(counts.size(), expected.size());
+            for (const auto &[key, count] : counts)
+                EXPECT_EQ(count, 1) << key.first << "/" << key.second;
+
+            const VisitAccum byModule = session.runOverFleet<VisitAccum>(
+                fleet, [](const FleetSession::ModuleView &view,
+                          VisitAccum &accum) {
+                    for (std::size_t c = 0; c < view.contexts.size(); ++c)
+                        accum.visits.emplace_back(view.module.index, c);
+                });
+            EXPECT_EQ(byModule.visits, expected);
+        }
+    }
+}
+
+TEST(FleetSessionTest, FanOutsRethrowLowestIndexedFailure)
+{
+    // The lowest failing task fails last in wall-clock time; a later
+    // one fails at once. Neither the race nor the worker count may
+    // change which exception the fan-out rethrows.
+    const auto failing = [](std::size_t task, std::size_t first) {
+        if (task == first) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            throw std::runtime_error("task " + std::to_string(task));
+        }
+        if (task == first + 3)
+            throw std::runtime_error("task " + std::to_string(task));
+    };
+    for (const int workers : {1, 2, 4}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        const FleetSession session(configWithWorkers(workers));
+        const auto &modules =
+            session.modules(FleetSession::Fleet::Table1);
+        const std::size_t perModule =
+            session.pairContexts(modules.front()).size();
+        try {
+            session.runOverContexts<VisitAccum>(
+                FleetSession::Fleet::Table1,
+                [&](const FleetSession::ModuleView &view,
+                    const PairContext &context, VisitAccum &) {
+                    const auto c = static_cast<std::size_t>(
+                        &context - view.contexts.data());
+                    failing((view.module.index - 1) * perModule + c, 2);
+                });
+            ADD_FAILURE() << "runOverContexts did not throw";
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "task 2");
+        }
+        try {
+            session.runOverFleet<VisitAccum>(
+                FleetSession::Fleet::Table1,
+                [&](const FleetSession::ModuleView &view, VisitAccum &) {
+                    failing(view.module.index - 1, 1);
+                });
+            ADD_FAILURE() << "runOverFleet did not throw";
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "task 1");
+        }
+    }
+}
+
+TEST(FleetSessionTest, ConcurrentContextTasksShareOneFillPerKey)
+{
+    // The per-context tasks of a module reach its chip, its contexts
+    // and its discovery keys concurrently. Each is built once, and the
+    // cache counters match a one-worker run.
+    FleetSession::CacheStats stats[2];
+    for (const int i : {0, 1}) {
+        const FleetSession session(configWithWorkers(i == 0 ? 1 : 4));
+        session.runOverContexts<VisitAccum>(
+            FleetSession::Fleet::Table1,
+            [&](const FleetSession::ModuleView &view,
+                const PairContext &context, VisitAccum &) {
+                for (const int dest : {1, 2, 4})
+                    session.qualifyingPairs(view.module, context,
+                                            PairQuery::anyWithDest(dest));
+            });
+        stats[i] = session.cacheStats();
+    }
+    EXPECT_EQ(stats[1].chipBuilds,
+              static_cast<std::uint64_t>(totalModules(table1Fleet())));
+    EXPECT_EQ(stats[1].chipBuilds, stats[0].chipBuilds);
+    EXPECT_EQ(stats[1].pairLookups, stats[0].pairLookups);
+    EXPECT_EQ(stats[1].pairHits, stats[0].pairHits);
 }
 
 TEST(FleetSessionTest, WorkerCountDoesNotChangeResults)
