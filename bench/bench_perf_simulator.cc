@@ -562,7 +562,7 @@ BM_AnalyticLogicSweep(benchmark::State &state)
     const Chip chip(benchProfile(), benchGeometry(), 1);
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analyzer(chip, config, 1);
+    const AnalyticAnalyzer analyzer(chip, config);
     const int n = static_cast<int>(state.range(0));
     const auto pairs = findActivationPairs(chip, n, n, 1, 3);
     if (pairs.empty()) {

@@ -30,6 +30,7 @@ main()
     config.geometry.rowsPerSubarray = 64;
     config.geometry.columns = 128;
     config.geometry.scrambleRowOrder = true; // Unknown internal order.
+    config.subarrayPairsPerBank = 3; // Every neighboring pair of 4.
     FleetSession session(config);
     const GeometryConfig &geometry = session.config().geometry;
     const FleetSession::Module &module = exampleutil::requireModule(

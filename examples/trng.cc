@@ -23,6 +23,7 @@ main()
     CampaignConfig config;
     config.geometry = GeometryConfig::tiny();
     config.geometry.columns = 256;
+    config.subarrayPairsPerBank = 3; // Every neighboring pair of 4.
     FleetSession session(config);
     const GeometryConfig &geometry = session.config().geometry;
     const FleetSession::Module &module = exampleutil::requireModule(

@@ -1,5 +1,6 @@
 #include "common/rng.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -54,6 +55,28 @@ gaussianFromHash(std::uint64_t key)
     const double g = normalQuantile(uniformFromHash(key));
     assert(std::abs(g) <= kHashNormalBound);
     return g;
+}
+
+std::uint64_t
+binomialFromHash(std::uint64_t n, double p, std::uint64_t key)
+{
+    if (p <= 0.0)
+        return 0;
+    if (p >= 1.0)
+        return n;
+    if (n < 64) {
+        std::uint64_t count = 0;
+        for (std::uint64_t i = 0; i < n; ++i)
+            count += uniformFromHash(hashCombine(key, i)) < p ? 1 : 0;
+        return count;
+    }
+    // Normal approximation, rounded to the nearest count; adequate for
+    // the 10,000-trial success-rate sampling the characterization uses.
+    const double mean = static_cast<double>(n) * p;
+    const double sigma = std::sqrt(mean * (1.0 - p));
+    const double sample = std::round(mean + sigma * gaussianFromHash(key));
+    return static_cast<std::uint64_t>(
+        std::clamp(sample, 0.0, static_cast<double>(n)));
 }
 
 namespace {
@@ -151,31 +174,6 @@ Rng::bernoulli(double p)
     if (p >= 1.0)
         return true;
     return uniform() < p;
-}
-
-std::uint64_t
-Rng::binomial(std::uint64_t n, double p)
-{
-    if (p <= 0.0)
-        return 0;
-    if (p >= 1.0)
-        return n;
-    if (n < 64) {
-        std::uint64_t count = 0;
-        for (std::uint64_t i = 0; i < n; ++i)
-            count += bernoulli(p) ? 1 : 0;
-        return count;
-    }
-    // Normal approximation with continuity correction; adequate for the
-    // 10,000-trial success-rate sampling the characterization uses.
-    const double mean = static_cast<double>(n) * p;
-    const double sigma = std::sqrt(mean * (1.0 - p));
-    double sample = std::round(gaussian(mean, sigma));
-    if (sample < 0.0)
-        sample = 0.0;
-    if (sample > static_cast<double>(n))
-        sample = static_cast<double>(n);
-    return static_cast<std::uint64_t>(sample);
 }
 
 } // namespace fcdram

@@ -52,6 +52,13 @@ double uniformFromHash(std::uint64_t key);
 double gaussianFromHash(std::uint64_t key);
 
 /**
+ * Binomial(n, p) sample derived from a (well-mixed) 64-bit hash key:
+ * n keyed trials for n < 64, else a rounded normal approximation.
+ */
+std::uint64_t binomialFromHash(std::uint64_t n, double p,
+                               std::uint64_t key);
+
+/**
  * Hard bound on |gaussianFromHash|: the 53-bit uniform the quantile
  * sees lies in [2^-54, 1 - 2^-53], whose quantiles are within about
  * +-8.37; 9.0 adds slack for the rational approximation. Margins
@@ -123,9 +130,6 @@ class Rng
 
     /** Bernoulli trial with success probability p. */
     bool bernoulli(double p);
-
-    /** Binomial(n, p) sample. Uses a normal approximation for large n. */
-    std::uint64_t binomial(std::uint64_t n, double p);
 
   private:
     std::uint64_t s_[4];

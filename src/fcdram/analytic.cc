@@ -10,31 +10,31 @@
 namespace fcdram {
 
 AnalyticAnalyzer::AnalyticAnalyzer(const Chip &chip,
-                                   const AnalyticConfig &config,
-                                   std::uint64_t seed)
-    : chip_(chip), config_(config),
-      rng_(hashCombine(chip.seed(), seed))
+                                   const AnalyticConfig &config)
+    : chip_(chip), config_(config)
 {
 }
 
+std::uint64_t
+AnalyticAnalyzer::drawKey(BankId bank, BoolOp op, RowId first,
+                          RowId second, PatternClass pattern) const
+{
+    const std::uint64_t what = std::uint64_t{bank} << 16 |
+                               static_cast<std::uint64_t>(op) << 8 |
+                               static_cast<std::uint64_t>(pattern);
+    return hashCombine(hashCombine(chip_.seed(), what),
+                       std::uint64_t{first} << 32 | second);
+}
+
 double
-AnalyticAnalyzer::toPercent(double probability)
+AnalyticAnalyzer::toPercent(double probability, std::uint64_t key) const
 {
     if (!config_.sampleBinomial)
         return 100.0 * probability;
     const auto trials = static_cast<std::uint64_t>(config_.trials);
-    const auto successes = rng_.binomial(trials, probability);
-    return 100.0 * static_cast<double>(successes) /
+    return 100.0 *
+           static_cast<double>(binomialFromHash(trials, probability, key)) /
            static_cast<double>(trials);
-}
-
-SampleSet
-AnalyticAnalyzer::toSampleSet(const std::vector<CellSample> &samples)
-{
-    SampleSet set;
-    for (const CellSample &sample : samples)
-        set.add(toPercent(sample.probability));
-    return set;
 }
 
 std::vector<double>

@@ -3,7 +3,9 @@
  * Analytic success-rate engine: evaluates the same margin model as
  * the Monte-Carlo executor in closed form, per cell, and (optionally)
  * samples a binomial at the paper's 10,000-trial budget so the
- * resulting distributions have realistic sampling texture.
+ * resulting distributions have realistic sampling texture. Each draw
+ * is keyed by the cell it measures (drawKey), not taken from a stream,
+ * so every figure that samples a cell reports the same draw.
  *
  * Each call computes the chip's static variation once per column and
  * row, not once per cell: the SA offsets and structural-fail flags
@@ -32,7 +34,6 @@
 #include "common/rng.hh"
 #include "dram/chip.hh"
 #include "fcdram/analyzer.hh"
-#include "stats/summary.hh"
 
 namespace fcdram {
 
@@ -74,10 +75,8 @@ class AnalyticAnalyzer
     /**
      * @param chip Chip under test (not mutated).
      * @param config Evaluation options.
-     * @param seed Seed for the binomial sampling.
      */
-    AnalyticAnalyzer(const Chip &chip, const AnalyticConfig &config,
-                     std::uint64_t seed);
+    AnalyticAnalyzer(const Chip &chip, const AnalyticConfig &config);
 
     /**
      * Per-cell samples of the NOT operation for one (src, dst) pair;
@@ -154,11 +153,17 @@ class AnalyticAnalyzer
                                        const OpConditions &cond,
                                        int fixedOnes = -1) const;
 
-    /** Collapse samples into a (possibly binomial-sampled) SampleSet. */
-    SampleSet toSampleSet(const std::vector<CellSample> &samples);
+    /**
+     * Key of one call's draws: its i-th cell draws toPercent(p,
+     * hashCombine(key, i)). Folds the chip seed, @p op (BoolOp::Not for
+     * NOT), @p pattern, the bank and the call's two anchor rows.
+     */
+    std::uint64_t drawKey(BankId bank, BoolOp op, RowId first,
+                          RowId second,
+                          PatternClass pattern = PatternClass::Random) const;
 
-    /** Convert one probability to a (possibly sampled) percentage. */
-    double toPercent(double probability);
+    /** One probability as a percentage, binomialFromHash-sampled. */
+    double toPercent(double probability, std::uint64_t key) const;
 
     const Chip &chip() const { return chip_; }
 
@@ -187,7 +192,6 @@ class AnalyticAnalyzer
 
     const Chip &chip_;
     AnalyticConfig config_;
-    Rng rng_;
 };
 
 } // namespace fcdram

@@ -24,9 +24,9 @@ using View = FleetSession::ModuleView;
 using Fleet = FleetSession::Fleet;
 
 /**
- * Shared inner loop of the NOT figures: visit every qualifying
- * (source, destination) pair of one context per destination-row
- * count.
+ * Shared inner loop of the NOT figures: fn(dest, src, dst) for every
+ * qualifying (source, destination) pair of one context per
+ * destination-row count.
  */
 template <class Fn>
 void
@@ -41,46 +41,8 @@ forEachNotPair(const FleetSession &session, const View &m,
                 : PairQuery::simultaneousWithDest(dest);
         for (const auto &[src, dst] :
              session.qualifyingPairs(m.module, context, query))
-            fn(context, dest, src, dst);
+            fn(dest, src, dst);
     }
-}
-
-/** forEachNotPair over every context of the module, in order. */
-template <class Fn>
-void
-forEachNotPair(const FleetSession &session, const View &m,
-               PairQuery::Activation activation, Fn &&fn)
-{
-    for (const PairContext &context : m.contexts)
-        forEachNotPair(session, m, context, activation, fn);
-}
-
-/**
- * Shared inner loop of the logic figures: visit every qualifying N:N
- * (reference, compute) pair of one context per input count supported
- * by the module's design.
- */
-template <class Fn>
-void
-forEachSquarePair(const FleetSession &session, const View &m,
-                  const PairContext &context, Fn &&fn)
-{
-    for (const int inputs : kInputCounts) {
-        if (inputs > m.chip.profile().maxLogicInputs())
-            continue;
-        for (const auto &[ref, com] : session.qualifyingPairs(
-                 m.module, context, PairQuery::square(inputs)))
-            fn(context, inputs, ref, com);
-    }
-}
-
-/** forEachSquarePair over every context of the module, in order. */
-template <class Fn>
-void
-forEachSquarePair(const FleetSession &session, const View &m, Fn &&fn)
-{
-    for (const PairContext &context : m.contexts)
-        forEachSquarePair(session, m, context, fn);
 }
 
 /** One call of the baseline logic sweep, as forEachBaseline visits it. */
@@ -92,47 +54,61 @@ struct BaselineCall
     RowId com;
     BoolOp op;
     const LogicBaseline &base;
+
+    /** drawKey of the call's cells under @p pattern. */
+    std::uint64_t drawKey(const AnalyticAnalyzer &analyzer,
+                          PatternClass pattern = PatternClass::Random) const
+    {
+        return analyzer.drawKey(context.bank, op, ref, com, pattern);
+    }
 };
 
 /**
- * Shared inner loop of the logic figures that read the baseline sweep:
- * visit the session's memoized baseline of every logic op on every
- * qualifying N:N pair of one context. Calls without cells are
- * skipped; they add nothing to any of these figures.
+ * Shared inner loop of the logic figures: visit the session's memoized
+ * baseline of every logic op on every qualifying N:N (reference,
+ * compute) pair of one context, per input count the module's design
+ * supports. Calls without cells are skipped; they add nothing to any
+ * of these figures.
  */
 template <class Fn>
 void
 forEachBaseline(const FleetSession &session, const View &m,
                 const PairContext &context, Fn &&fn)
 {
-    forEachSquarePair(
-        session, m, context,
-        [&](const PairContext &, int inputs, RowId ref, RowId com) {
+    for (const int inputs : kInputCounts) {
+        if (inputs > m.chip.profile().maxLogicInputs())
+            continue;
+        for (const auto &[ref, com] : session.qualifyingPairs(
+                 m.module, context, PairQuery::square(inputs))) {
             for (const BoolOp op : kLogicOps) {
                 const LogicBaseline &base = session.logicBaseline(
                     m.module, context.bank, op, ref, com);
                 if (!base.probability.empty())
                     fn(BaselineCall{context, inputs, ref, com, op, base});
             }
-        });
+        }
+    }
 }
 
-/** forEachBaseline over every context of the module, in order. */
-template <class Fn>
+/**
+ * Append each of one call's cell probabilities to @p bucket as a
+ * (sampled) percentage; @p key is the call's drawKey.
+ */
 void
-forEachBaseline(const FleetSession &session, const View &m, Fn &&fn)
+addPercents(const AnalyticAnalyzer &analyzer, std::uint64_t key,
+            const std::vector<double> &probabilities, SampleSet &bucket)
 {
-    for (const PairContext &context : m.contexts)
-        forEachBaseline(session, m, context, fn);
+    for (std::size_t i = 0; i < probabilities.size(); ++i)
+        bucket.add(analyzer.toPercent(probabilities[i],
+                                      hashCombine(key, i)));
 }
 
-/** Append each baseline cell to @p bucket as a (sampled) percentage. */
-void
-addPercents(AnalyticAnalyzer &analyzer, const LogicBaseline &base,
-            SampleSet &bucket)
+/** One call's baseline NOT probabilities, in notSamples order. */
+std::vector<double>
+notBaseline(const AnalyticAnalyzer &analyzer, BankId bank, RowId src,
+            RowId dst)
 {
-    for (const double probability : base.probability)
-        bucket.add(analyzer.toPercent(probability));
+    return analyzer.notSweep(bank, src, dst, {OpConditions()}).front();
 }
 
 /** "nrf:nrl" label of an activation type, as Figs. 5 and 8 key it. */
@@ -293,22 +269,22 @@ Campaign::activationCoverage()
 }
 
 std::map<int, SampleSet>
-Campaign::notVsDestRows(const OpConditions &cond)
+Campaign::notVsDestRows()
 {
     using Accum = std::map<int, SampleSet>;
-    return session_->runOverFleet<Accum>(
-        Fleet::Table1, [&](const View &m, Accum &result) {
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
+    return session_->runOverContexts<Accum>(
+        Fleet::Table1,
+        [&](const View &m, const PairContext &context, Accum &result) {
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
             forEachNotPair(
-                *session_, m, PairQuery::Activation::Any,
-                [&](const PairContext &context, int dest, RowId src,
-                    RowId dst) {
-                    for (const CellSample &sample : analyzer.notSamples(
-                             context.bank, src, dst, cond)) {
-                        result[dest].add(
-                            analyzer.toPercent(sample.probability));
-                    }
+                *session_, m, context, PairQuery::Activation::Any,
+                [&](int dest, RowId src, RowId dst) {
+                    addPercents(analyzer,
+                                analyzer.drawKey(context.bank,
+                                                 BoolOp::Not, src, dst),
+                                notBaseline(analyzer, context.bank, src,
+                                            dst),
+                                result[dest]);
                 });
         });
 }
@@ -317,38 +293,34 @@ std::map<std::string, SampleSet>
 Campaign::notVsActivationType()
 {
     using Accum = std::map<std::string, SampleSet>;
-    return session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &result) {
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
+    return session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &result) {
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
             const GeometryConfig &geometry = m.chip.geometry();
-            for (const PairContext &context : m.contexts) {
-                // Each type's label is built once per context.
-                std::map<std::pair<int, int>, SampleSet *> buckets;
-                forEachNotPair(
-                    *session_, m, context,
-                    PairQuery::Activation::Simultaneous,
-                    [&](const PairContext &, int, RowId src, RowId dst) {
-                        const std::vector<CellSample> samples =
-                            analyzer.notSamples(context.bank, src, dst,
-                                                OpConditions());
-                        if (samples.empty())
-                            return;
-                        const ActivationSets sets =
-                            m.chip.decoder().neighborActivation(
-                                decomposeRow(geometry, src).localRow,
-                                decomposeRow(geometry, dst).localRow);
-                        SampleSet *&bucket =
-                            buckets[{sets.nrf(), sets.nrl()}];
-                        if (bucket == nullptr) {
-                            bucket = &result[activationLabel(
-                                sets.nrf(), sets.nrl())];
-                        }
-                        for (const CellSample &sample : samples)
-                            bucket->add(
-                                analyzer.toPercent(sample.probability));
-                    });
-            }
+            // Each type's label is built once per context.
+            std::map<std::pair<int, int>, SampleSet *> buckets;
+            forEachNotPair(
+                *session_, m, context, PairQuery::Activation::Simultaneous,
+                [&](int, RowId src, RowId dst) {
+                    const std::vector<double> probabilities =
+                        notBaseline(analyzer, context.bank, src, dst);
+                    if (probabilities.empty())
+                        return;
+                    const ActivationSets sets =
+                        m.chip.decoder().neighborActivation(
+                            decomposeRow(geometry, src).localRow,
+                            decomposeRow(geometry, dst).localRow);
+                    SampleSet *&bucket = buckets[{sets.nrf(), sets.nrl()}];
+                    if (bucket == nullptr) {
+                        bucket = &result[activationLabel(sets.nrf(),
+                                                         sets.nrl())];
+                    }
+                    addPercents(analyzer,
+                                analyzer.drawKey(context.bank,
+                                                 BoolOp::Not, src, dst),
+                                probabilities, *bucket);
+                });
         });
 }
 
@@ -359,12 +331,10 @@ Campaign::notRegionHeatmap()
     const Accum buckets = session_->runOverContexts<Accum>(
         Fleet::SkHynix,
         [&](const View &m, const PairContext &context, Accum &out) {
-            const AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                            m.seed);
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
             forEachNotPair(
-                *session_, m, context,
-                PairQuery::Activation::Simultaneous,
-                [&](const PairContext &, int, RowId src, RowId dst) {
+                *session_, m, context, PairQuery::Activation::Simultaneous,
+                [&](int, RowId src, RowId dst) {
                     for (const CellSample &sample : analyzer.notSamples(
                              context.bank, src, dst, OpConditions())) {
                         out[static_cast<int>(sample.otherRegion)]
@@ -390,18 +360,12 @@ Campaign::notVsTemperature(const std::vector<int> &temperatures)
     const Accum buckets = session_->runOverContexts<Accum>(
         Fleet::SkHynix,
         [&](const View &m, const PairContext &context, Accum &out) {
-            const AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                            m.seed);
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
             forEachNotPair(
-                *session_, m, context,
-                PairQuery::Activation::Simultaneous,
-                [&](const PairContext &, int dest, RowId src,
-                    RowId dst) {
+                *session_, m, context, PairQuery::Activation::Simultaneous,
+                [&](int dest, RowId src, RowId dst) {
                     sweep.add(
-                        analyzer
-                            .notSweep(context.bank, src, dst,
-                                      {OpConditions()})
-                            .front(),
+                        notBaseline(analyzer, context.bank, src, dst),
                         [&](const auto &variants, const auto &keep) {
                             return analyzer.notSweep(context.bank, src,
                                                      dst, variants, keep);
@@ -422,19 +386,19 @@ std::map<std::uint32_t, std::map<int, SampleSet>>
 Campaign::notVsSpeed()
 {
     using Accum = std::map<std::uint32_t, std::map<int, SampleSet>>;
-    return session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &result) {
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
+    return session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &result) {
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
             forEachNotPair(
-                *session_, m, PairQuery::Activation::Simultaneous,
-                [&](const PairContext &context, int dest, RowId src,
-                    RowId dst) {
-                    for (const CellSample &sample : analyzer.notSamples(
-                             context.bank, src, dst, OpConditions())) {
-                        result[m.spec.speedMt][dest].add(
-                            analyzer.toPercent(sample.probability));
-                    }
+                *session_, m, context, PairQuery::Activation::Simultaneous,
+                [&](int dest, RowId src, RowId dst) {
+                    addPercents(analyzer,
+                                analyzer.drawKey(context.bank,
+                                                 BoolOp::Not, src, dst),
+                                notBaseline(analyzer, context.bank, src,
+                                            dst),
+                                result[m.spec.speedMt][dest]);
                 });
         });
 }
@@ -443,20 +407,18 @@ std::vector<std::pair<std::string, SampleSet>>
 Campaign::notByDie()
 {
     using Accum = std::map<std::string, SampleSet>;
-    const Accum by_die = session_->runOverFleet<Accum>(
-        Fleet::Table1, [&](const View &m, Accum &out) {
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
-            const std::string label = dieLabel(m.spec);
-            for (const PairContext &context : m.contexts) {
-                for (const auto &[src, dst] : session_->qualifyingPairs(
-                         m.module, context, PairQuery::anyWithDest(1))) {
-                    for (const CellSample &sample : analyzer.notSamples(
-                             context.bank, src, dst, OpConditions())) {
-                        out[label].add(
-                            analyzer.toPercent(sample.probability));
-                    }
-                }
+    const Accum by_die = session_->runOverContexts<Accum>(
+        Fleet::Table1,
+        [&](const View &m, const PairContext &context, Accum &out) {
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
+            SampleSet &bucket = out[dieLabel(m.spec)];
+            for (const auto &[src, dst] : session_->qualifyingPairs(
+                     m.module, context, PairQuery::anyWithDest(1))) {
+                addPercents(analyzer,
+                            analyzer.drawKey(context.bank, BoolOp::Not,
+                                             src, dst),
+                            notBaseline(analyzer, context.bank, src, dst),
+                            bucket);
             }
         });
     return {by_die.begin(), by_die.end()};
@@ -466,16 +428,18 @@ std::map<BoolOp, std::map<int, SampleSet>>
 Campaign::logicVsInputs()
 {
     using Accum = std::map<BoolOp, std::map<int, SampleSet>>;
-    return session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &result) {
+    return session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &result) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
-            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
-                addPercents(analyzer, call.base,
-                            result[call.op][call.inputs]);
-            });
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
+            forEachBaseline(
+                *session_, m, context, [&](const BaselineCall &call) {
+                    addPercents(analyzer, call.drawKey(analyzer),
+                                call.base.probability,
+                                result[call.op][call.inputs]);
+                });
         });
 }
 
@@ -495,8 +459,7 @@ Campaign::logicVsOnes(BoolOp op, int numInputs)
                 numInputs > m.chip.profile().maxLogicInputs()) {
                 return;
             }
-            const AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                            m.seed);
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
             for (const auto &[ref, com] : session_->qualifyingPairs(
                      m.module, context, PairQuery::square(numInputs))) {
                 const auto swept =
@@ -572,31 +535,27 @@ Campaign::logicDataPattern()
 {
     using Accum =
         std::map<BoolOp, std::map<int, std::pair<SampleSet, SampleSet>>>;
-    return session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &result) {
+    return session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &result) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
-            forEachSquarePair(
-                *session_, m,
-                [&](const PairContext &context, int inputs, RowId ref,
-                    RowId com) {
-                    for (const BoolOp op : kLogicOps) {
-                        const auto fixed = analyzer.logicSamples(
-                            context.bank, op, ref, com, OpConditions(),
-                            PatternClass::AllOnes);
-                        auto &bucket = result[op][inputs];
-                        for (const CellSample &sample : fixed) {
-                            bucket.first.add(
-                                analyzer.toPercent(sample.probability));
-                        }
-                        addPercents(analyzer,
-                                    session_->logicBaseline(
-                                        m.module, context.bank, op, ref,
-                                        com),
-                                    bucket.second);
-                    }
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
+            forEachBaseline(
+                *session_, m, context, [&](const BaselineCall &call) {
+                    auto &bucket = result[call.op][call.inputs];
+                    addPercents(analyzer,
+                                call.drawKey(analyzer,
+                                             PatternClass::AllOnes),
+                                analyzer
+                                    .logicSweep(context.bank, call.op,
+                                                call.ref, call.com,
+                                                PatternClass::AllOnes,
+                                                {LogicVariant{}})
+                                    .front(),
+                                bucket.first);
+                    addPercents(analyzer, call.drawKey(analyzer),
+                                call.base.probability, bucket.second);
                 });
         });
 }
@@ -613,8 +572,7 @@ Campaign::logicVsTemperature(const std::vector<int> &temperatures)
         [&](const View &m, const PairContext &context, Accum &out) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            const AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                            m.seed);
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
             forEachBaseline(
                 *session_, m, context, [&](const BaselineCall &call) {
                     sweep.add(
@@ -645,16 +603,19 @@ Campaign::logicVsSpeed()
     using Accum =
         std::map<BoolOp,
                  std::map<std::uint32_t, std::map<int, SampleSet>>>;
-    return session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &result) {
+    return session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &result) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
-            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
-                addPercents(analyzer, call.base,
-                            result[call.op][m.spec.speedMt][call.inputs]);
-            });
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
+            forEachBaseline(
+                *session_, m, context, [&](const BaselineCall &call) {
+                    addPercents(
+                        analyzer, call.drawKey(analyzer),
+                        call.base.probability,
+                        result[call.op][m.spec.speedMt][call.inputs]);
+                });
         });
 }
 
@@ -662,16 +623,19 @@ std::map<std::string, std::map<BoolOp, SampleSet>>
 Campaign::logicByDie()
 {
     using Accum = std::map<std::string, std::map<BoolOp, SampleSet>>;
-    return session_->runOverFleet<Accum>(
-        Fleet::SkHynix, [&](const View &m, Accum &result) {
+    return session_->runOverContexts<Accum>(
+        Fleet::SkHynix,
+        [&](const View &m, const PairContext &context, Accum &result) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            AnalyticAnalyzer analyzer(m.chip, config().analytic,
-                                      m.seed);
+            const AnalyticAnalyzer analyzer(m.chip, config().analytic);
             const std::string label = dieLabel(m.spec);
-            forEachBaseline(*session_, m, [&](const BaselineCall &call) {
-                addPercents(analyzer, call.base, result[label][call.op]);
-            });
+            forEachBaseline(
+                *session_, m, context, [&](const BaselineCall &call) {
+                    addPercents(analyzer, call.drawKey(analyzer),
+                                call.base.probability,
+                                result[label][call.op]);
+                });
         });
 }
 

@@ -58,8 +58,7 @@ class Campaign
     std::map<std::string, SampleSet> activationCoverage();
 
     /** Fig. 7: NOT success-rate distribution vs destination rows. */
-    std::map<int, SampleSet> notVsDestRows(
-        const OpConditions &cond = OpConditions());
+    std::map<int, SampleSet> notVsDestRows();
 
     /** Fig. 8: NOT success rate per NRF:NRL activation type. */
     std::map<std::string, SampleSet> notVsActivationType();

@@ -38,7 +38,7 @@ ReliableMask::notMask(BankId bank, RowId srcGlobal, RowId dstGlobal,
 {
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analyzer(chip_, config, 0);
+    const AnalyticAnalyzer analyzer(chip_, config);
     const auto samples =
         analyzer.notSamples(bank, srcGlobal, dstGlobal, cond);
     return maskFromSamples(
@@ -52,7 +52,7 @@ ReliableMask::logicMask(BankId bank, BoolOp op, RowId refGlobal,
 {
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analyzer(chip_, config, 0);
+    const AnalyticAnalyzer analyzer(chip_, config);
     const auto samples = analyzer.logicSamples(
         bank, op, refGlobal, comGlobal, cond, PatternClass::Random);
     return maskFromSamples(

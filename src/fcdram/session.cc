@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <tuple>
 
 #include "dram/address.hh"
@@ -178,6 +179,10 @@ FleetSession::FleetSession(const CampaignConfig &config)
     : config_(config), scheduler_(config.workers)
 {
     assert(config_.geometry.valid());
+    // pairContexts draws each bank's low subarrays without repeats.
+    if (config_.subarrayPairsPerBank > config_.geometry.subarraysPerBank - 1)
+        throw std::invalid_argument(
+            "subarrayPairsPerBank exceeds the bank's subarray pairs");
     std::size_t index = 0;
     for (const ModuleSpec &spec : table1Fleet()) {
         for (int m = 0; m < spec.numModules; ++m) {
@@ -265,14 +270,20 @@ FleetSession::pairContexts(const Module &module) const
         Rng rng(hashCombine(module.seed, 0x5041ULL));
         const int banks =
             std::min(config_.banksPerChip, moduleChip.numBanks());
-        const int maxLow = moduleChip.geometry().subarraysPerBank - 1;
+        const auto maxLow = static_cast<std::uint64_t>(
+            moduleChip.geometry().subarraysPerBank - 1);
         for (int b = 0; b < banks; ++b) {
+            // A low subarray the bank already holds is redrawn, so no
+            // subarray pair is sampled twice.
+            std::vector<bool> held(maxLow);
             for (int p = 0; p < config_.subarrayPairsPerBank; ++p) {
-                PairContext context;
-                context.bank = static_cast<BankId>(b);
-                context.lowSubarray = static_cast<SubarrayId>(
-                    rng.below(static_cast<std::uint64_t>(maxLow)));
-                contexts.push_back(context);
+                std::uint64_t low = 0;
+                do {
+                    low = rng.below(maxLow);
+                } while (held[low]);
+                held[low] = true;
+                contexts.push_back({static_cast<BankId>(b),
+                                    static_cast<SubarrayId>(low)});
             }
         }
         return contexts;
@@ -324,10 +335,7 @@ FleetSession::logicBaseline(const Module &module, BankId bank,
     const LogicCacheKey key{module.index, bank, op, ref, com};
     bool hit = false;
     const LogicBaseline &baseline = logic_.get(key, hit, [&] {
-        // logicSamples draws nothing from the analyzer's RNG, so its
-        // seed does not matter.
-        const AnalyticAnalyzer analyzer(chip(module), config_.analytic,
-                                        module.seed);
+        const AnalyticAnalyzer analyzer(chip(module), config_.analytic);
         const std::vector<CellSample> samples = analyzer.logicSamples(
             bank, op, ref, com, OpConditions(), PatternClass::Random);
         LogicBaseline entry;

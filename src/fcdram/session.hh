@@ -16,24 +16,24 @@
  * a concurrent lookup of the same key waits for that fill rather than
  * repeating it, so cache counters do not depend on the worker count.
  *
- * Work fans out at one of two granularities. runOverFleet runs one
- * task per module; a figure that draws binomial samples must use it,
- * because its analyzer's random stream is per module and the draw
- * order runs across that module's contexts. runOverContexts runs one
- * task per (module, pair context), four times as many smaller tasks,
- * for figures that draw nothing from that stream. Both fold each
- * task's partial into the result in task order as soon as every
- * earlier task has finished, and release it once folded.
+ * Every figure fans out one task per (module, pair context) through
+ * runOverContexts: its binomial draws are keyed by the cells they
+ * sample (AnalyticAnalyzer::drawKey), not drawn from a stream, so no
+ * task depends on another's draws. runOverFleet, one task per module,
+ * serves the PuD query service and the simulator microbenchmarks.
+ * Both fold each task's partial into the result in task order as soon
+ * as every earlier task has finished, and release it once folded.
+ * Each bank's pair contexts are distinct subarray pairs.
  *
  * The session also memoizes the baseline logic sweep: the
  * default-condition, random-data logicSamples call that Figs. 15 and
  * 17-21 all evaluate, keyed by (module, bank, op, reference row,
  * compute row). An entry keeps 8 bytes per cell (its probability)
  * plus one region per measured row. With the figure configuration
- * each of those figures looks up 9,088 keys (4.29M cells), of which
- * about 7,400 are distinct, so the memo holds about 28 MB. Only a
- * session that runs several logic figures reuses it; a single-figure
- * bench binary pays that memory for few hits.
+ * each of those figures looks up 9,088 keys (4.29M cells), on seed 1
+ * all distinct, so the memo holds about 34 MB. Only a session that
+ * runs several logic figures reuses it; a single-figure bench binary
+ * pays that memory for almost no hits.
  */
 
 #ifndef FCDRAM_FCDRAM_SESSION_HH
@@ -66,7 +66,10 @@ struct CampaignConfig
     /** Banks sampled per chip. */
     int banksPerChip = 1;
 
-    /** Neighboring subarray pairs sampled per bank. */
+    /**
+     * Distinct neighboring subarray pairs sampled per bank, at most
+     * subarraysPerBank - 1 (FleetSession throws otherwise).
+     */
     int subarrayPairsPerBank = 4;
 
     /** Qualifying (RF, RL) pairs kept per chip and configuration. */
@@ -233,7 +236,7 @@ class FleetSession
     /** Cached immutable chip of a module (lazily constructed). */
     const Chip &chip(const Module &module) const;
 
-    /** Memoized sampled subarray-pair contexts of a module's chip. */
+    /** Memoized sampled subarray-pair contexts (distinct per bank). */
     const std::vector<PairContext> &
     pairContexts(const Module &module) const;
 
@@ -288,9 +291,8 @@ class FleetSession
     /**
      * Run @p visit(view, context, partial) once per (module, pair
      * context) of @p fleet on the scheduler and fold the partials in
-     * (module, context) order. For experiments that draw nothing from
-     * a per-module random stream: each task sees one context, so
-     * anything it draws must be seeded by the context alone.
+     * (module, context) order. Each task sees one context, so anything
+     * it draws must be keyed by that context and what it measures.
      */
     template <class Accum, class Visit>
     Accum runOverContexts(Fleet fleet, Visit visit) const

@@ -150,7 +150,7 @@ notSuccessProbabilities(const Chip &chip, BankId bank, RowId srcGlobal,
 {
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analyzer(chip, config, 0);
+    const AnalyticAnalyzer analyzer(chip, config);
     OpConditions cond;
     cond.couplingFraction =
         marginCase == MarginCase::Worst ? 1.0 : 0.0;

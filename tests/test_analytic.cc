@@ -11,6 +11,7 @@
 #include "fcdram/analytic.hh"
 #include "fcdram/ops.hh"
 #include "pud/allocator.hh"
+#include "stats/summary.hh"
 #include "testutil.hh"
 
 namespace fcdram {
@@ -25,7 +26,7 @@ noisyProfile()
 TEST(Analytic, ProbabilitiesInUnitInterval)
 {
     const Chip chip(noisyProfile(), test::tinyGeometry(), 3);
-    AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+    AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
     const auto pairs = findActivationPairs(chip, 2, 2, 2, 5);
     ASSERT_FALSE(pairs.empty());
     const RowId ref = composeRow(chip.geometry(), 0, pairs[0].first);
@@ -45,7 +46,7 @@ TEST(Analytic, ProbabilitiesInUnitInterval)
 TEST(Analytic, NotSampleCountMatchesGeometry)
 {
     const Chip chip(noisyProfile(), test::tinyGeometry(), 3);
-    AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+    AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
     const auto pairs = findActivationPairs(chip, 2, 2, 1, 7);
     ASSERT_FALSE(pairs.empty());
     const RowId src = composeRow(chip.geometry(), 0, pairs[0].first);
@@ -63,14 +64,19 @@ TEST(Analytic, IdealChipGivesCertainty)
     const Chip chip(test::idealProfile(), test::tinyGeometry(), 3);
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analyzer(chip, config, 1);
+    AnalyticAnalyzer analyzer(chip, config);
     const auto pairs = findActivationPairs(chip, 1, 1, 1, 7);
     ASSERT_FALSE(pairs.empty());
     const RowId src = composeRow(chip.geometry(), 0, pairs[0].first);
     const RowId dst = composeRow(chip.geometry(), 1, pairs[0].second);
-    const auto set =
-        analyzer.toSampleSet(analyzer.notSamples(0, src, dst, {}));
-    EXPECT_GT(set.min(), 99.999);
+    const auto samples = analyzer.notSamples(0, src, dst, {});
+    ASSERT_FALSE(samples.empty());
+    const std::uint64_t key = analyzer.drawKey(0, BoolOp::Not, src, dst);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        EXPECT_GT(analyzer.toPercent(samples[i].probability,
+                                     hashCombine(key, i)),
+                  99.999);
+    }
 }
 
 TEST(Analytic, BinomialSamplingAddsTexture)
@@ -78,11 +84,11 @@ TEST(Analytic, BinomialSamplingAddsTexture)
     const Chip chip(noisyProfile(), test::tinyGeometry(), 3);
     AnalyticConfig config;
     config.trials = 100;
-    AnalyticAnalyzer analyzer(chip, config, 1);
+    AnalyticAnalyzer analyzer(chip, config);
     // A probability strictly inside (0,1) must show sampling noise.
     SampleSet values;
-    for (int i = 0; i < 50; ++i)
-        values.add(analyzer.toPercent(0.9));
+    for (std::uint64_t i = 0; i < 50; ++i)
+        values.add(analyzer.toPercent(0.9, hashCombine(1, i)));
     EXPECT_GT(values.max() - values.min(), 0.5);
     EXPECT_NEAR(values.mean(), 90.0, 3.0);
 }
@@ -92,7 +98,7 @@ TEST(Analytic, TemperatureLowersProbabilities)
     const Chip chip(noisyProfile(), test::tinyGeometry(), 3);
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analyzer(chip, config, 1);
+    AnalyticAnalyzer analyzer(chip, config);
     const auto pairs = findActivationPairs(chip, 4, 4, 1, 7);
     ASSERT_FALSE(pairs.empty());
     const RowId src = composeRow(chip.geometry(), 0, pairs[0].first);
@@ -119,7 +125,7 @@ TEST(Analytic, FixedOnesMatchesWeightedExtremes)
     const Chip chip(noisyProfile(), test::tinyGeometry(), 3);
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analyzer(chip, config, 1);
+    AnalyticAnalyzer analyzer(chip, config);
     const auto pairs = findActivationPairs(chip, 4, 4, 1, 9);
     ASSERT_FALSE(pairs.empty());
     const RowId ref = composeRow(chip.geometry(), 0, pairs[0].first);
@@ -578,7 +584,7 @@ TEST(AnalyticOracle, NotSamplesMatchPerCellReference)
     int compared = 0;
     for (const ChipProfile &profile : oracleProfiles()) {
         const Chip chip(profile, test::tinyGeometry(), 3);
-        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
         for (const OraclePair &pair : neighborPairs(chip)) {
             for (const OpConditions &cond : oracleConditions()) {
                 const auto want =
@@ -597,7 +603,7 @@ TEST(AnalyticOracle, LogicSamplesMatchPerCellReference)
     int compared = 0;
     for (const ChipProfile &profile : oracleProfiles()) {
         const Chip chip(profile, test::tinyGeometry(), 3);
-        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
         for (const OraclePair &pair : neighborPairs(chip)) {
             for (const OpConditions &cond : oracleConditions()) {
                 for (const BoolOp op : {BoolOp::And, BoolOp::Or,
@@ -632,7 +638,7 @@ TEST(AnalyticOracle, MajSamplesMatchPerCellReference)
     int compared = 0;
     for (const ChipProfile &profile : oracleProfiles()) {
         const Chip chip(profile, test::tinyGeometry(), 3);
-        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
         for (const OraclePair &pair : simraPairs(chip)) {
             for (const OpConditions &cond : oracleConditions()) {
                 // MAJ3, MAJ5 and MAJ(rows - 1), one tiebreaker each.
@@ -786,7 +792,7 @@ TEST(AnalyticSweep, NotSweepMatchesNotSamplesPerVariant)
     std::size_t compared = 0;
     for (const ChipProfile &profile : oracleProfiles()) {
         const Chip chip(profile, test::tinyGeometry(), 3);
-        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
         for (const OraclePair &pair : neighborPairs(chip)) {
             std::vector<std::vector<CellSample>> want;
             for (const OpConditions &cond : variants)
@@ -810,7 +816,7 @@ TEST(AnalyticSweep, LogicSweepMatchesLogicSamplesPerVariant)
     std::size_t compared = 0;
     for (const ChipProfile &profile : oracleProfiles()) {
         const Chip chip(profile, test::tinyGeometry(), 3);
-        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
         for (const OraclePair &pair : neighborPairs(chip)) {
             // The first variant equals the baseline; the rest vary the
             // temperature, the ones-count, or both.
@@ -846,7 +852,7 @@ TEST(AnalyticSweep, LogicSweepMatchesLogicSamplesPerVariant)
 TEST(AnalyticSweep, SweepsReturnOneVectorPerVariant)
 {
     const Chip chip(noisyProfile(), test::tinyGeometry(), 3);
-    const AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+    const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
     const GeometryConfig &geometry = chip.geometry();
     // A pair that does not activate has no cells under any variant.
     RowId rf = kInvalidRow;
@@ -896,7 +902,7 @@ TEST_P(EngineAgreement, NotMcMatchesAnalytic)
 
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analytic(chip, config, 1);
+    AnalyticAnalyzer analytic(chip, config);
     DramBender bender(chip, 17);
     SuccessRateAnalyzer mc(bender, 19);
 
@@ -934,7 +940,7 @@ TEST(EngineAgreementLogic, TwoInputAndMatches)
 
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analytic(chip, config, 1);
+    AnalyticAnalyzer analytic(chip, config);
     DramBender bender(chip, 31);
     SuccessRateAnalyzer mc(bender, 37);
 
@@ -964,7 +970,7 @@ TEST(EngineAgreementLogic, TwoInputAndMatches)
 TEST(Analytic, MajSamplesCoverGroupAndStayInUnitInterval)
 {
     const Chip chip(noisyProfile(), test::tinyGeometry(), 3);
-    AnalyticAnalyzer analyzer(chip, AnalyticConfig{}, 1);
+    AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
     const auto pairs = findSimraPairs(chip, 4, 1, 5);
     ASSERT_FALSE(pairs.empty());
     const RowId rf = composeRow(chip.geometry(), 0, pairs[0].first);
@@ -1001,7 +1007,7 @@ TEST(Analytic, MajSamplesExactOnIdealChip)
     const Chip chip(test::idealProfile(), test::tinyGeometry(), 3);
     AnalyticConfig config;
     config.sampleBinomial = false;
-    AnalyticAnalyzer analyzer(chip, config, 1);
+    AnalyticAnalyzer analyzer(chip, config);
     const auto pairs = findSimraPairs(chip, 8, 1, 5);
     ASSERT_FALSE(pairs.empty());
     const RowId rf = composeRow(chip.geometry(), 0, pairs[0].first);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <sstream>
 #include <string>
 
@@ -150,59 +149,7 @@ TEST_F(CampaignFixture, LogicTemperatureSweepReusesBaselineExactly)
     EXPECT_TRUE(temperature_matters);
 }
 
-/** Exact equality of figure results, recursing through containers. */
-void
-expectSame(double got, double want)
-{
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-              std::bit_cast<std::uint64_t>(want))
-        << got << " vs " << want;
-}
-
-void
-expectSame(const SampleSet &got, const SampleSet &want)
-{
-    EXPECT_EQ(got.values(), want.values());
-}
-
-template <class A, class B>
-void expectSame(const std::pair<A, B> &got, const std::pair<A, B> &want);
-
-template <class T, std::size_t N>
-void expectSame(const std::array<T, N> &got,
-                const std::array<T, N> &want);
-
-template <class K, class V>
-void expectSame(const std::map<K, V> &got, const std::map<K, V> &want);
-
-template <class A, class B>
-void
-expectSame(const std::pair<A, B> &got, const std::pair<A, B> &want)
-{
-    expectSame(got.first, want.first);
-    expectSame(got.second, want.second);
-}
-
-template <class T, std::size_t N>
-void
-expectSame(const std::array<T, N> &got, const std::array<T, N> &want)
-{
-    for (std::size_t i = 0; i < N; ++i)
-        expectSame(got[i], want[i]);
-}
-
-template <class K, class V>
-void
-expectSame(const std::map<K, V> &got, const std::map<K, V> &want)
-{
-    ASSERT_EQ(got.size(), want.size());
-    auto it = want.begin();
-    for (const auto &[key, value] : got) {
-        EXPECT_TRUE(key == it->first);
-        expectSame(value, it->second);
-        ++it;
-    }
-}
+using test::expectSame;
 
 TEST(CampaignMemoTest, WarmLogicFiguresMatchColdSessions)
 {
@@ -340,8 +287,8 @@ referenceNotRegionHeatmap(const FleetSession &session)
     using Accum = std::array<std::array<SampleSet, 3>, 3>;
     const Accum buckets = session.runOverFleet<Accum>(
         Fleet::SkHynix, [&](const View &m, Accum &out) {
-            const AnalyticAnalyzer analyzer(
-                m.chip, session.config().analytic, m.seed);
+            const AnalyticAnalyzer analyzer(m.chip,
+                                            session.config().analytic);
             referenceNotPairs(session, m, [&](const PairContext &context,
                                               int, RowId src, RowId dst) {
                 for (const CellSample &sample : analyzer.notSamples(
@@ -367,8 +314,8 @@ referenceNotVsTemperature(const FleetSession &session,
     using Accum = std::map<int, std::map<int, SampleSet>>;
     const Accum buckets = session.runOverFleet<Accum>(
         Fleet::SkHynix, [&](const View &m, Accum &out) {
-            const AnalyticAnalyzer analyzer(
-                m.chip, session.config().analytic, m.seed);
+            const AnalyticAnalyzer analyzer(m.chip,
+                                            session.config().analytic);
             referenceNotPairs(session, m, [&](const PairContext &context,
                                               int dest, RowId src,
                                               RowId dst) {
@@ -405,8 +352,8 @@ referenceLogicVsOnes(const FleetSession &session, BoolOp op,
             if (!m.chip.profile().supportsLogicOps() ||
                 numInputs > m.chip.profile().maxLogicInputs())
                 return;
-            const AnalyticAnalyzer analyzer(
-                m.chip, session.config().analytic, m.seed);
+            const AnalyticAnalyzer analyzer(m.chip,
+                                            session.config().analytic);
             for (const PairContext &context : m.contexts) {
                 for (const auto &[ref, com] : session.qualifyingPairs(
                          m.module, context, PairQuery::square(numInputs))) {
@@ -436,8 +383,8 @@ referenceLogicRegionHeatmap(const FleetSession &session)
         Fleet::SkHynix, [&](const View &m, Accum &out) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            const AnalyticAnalyzer analyzer(
-                m.chip, session.config().analytic, m.seed);
+            const AnalyticAnalyzer analyzer(m.chip,
+                                            session.config().analytic);
             referenceSquarePairs(session, m, [&](const PairContext &context,
                                                  int, RowId ref, RowId com) {
                 for (const BoolOp op : kReferenceOps) {
@@ -482,8 +429,8 @@ referenceLogicVsTemperature(const FleetSession &session,
         Fleet::SkHynix, [&](const View &m, Accum &out) {
             if (!m.chip.profile().supportsLogicOps())
                 return;
-            const AnalyticAnalyzer analyzer(
-                m.chip, session.config().analytic, m.seed);
+            const AnalyticAnalyzer analyzer(m.chip,
+                                            session.config().analytic);
             referenceSquarePairs(session, m, [&](const PairContext &context,
                                                  int inputs, RowId ref,
                                                  RowId com) {
@@ -683,6 +630,25 @@ TEST_F(CampaignFixture, DataPatternSlightlyHelps)
             const double random = sets.second.mean();
             EXPECT_GE(fixed, random - 0.5);
             EXPECT_LT(fixed - random, 8.0);
+        }
+    }
+}
+
+TEST_F(CampaignFixture, DataPatternRandomHalfEqualsFig15)
+{
+    // A draw is keyed by the cell it samples, so Fig. 18's random class
+    // reports exactly Fig. 15's draws, whatever it samples in between.
+    const auto pattern = campaign_.logicDataPattern();
+    const auto inputs = campaign_.logicVsInputs();
+    ASSERT_EQ(pattern.size(), inputs.size());
+    for (const auto &[op, by_inputs] : inputs) {
+        ASSERT_TRUE(pattern.count(op)) << toString(op);
+        ASSERT_EQ(pattern.at(op).size(), by_inputs.size());
+        for (const auto &[n, set] : by_inputs) {
+            SCOPED_TRACE(std::string(toString(op)) + " inputs=" +
+                         std::to_string(n));
+            ASSERT_FALSE(set.empty());
+            expectSame(pattern.at(op).at(n).second, set);
         }
     }
 }

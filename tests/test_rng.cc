@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/rng.hh"
 
@@ -140,37 +141,79 @@ TEST(Rng, BernoulliFrequency)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(Rng, BinomialSmallNExact)
+TEST(BinomialFromHash, SmallNExact)
 {
-    Rng rng(29);
-    for (int i = 0; i < 100; ++i) {
-        const auto k = rng.binomial(10, 0.5);
+    for (std::uint64_t i = 0; i < 100; ++i) {
+        const auto k = binomialFromHash(10, 0.5, hashCombine(29, i));
         EXPECT_LE(k, 10u);
     }
 }
 
-TEST(Rng, BinomialEdgeProbabilities)
+TEST(BinomialFromHash, EdgeProbabilities)
 {
-    Rng rng(31);
-    EXPECT_EQ(rng.binomial(100, 0.0), 0u);
-    EXPECT_EQ(rng.binomial(100, 1.0), 100u);
+    EXPECT_EQ(binomialFromHash(100, 0.0, hashCombine(31, 0)), 0u);
+    EXPECT_EQ(binomialFromHash(100, 1.0, hashCombine(31, 1)), 100u);
 }
 
-TEST(Rng, BinomialLargeNMean)
+TEST(BinomialFromHash, LargeNMean)
 {
-    Rng rng(37);
     double sum = 0.0;
     const int n = 2000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.binomial(10000, 0.3));
+    for (int i = 0; i < n; ++i) {
+        sum += static_cast<double>(binomialFromHash(
+            10000, 0.3, hashCombine(37, static_cast<std::uint64_t>(i))));
+    }
     EXPECT_NEAR(sum / n, 3000.0, 15.0);
 }
 
-TEST(Rng, BinomialLargeNClamped)
+TEST(BinomialFromHash, LargeNClamped)
 {
-    Rng rng(41);
-    for (int i = 0; i < 2000; ++i)
-        EXPECT_LE(rng.binomial(10000, 0.9999), 10000u);
+    for (std::uint64_t i = 0; i < 2000; ++i)
+        EXPECT_LE(binomialFromHash(10000, 0.9999, hashCombine(41, i)),
+                  10000u);
+}
+
+TEST(BinomialFromHash, SameKeySameValue)
+{
+    // Both branches: keyed Bernoulli trials and the normal draw.
+    for (const std::uint64_t n : {10u, 10000u}) {
+        for (std::uint64_t i = 0; i < 100; ++i) {
+            const std::uint64_t key = hashCombine(43, i);
+            EXPECT_EQ(binomialFromHash(n, 0.3, key),
+                      binomialFromHash(n, 0.3, key))
+                << "n=" << n;
+        }
+    }
+}
+
+/** Mean and variance of binomialFromHash(n, p) over consecutive keys. */
+std::pair<double, double>
+binomialMoments(std::uint64_t n, double p, int draws)
+{
+    double sum = 0.0;
+    double sumSq = 0.0;
+    for (int i = 0; i < draws; ++i) {
+        const auto k = static_cast<double>(binomialFromHash(
+            n, p, hashCombine(47, static_cast<std::uint64_t>(i))));
+        sum += k;
+        sumSq += k * k;
+    }
+    const double mean = sum / draws;
+    return {mean, sumSq / draws - mean * mean};
+}
+
+TEST(BinomialFromHash, MeanNearNp)
+{
+    // n < 64 counts keyed Bernoulli trials; larger n is normal.
+    EXPECT_NEAR(binomialMoments(20, 0.3, 20000).first, 6.0, 0.1);
+    EXPECT_NEAR(binomialMoments(10000, 0.9, 20000).first, 9000.0, 1.0);
+}
+
+TEST(BinomialFromHash, VarianceNearNpq)
+{
+    // Binomial variance n p (1 - p): 4.2 and 900.
+    EXPECT_NEAR(binomialMoments(20, 0.3, 20000).second, 4.2, 0.25);
+    EXPECT_NEAR(binomialMoments(10000, 0.9, 20000).second, 900.0, 45.0);
 }
 
 } // namespace

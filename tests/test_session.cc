@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -133,6 +135,56 @@ TEST(FleetSessionTest, PairContextsAreMemoized)
                   session.config().subarrayPairsPerBank));
 }
 
+TEST(FleetSessionTest, PairContextsAreDistinct)
+{
+    // No module samples a (bank, low subarray) twice, and each keeps
+    // its first draw, the one a draw with replacement also makes.
+    for (const CampaignConfig &config :
+         {CampaignConfig(), CampaignConfig::forTests()}) {
+        const FleetSession session(config);
+        const auto maxLow = static_cast<std::uint64_t>(
+            config.geometry.subarraysPerBank - 1);
+        for (const auto &module :
+             session.modules(FleetSession::Fleet::Table1)) {
+            const auto &contexts = session.pairContexts(module);
+            ASSERT_FALSE(contexts.empty());
+            std::set<std::pair<BankId, SubarrayId>> seen;
+            for (const PairContext &context : contexts) {
+                EXPECT_TRUE(
+                    seen.emplace(context.bank, context.lowSubarray).second)
+                    << "module " << module.index << " repeats bank "
+                    << int{context.bank} << " subarray "
+                    << context.lowSubarray;
+            }
+            EXPECT_EQ(contexts.front().bank, 0);
+            EXPECT_EQ(contexts.front().lowSubarray,
+                      Rng(hashCombine(module.seed, 0x5041)).below(maxLow))
+                << "module " << module.index;
+        }
+    }
+}
+
+TEST(FleetSessionTest, RejectsMorePairsThanABankHolds)
+{
+    // forTests() banks have 4 subarrays, so 3 neighboring pairs.
+    CampaignConfig config = CampaignConfig::forTests();
+    config.subarrayPairsPerBank = 4;
+    EXPECT_THROW(FleetSession{config}, std::invalid_argument);
+
+    // Three pairs take every low subarray, each once.
+    config.subarrayPairsPerBank = 3;
+    const FleetSession session(config);
+    for (const auto &module :
+         session.modules(FleetSession::Fleet::Table1)) {
+        std::vector<SubarrayId> lows;
+        for (const PairContext &context : session.pairContexts(module))
+            lows.push_back(context.lowSubarray);
+        std::sort(lows.begin(), lows.end());
+        EXPECT_EQ(lows, (std::vector<SubarrayId>{0, 1, 2}))
+            << "module " << module.index;
+    }
+}
+
 TEST(FleetSessionTest, MemoizedPairsMatchDirectDiscovery)
 {
     const CampaignConfig config = CampaignConfig::forTests();
@@ -187,8 +239,7 @@ TEST(FleetSessionTest, LogicBaselineMatchesDirectLogicSamples)
         const Chip &chip = session.chip(module);
         if (!chip.profile().supportsLogicOps())
             continue;
-        const AnalyticAnalyzer analyzer(chip, session.config().analytic,
-                                        module.seed);
+        const AnalyticAnalyzer analyzer(chip, session.config().analytic);
         for (const PairContext &context : session.pairContexts(module)) {
             for (const int inputs : {2, 4, 8, 16}) {
                 if (inputs > chip.profile().maxLogicInputs())
@@ -526,24 +577,20 @@ TEST(FleetSessionTest, WorkerCountDoesNotChangeResults)
     ASSERT_EQ(parallel.session()->scheduler().workers(), 4);
 
     const auto serial_not = serial.notVsDestRows();
-    const auto parallel_not = parallel.notVsDestRows();
-    ASSERT_EQ(serial_not.size(), parallel_not.size());
-    for (const auto &[dest, set] : serial_not) {
-        ASSERT_TRUE(parallel_not.count(dest)) << "dest=" << dest;
-        EXPECT_EQ(set.values(), parallel_not.at(dest).values())
-            << "dest=" << dest;
-    }
+    ASSERT_FALSE(serial_not.empty());
+    test::expectSame(parallel.notVsDestRows(), serial_not);
+    test::expectSame(parallel.notVsActivationType(),
+                     serial.notVsActivationType());
+    test::expectSame(parallel.notVsSpeed(), serial.notVsSpeed());
+    test::expectSame(parallel.notByDie(), serial.notByDie());
 
     const auto serial_logic = serial.logicVsInputs();
-    const auto parallel_logic = parallel.logicVsInputs();
-    ASSERT_EQ(serial_logic.size(), parallel_logic.size());
-    for (const auto &[op, by_inputs] : serial_logic) {
-        for (const auto &[inputs, set] : by_inputs) {
-            EXPECT_EQ(set.values(),
-                      parallel_logic.at(op).at(inputs).values())
-                << toString(op) << " inputs=" << inputs;
-        }
-    }
+    ASSERT_FALSE(serial_logic.empty());
+    test::expectSame(parallel.logicVsInputs(), serial_logic);
+    test::expectSame(parallel.logicDataPattern(),
+                     serial.logicDataPattern());
+    test::expectSame(parallel.logicVsSpeed(), serial.logicVsSpeed());
+    test::expectSame(parallel.logicByDie(), serial.logicByDie());
 }
 
 TEST(FleetSessionTest, RepeatedRunsAreBitIdentical)

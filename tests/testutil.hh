@@ -6,14 +6,21 @@
 #ifndef FCDRAM_TESTS_TESTUTIL_HH
 #define FCDRAM_TESTS_TESTUTIL_HH
 
+#include <gtest/gtest.h>
+
+#include <array>
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/chipprofile.hh"
 #include "dram/geometry.hh"
+#include "stats/summary.hh"
 
 namespace fcdram::test {
 
@@ -68,6 +75,78 @@ manufacturerProfiles()
             ChipProfile::make(Manufacturer::SkHynix, 4, 'A', 8, 2133),
             ChipProfile::make(Manufacturer::Samsung, 4, 'F', 8, 2666),
             ChipProfile::make(Manufacturer::Micron, 8, 'B', 8, 2666)};
+}
+
+/** Exact equality of figure results, recursing through containers. */
+inline void
+expectSame(double got, double want)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << got << " vs " << want;
+}
+
+inline void
+expectSame(const std::string &got, const std::string &want)
+{
+    EXPECT_EQ(got, want);
+}
+
+inline void
+expectSame(const SampleSet &got, const SampleSet &want)
+{
+    EXPECT_EQ(got.values(), want.values());
+}
+
+template <class A, class B>
+void expectSame(const std::pair<A, B> &got, const std::pair<A, B> &want);
+
+template <class T, std::size_t N>
+void expectSame(const std::array<T, N> &got,
+                const std::array<T, N> &want);
+
+template <class T>
+void expectSame(const std::vector<T> &got, const std::vector<T> &want);
+
+template <class K, class V>
+void expectSame(const std::map<K, V> &got, const std::map<K, V> &want);
+
+template <class A, class B>
+void
+expectSame(const std::pair<A, B> &got, const std::pair<A, B> &want)
+{
+    expectSame(got.first, want.first);
+    expectSame(got.second, want.second);
+}
+
+template <class T, std::size_t N>
+void
+expectSame(const std::array<T, N> &got, const std::array<T, N> &want)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        expectSame(got[i], want[i]);
+}
+
+template <class T>
+void
+expectSame(const std::vector<T> &got, const std::vector<T> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectSame(got[i], want[i]);
+}
+
+template <class K, class V>
+void
+expectSame(const std::map<K, V> &got, const std::map<K, V> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    auto it = want.begin();
+    for (const auto &[key, value] : got) {
+        EXPECT_TRUE(key == it->first);
+        expectSame(value, it->second);
+        ++it;
+    }
 }
 
 /** Small geometry for fast functional tests. */
