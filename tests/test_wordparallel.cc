@@ -18,6 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bender/bender.hh"
@@ -180,6 +183,229 @@ TEST(WordParallelExecutor, BitIdenticalOnIdealProfile)
     for (std::size_t i = 0; i < fast_reads.size(); ++i)
         EXPECT_EQ(fast_reads[i], scalar_reads[i]) << "readback " << i;
     EXPECT_EQ(voltageDump(fast_chip), voltageDump(scalar_chip));
+}
+
+/**
+ * Several words per row ending in a partial tail word (200 = 3 * 64 +
+ * 8 columns), with 512-row subarrays so the decoder reaches its 16:16
+ * and 16:32 neighbor shapes and its 32-row SiMRA groups.
+ */
+GeometryConfig
+multiWordGeometry()
+{
+    GeometryConfig geometry = GeometryConfig::tiny();
+    geometry.rowsPerSubarray = 512;
+    geometry.columns = 200;
+    return geometry;
+}
+
+/** Global ids of @p locals in @p subarray. */
+std::vector<RowId>
+globalRows(const GeometryConfig &geometry, SubarrayId subarray,
+           const std::vector<RowId> &locals)
+{
+    std::vector<RowId> rows;
+    for (const RowId local : locals)
+        rows.push_back(composeRow(geometry, subarray, local));
+    return rows;
+}
+
+/** Readbacks of one run plus the activation shapes it exercised. */
+struct ShapeRun
+{
+    std::vector<BitVector> reads;
+    std::vector<std::string> shapes;
+};
+
+/**
+ * Drive every activation shape the chip's decoder offers: NOT on each
+ * NRF:NRL shape up to 32 destinations (sequential on Samsung), N:N
+ * logic with all four ops for each N, RowClone onto each SiMRA group
+ * and MAJ over it, and multi-row writes. Every other NOT and each
+ * RowClone first turns a destination into a Frac lane row. Ops rotate
+ * over neighbor pairs of both parities and orders.
+ */
+ShapeRun
+exerciseShapes(Chip &chip, ExecMode mode)
+{
+    DramBender bender(chip, /*sessionSeed=*/11, mode);
+    Ops ops(bender);
+    const GeometryConfig &geometry = chip.geometry();
+    const RowDecoder &decoder = chip.decoder();
+    const auto columns = static_cast<std::size_t>(geometry.columns);
+    constexpr std::pair<SubarrayId, SubarrayId> kNeighborPairs[] = {
+        {1, 2}, {2, 1}, {0, 1}, {3, 2}};
+    std::size_t pick = 0;
+    Rng rng(0x5A9E);
+    ShapeRun run;
+    const auto fill_random = [&](const std::vector<RowId> &rows) {
+        for (const RowId row : rows) {
+            BitVector bits(columns);
+            bits.randomize(rng);
+            bender.writeRow(0, row, bits);
+        }
+    };
+    const auto read_all = [&](const std::vector<RowId> &rows) {
+        for (const RowId row : rows)
+            run.reads.push_back(bender.readRow(0, row));
+    };
+
+    for (int nrf = 1; nrf <= 16; nrf *= 2) {
+        for (const int nrl : {nrf, 2 * nrf}) {
+            const auto pairs = findActivationPairs(
+                chip, nrf, nrl, 1,
+                0x4E07 + static_cast<std::uint64_t>(nrf * 64 + nrl));
+            if (pairs.empty())
+                continue;
+            const auto [rf, rl] = pairs.front();
+            const auto [src_sa, dst_sa] = kNeighborPairs[pick++ % 4];
+            const ActivationSets sets =
+                decoder.neighborActivation(rf, rl);
+            const auto first = globalRows(geometry, src_sa,
+                                          sets.firstRows);
+            const auto second = globalRows(geometry, dst_sa,
+                                           sets.secondRows);
+            fill_random(first);
+            fill_random(second);
+            const RowId dst = composeRow(geometry, dst_sa, rl);
+            if (pick % 2 == 0)
+                ops.fracInit(0, dst, second);
+            ops.executeNot(0, composeRow(geometry, src_sa, rf), dst);
+            read_all(first);
+            read_all(second);
+            run.shapes.push_back(
+                std::string(sets.sequential ? "NOT seq " : "NOT ") +
+                std::to_string(nrf) + ":" + std::to_string(nrl));
+        }
+    }
+
+    for (int n = 1; n <= chip.profile().maxLogicInputs(); n *= 2) {
+        const auto pairs = findActivationPairs(
+            chip, n, n, 1, 0x10C1 + static_cast<std::uint64_t>(n));
+        if (pairs.empty())
+            continue;
+        const auto [rf, rl] = pairs.front();
+        const ActivationSets sets = decoder.neighborActivation(rf, rl);
+        for (const BoolOp op : {BoolOp::And, BoolOp::Nand, BoolOp::Or,
+                                BoolOp::Nor}) {
+            const auto [ref_sa, com_sa] = kNeighborPairs[pick++ % 4];
+            const auto ref = globalRows(geometry, ref_sa,
+                                        sets.firstRows);
+            const auto com = globalRows(geometry, com_sa,
+                                        sets.secondRows);
+            if (!ops.initReference(0, op, ref))
+                continue;
+            fill_random(com);
+            ops.executeLogic(0, op, composeRow(geometry, ref_sa, rf),
+                             composeRow(geometry, com_sa, rl), ref,
+                             com);
+            read_all(ref);
+            read_all(com);
+            run.shapes.push_back("logic " + std::to_string(n) + ":" +
+                                 std::to_string(n));
+        }
+
+        // Multi-row write through the same unrestored activation,
+        // one compute row a Frac lane row.
+        const auto [ref_sa, com_sa] = kNeighborPairs[pick++ % 4];
+        const auto ref = globalRows(geometry, ref_sa, sets.firstRows);
+        const auto com = globalRows(geometry, com_sa, sets.secondRows);
+        fill_random(ref);
+        fill_random(com);
+        ops.fracInit(0, com.back(), com);
+        BitVector data(columns);
+        data.randomize(rng);
+        ProgramBuilder builder = bender.newProgram();
+        builder.act(0, composeRow(geometry, ref_sa, rf), 0.0)
+            .pre(0, kViolatedGapTargetNs)
+            .act(0, composeRow(geometry, com_sa, rl),
+                 kViolatedGapTargetNs)
+            .writeNominal(0, composeRow(geometry, com_sa, rl), data)
+            .preNominal(0);
+        bender.execute(builder.build());
+        read_all(ref);
+        read_all(com);
+        run.shapes.push_back("write " + std::to_string(n) + ":" +
+                             std::to_string(n));
+    }
+
+    for (int k = 2; k <= decoder.maxSameSubarrayRows(); k *= 2) {
+        const auto pairs = findSimraPairs(
+            chip, k, 1, 0x51A4 + static_cast<std::uint64_t>(k));
+        if (pairs.empty())
+            continue;
+        const auto [rf, rl] = pairs.front();
+        const auto sa = static_cast<SubarrayId>(pick++ % 4);
+        const auto group = globalRows(
+            geometry, sa, decoder.sameSubarrayActivation(rf, rl));
+        const RowId src = composeRow(geometry, sa, rf);
+        fill_random(group);
+        ops.fracInit(0, group.front() == src ? group.back()
+                                             : group.front(),
+                     group);
+        ops.executeRowClone(0, src, composeRow(geometry, sa, rl));
+        read_all(group);
+        run.shapes.push_back("RowClone " + std::to_string(k));
+        // MAJ3 with balancing constants, and the widest MAJ.
+        std::vector<int> operand_counts;
+        if (k >= 4)
+            operand_counts.push_back(3);
+        if (k - 1 > 3)
+            operand_counts.push_back(k - 1);
+        for (const int m : operand_counts) {
+            std::vector<BitVector> operands;
+            for (int i = 0; i < m; ++i) {
+                BitVector bits(columns);
+                bits.randomize(rng);
+                operands.push_back(bits);
+            }
+            const auto maj = ops.executeMaj(0, src,
+                                            composeRow(geometry, sa, rl),
+                                            operands);
+            if (!maj.has_value())
+                continue;
+            run.reads.push_back(*maj);
+            read_all(group);
+            run.shapes.push_back("MAJ" + std::to_string(m) + " " +
+                                 std::to_string(k));
+        }
+    }
+    return run;
+}
+
+TEST(WordParallelExecutor, BitIdenticalOnEveryActivationShape)
+{
+    std::vector<ChipProfile> profiles = profilesUnderTest();
+    profiles.push_back(test::idealProfileN2N());
+    std::set<std::string> covered;
+    for (const ChipProfile &profile : profiles) {
+        for (const std::uint64_t seed : {1, 2, 3}) {
+            Chip fast_chip(profile, multiWordGeometry(), seed);
+            Chip scalar_chip(profile, multiWordGeometry(), seed);
+            const ShapeRun fast =
+                exerciseShapes(fast_chip, ExecMode::WordParallel);
+            const ShapeRun scalar =
+                exerciseShapes(scalar_chip, ExecMode::ScalarReference);
+            const std::string where =
+                profile.label() + " seed " + std::to_string(seed);
+            ASSERT_EQ(fast.shapes, scalar.shapes) << where;
+            ASSERT_EQ(fast.reads.size(), scalar.reads.size()) << where;
+            for (std::size_t i = 0; i < fast.reads.size(); ++i) {
+                EXPECT_EQ(fast.reads[i], scalar.reads[i])
+                    << where << " readback " << i;
+            }
+            EXPECT_EQ(voltageDump(fast_chip), voltageDump(scalar_chip))
+                << where << ": analog state diverged";
+            covered.insert(fast.shapes.begin(), fast.shapes.end());
+        }
+    }
+    // The decoder shapes the comparison must have reached somewhere.
+    for (const char *shape :
+         {"NOT 16:16", "NOT 16:32", "NOT 1:2", "NOT seq 1:1",
+          "logic 2:2", "logic 16:16", "write 16:16", "RowClone 2",
+          "RowClone 32", "MAJ3 4", "MAJ31 32"}) {
+        EXPECT_TRUE(covered.count(shape) != 0) << shape;
+    }
 }
 
 TEST(WordParallelExecutor, RepeatedRunsAreDeterministic)
