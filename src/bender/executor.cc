@@ -5,7 +5,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <span>
+#include <optional>
 
 #include "analog/chargesharing.hh"
 #include "common/mathutil.hh"
@@ -44,16 +44,6 @@ forEachSetBit(const BitVector &mask, Fn &&fn)
                                   static_cast<std::size_t>(b)));
         }
     }
-}
-
-/** dst = (dst & ~mask) | (src & mask), word-wise. */
-inline void
-blendWords(std::span<std::uint64_t> dst,
-           std::span<const std::uint64_t> src,
-           std::span<const std::uint64_t> mask)
-{
-    for (std::size_t i = 0; i < dst.size(); ++i)
-        dst[i] = (dst[i] & ~mask[i]) | (src[i] & mask[i]);
 }
 
 /**
@@ -127,17 +117,10 @@ struct FastSampler
     double saSigma;
     double noiseSigma;
 
-    bool success(Volt margin, std::uint64_t cellKey,
-                 std::uint64_t saKey, std::uint64_t noiseKey) const
-    {
-        return successWithSaU(margin, uniformFromHash(saKey), cellKey,
-                              noiseKey);
-    }
-
     /**
-     * Variant taking the SA offset's raw uniform, so callers that
-     * visit a column once per row hoist its hash + uniform out of
-     * the row loop.
+     * Takes the SA offset's raw uniform, so callers that visit a
+     * column once per row hoist its hash + uniform out of the row
+     * loop.
      */
     bool successWithSaU(Volt margin, double saU,
                         std::uint64_t cellKey,
@@ -166,6 +149,172 @@ struct FastSampler
         return model.sampleTrialAt(margin, offset, false, noiseKey);
     }
 };
+
+/**
+ * The word-parallel resolution core of every sensed op. NOT and
+ * RowClone overdrive their targets from a restored row; logic and MAJ
+ * compare charge-shared bitlines. Either way a cell resolves
+ * correctly iff
+ *
+ *   margin - (cellOffset + saOffset) + senseNoise > 0,
+ *
+ * or by a coin flip on a structurally failing column. One resolver
+ * serves one op over one column domain: it scans the domain for
+ * failing columns once, classifies each distinct per-column margin
+ * array once through the SIMD kernel (a column whose |margin| lies
+ * beyond the hard noise bound is decided; the rest draw per row,
+ * with their SA uniform hoisted), and then hands back each target
+ * row's mask of correctly resolved cells. Every draw is keyed by
+ * (op epoch, row, col), so the masks equal the scalar reference's
+ * cell-at-a-time outcomes bit for bit.
+ */
+class CellResolver
+{
+  public:
+    /** A domain column whose cells draw in every row. */
+    struct Draw
+    {
+        ColId col = 0;
+        Volt margin = 0.0;
+        double saU = 0.5; ///< Raw uniform of the column's SA offset.
+        bool structFail = false;
+    };
+
+    /** One margin array, classified over the domain. */
+    struct Classified
+    {
+        BitVector decided; ///< Columns correct without a draw.
+        std::vector<Draw> draws;
+    };
+
+    /**
+     * @param stripes SA stripe of the even and of the odd columns.
+     * @param domain Columns that resolve; masks are clear elsewhere.
+     */
+    CellResolver(const Chip &chip, BankId bank, int pairLoad,
+                 std::uint64_t opStream,
+                 const std::array<StripeId, 2> &stripes,
+                 const BitVector &domain)
+        : model_(chip.model()), variation_(model_.variation()),
+          bank_(bank), opStream_(opStream), domain_(domain),
+          fails_(domain.size()),
+          sampler_{model_, variation_,
+                   chip.profile().analog.cellOffsetSigma,
+                   chip.profile().analog.saOffsetSigma,
+                   model_.senseAmp().noiseSigma()},
+          colBound_(kHashNormalBound *
+                    (sampler_.cellSigma + sampler_.saSigma +
+                     sampler_.noiseSigma))
+    {
+        const double fail_fraction =
+            model_.structuralFailFraction(pairLoad);
+        std::uint64_t fail_prefix[2];
+        for (std::size_t parity = 0; parity < 2; ++parity) {
+            saPrefix_[parity] =
+                variation_.saKeyPrefix(bank, stripes[parity]);
+            fail_prefix[parity] =
+                variation_.failKeyPrefix(bank, stripes[parity]);
+        }
+        if (fail_fraction > 0.0) {
+            forEachSetBit(domain, [&](ColId col) {
+                if (variation_.structuralFailFromKey(
+                        hashCombine(fail_prefix[col & 1], col),
+                        fail_fraction))
+                    fails_.set(col, true);
+            });
+        }
+    }
+
+    /** Classify @p margins (only domain entries are read). */
+    Classified classify(const std::vector<Volt> &margins) const
+    {
+        const std::size_t columns = domain_.size();
+        Classified out{BitVector(columns), {}};
+        std::vector<std::uint32_t> ambiguous(columns);
+        std::size_t count = 0;
+        simd::activeKernels().classifyMargins(
+            margins.data(), columns, colBound_,
+            out.decided.words().data(), ambiguous.data(), &count);
+        out.decided &= domain_;
+        out.decided.andNot(fails_);
+        for (std::size_t a = 0; a < count; ++a) {
+            const ColId col = ambiguous[a];
+            if (domain_.get(col) && !fails_.get(col)) {
+                out.draws.push_back(
+                    {col, margins[col],
+                     uniformFromHash(
+                         hashCombine(saPrefix_[col & 1], col)),
+                     false});
+            }
+        }
+        forEachSetBit(fails_, [&](ColId col) {
+            out.draws.push_back({col, margins[col], 0.5, true});
+        });
+        return out;
+    }
+
+    /** Mask of @p globalRow's domain cells that resolve correctly. */
+    void resolveRow(const Classified &classified, RowId globalRow,
+                    BitVector &correct) const
+    {
+        correct = classified.decided;
+        const std::uint64_t cell_prefix =
+            variation_.cellKeyPrefix(bank_, globalRow);
+        const std::uint64_t noise_row =
+            cellNoiseRowStream(opStream_, globalRow);
+        for (const Draw &draw : classified.draws) {
+            const std::uint64_t noise_key =
+                cellNoiseKeyAt(noise_row, draw.col);
+            const bool ok =
+                draw.structFail
+                    ? model_.sampleTrialAt(draw.margin, 0.0, true,
+                                           noise_key)
+                    : sampler_.successWithSaU(
+                          draw.margin, draw.saU,
+                          hashCombine(cell_prefix, draw.col),
+                          noise_key);
+            if (ok)
+                correct.set(draw.col, true);
+        }
+    }
+
+  private:
+    const SuccessModel &model_;
+    const VariationMap &variation_;
+    BankId bank_;
+    std::uint64_t opStream_;
+    const BitVector &domain_;
+    BitVector fails_;
+    FastSampler sampler_;
+    double colBound_;
+    std::uint64_t saPrefix_[2] = {};
+};
+
+/** Coupling fraction of a coupling class (0.0 / 0.5 / 1.0). */
+double
+couplingFractionOf(std::uint8_t cls)
+{
+    return 0.5 * cls;
+}
+
+/**
+ * Per-column margins of a drive op, whose margin depends on a column
+ * only through its coupling class (Executor::couplingClasses), so
+ * @p marginOf(couplingFraction) runs once per class.
+ */
+template <typename MarginOf>
+std::vector<Volt>
+classMargins(const std::vector<std::uint8_t> &classes,
+             MarginOf &&marginOf)
+{
+    std::array<Volt, 3> by_class{};
+    for (std::uint8_t cls = 0; cls < 3; ++cls)
+        by_class[cls] = marginOf(couplingFractionOf(cls));
+    std::vector<Volt> margins(classes.size());
+    for (std::size_t col = 0; col < classes.size(); ++col)
+        margins[col] = by_class[classes[col]];
+    return margins;
+}
 
 } // namespace
 
@@ -784,119 +933,29 @@ Executor::applyRowClone(BankState &state, BankId bank,
     }
 
     // Word-parallel: the drive margin depends on the column only
-    // through its coupling class, so three margins cover the row.
-    const AnalogParams &analog = chip_.profile().analog;
-    const VariationMap &variation = model.variation();
+    // through its coupling class.
     couplingClasses(pattern, scratchClasses_);
-    std::array<Volt, 3> class_margin{};
-    for (int cls = 0; cls < 3; ++cls) {
-        ComparisonContext ctx;
-        ctx.cellsPerSide = total;
-        ctx.glitchGapNs = gapNs;
-        ctx.couplingFraction =
-            couplingFractionOf(static_cast<std::uint8_t>(cls));
-        ctx.temperature = chip_.temperature();
-        class_margin[static_cast<std::size_t>(cls)] =
-            model.driveMarginMech(total + 1, ctx);
-    }
-    const double col_bound =
-        kHashNormalBound *
-        (analog.cellOffsetSigma + analog.saOffsetSigma +
-         model.senseAmp().noiseSigma());
-    const double fail_fraction = model.structuralFailFraction(pair_load);
-    const auto columns = static_cast<std::size_t>(geometry.columns);
-    const FastSampler sampler{model, variation,
-                              analog.cellOffsetSigma,
-                              analog.saOffsetSigma,
-                              model.senseAmp().noiseSigma()};
-    const std::uint64_t sa_prefix[2] = {
-        variation.saKeyPrefix(bank, stripeFor(subarray, 0)),
-        variation.saKeyPrefix(bank, stripeFor(subarray, 1))};
-    const std::uint64_t fail_prefix[2] = {
-        variation.failKeyPrefix(bank, stripeFor(subarray, 0)),
-        variation.failKeyPrefix(bank, stripeFor(subarray, 1))};
-
-    const Volt min_margin =
-        *std::min_element(class_margin.begin(), class_margin.end());
-    BitVector det_success(columns);
-    scratchAmbiguous_.clear();
-    if (fail_fraction == 0.0 && min_margin > col_bound) {
-        // Every cell succeeds deterministically: pure word copies.
-        det_success.fill(true);
-    } else {
-        // SIMD margin classification per coupling class; structurally
-        // failing columns override their verdict afterwards (their
-        // outcome is a coin flip regardless of the margin).
-        scratchFailCols_ = BitVector(columns);
-        if (fail_fraction > 0.0) {
-            for (ColId col = 0; col < static_cast<ColId>(columns);
-                 ++col) {
-                if (variation.structuralFailFromKey(
-                        hashCombine(fail_prefix[col & 1], col),
-                        fail_fraction))
-                    scratchFailCols_.set(col, true);
-            }
-        }
-        const double margins3[3] = {class_margin[0], class_margin[1],
-                                    class_margin[2]};
-        scratchAmbIdx_.resize(columns);
-        std::size_t amb_count = 0;
-        simd::activeKernels().classifyMarginsByClass(
-            scratchClasses_.data(), columns, margins3, col_bound,
-            det_success.words().data(), scratchAmbIdx_.data(),
-            &amb_count);
-        for (std::size_t a = 0; a < amb_count; ++a) {
-            const ColId col = scratchAmbIdx_[a];
-            if (scratchFailCols_.get(col))
-                continue;
-            scratchAmbiguous_.push_back(
-                {col, class_margin[scratchClasses_[col]],
-                 uniformFromHash(
-                     hashCombine(sa_prefix[col & 1], col)),
-                 false, true});
-        }
-        forEachSetBit(scratchFailCols_, [&](ColId col) {
-            det_success.set(col, false);
-            scratchAmbiguous_.push_back(
-                {col, class_margin[scratchClasses_[col]], 0, true,
-                 true});
+    const std::vector<Volt> margins =
+        classMargins(scratchClasses_, [&](double coupling) {
+            ComparisonContext ctx;
+            ctx.cellsPerSide = total;
+            ctx.glitchGapNs = gapNs;
+            ctx.couplingFraction = coupling;
+            ctx.temperature = chip_.temperature();
+            return model.driveMarginMech(total + 1, ctx);
         });
-    }
-
-    BitVector success_mask(columns);
+    const CellResolver core(
+        chip_, bank, pair_load, op_stream,
+        {stripeFor(subarray, 0), stripeFor(subarray, 1)},
+        allColumnsMask());
+    const CellResolver::Classified classified = core.classify(margins);
+    BitVector correct;
     for (const RowId local : localRows) {
         if (local == src.localRow)
             continue;
-        const RowId global = composeRow(geometry, subarray, local);
-        const std::uint64_t cell_prefix =
-            variation.cellKeyPrefix(bank, global);
-        const std::uint64_t noise_row =
-            cellNoiseRowStream(op_stream, global);
-        success_mask = det_success;
-        for (const AmbiguousCol &amb : scratchAmbiguous_) {
-            const bool correct =
-                amb.structFail
-                    ? model.sampleTrialAt(
-                          amb.margin, 0.0, true,
-                          cellNoiseKeyAt(noise_row, amb.col))
-                    : sampler.successWithSaU(
-                          amb.margin, amb.saU,
-                          hashCombine(cell_prefix, amb.col),
-                          cellNoiseKeyAt(noise_row, amb.col));
-            if (correct)
-                success_mask.set(amb.col, true);
-        }
-        if (cells.rowOnRail(local)) {
-            BitVector row = cells.readRow(local);
-            blendWords(row.words(), pattern.words(),
-                       success_mask.words());
-            cells.writeRow(local, row);
-        } else {
-            forEachSetBit(success_mask, [&](ColId col) {
-                cells.setBit(local, col, pattern.get(col));
-            });
-            cells.collapseIfRail(local);
-        }
+        core.resolveRow(classified, composeRow(geometry, subarray, local),
+                        correct);
+        cells.writeMasked(local, pattern, correct);
     }
 }
 
@@ -945,91 +1004,24 @@ Executor::majResolve(BankId bank, SubarrayId subarray,
         return;
     }
 
-    // Word-parallel: classify each column once (deterministic outcome
-    // or ambiguous), then blend det bits word-wise per row and sample
-    // only the ambiguous columns through the bucketed fast sampler.
-    const AnalogParams &analog = chip_.profile().analog;
-    const VariationMap &variation = model.variation();
-    const double col_bound =
-        kHashNormalBound *
-        (analog.cellOffsetSigma + analog.saOffsetSigma +
-         model.senseAmp().noiseSigma());
-    const double fail_fraction = model.structuralFailFraction(pair_load);
+    // Word-parallel: one margin per column; each cell senses its
+    // ideal bit when it resolves correctly and the complement when not.
     const auto columns = static_cast<std::size_t>(geometry.columns);
-    const FastSampler sampler{model, variation,
-                              analog.cellOffsetSigma,
-                              analog.saOffsetSigma,
-                              model.senseAmp().noiseSigma()};
-    // stripeFor depends on the column parity only: two prefixes cover
-    // every column's SA-local hash keys.
-    const std::uint64_t sa_prefix[2] = {
-        variation.saKeyPrefix(bank, stripeFor(subarray, 0)),
-        variation.saKeyPrefix(bank, stripeFor(subarray, 1))};
-    const std::uint64_t fail_prefix[2] = {
-        variation.failKeyPrefix(bank, stripeFor(subarray, 0)),
-        variation.failKeyPrefix(bank, stripeFor(subarray, 1))};
-
-    BitVector det(columns);
-    scratchAmbiguous_.clear();
+    std::vector<Volt> margins(columns, 0.0);
+    BitVector ideal(columns);
     forEachSetBit(columnMask, [&](ColId col) {
-        const Volt v_shared = blVolts[col];
-        const Volt margin =
-            model.comparisonMargin(v_shared, kVddHalf, ctx);
-        const bool ideal = v_shared > kVddHalf;
-        const bool fail_struct =
-            fail_fraction > 0.0 &&
-            variation.structuralFailFromKey(
-                hashCombine(fail_prefix[col & 1], col),
-                fail_fraction);
-        if (fail_struct) {
-            scratchAmbiguous_.push_back({col, margin, 0, true, ideal});
-            return;
-        }
-        if (margin > col_bound) {
-            det.set(col, ideal);
-            return;
-        }
-        if (margin < -col_bound) {
-            det.set(col, !ideal);
-            return;
-        }
-        scratchAmbiguous_.push_back(
-            {col, margin,
-             uniformFromHash(hashCombine(sa_prefix[col & 1], col)),
-             false, ideal});
+        margins[col] = model.comparisonMargin(blVolts[col], kVddHalf, ctx);
+        ideal.set(col, blVolts[col] > kVddHalf);
     });
-
-    BitVector scratch_row(columns);
+    const CellResolver core(
+        chip_, bank, pair_load, op_stream,
+        {stripeFor(subarray, 0), stripeFor(subarray, 1)}, columnMask);
+    const CellResolver::Classified classified = core.classify(margins);
+    BitVector correct;
     for (const RowId local : localRows) {
-        const RowId global = composeRow(geometry, subarray, local);
-        const std::uint64_t cell_prefix =
-            variation.cellKeyPrefix(bank, global);
-        const std::uint64_t noise_row =
-            cellNoiseRowStream(op_stream, global);
-        scratch_row = det;
-        for (const AmbiguousCol &amb : scratchAmbiguous_) {
-            const bool correct =
-                amb.structFail
-                    ? model.sampleTrialAt(
-                          amb.margin, 0.0, true,
-                          cellNoiseKeyAt(noise_row, amb.col))
-                    : sampler.successWithSaU(
-                          amb.margin, amb.saU,
-                          hashCombine(cell_prefix, amb.col),
-                          cellNoiseKeyAt(noise_row, amb.col));
-            scratch_row.set(amb.col, correct ? amb.ideal : !amb.ideal);
-        }
-        if (cells.rowOnRail(local)) {
-            BitVector row = cells.readRow(local);
-            blendWords(row.words(), scratch_row.words(),
-                       columnMask.words());
-            cells.writeRow(local, row);
-        } else {
-            forEachSetBit(columnMask, [&](ColId col) {
-                cells.setBit(local, col, scratch_row.get(col));
-            });
-            cells.collapseIfRail(local);
-        }
+        core.resolveRow(classified, composeRow(geometry, subarray, local),
+                        correct);
+        cells.writeMasked(local, ~(ideal ^ correct), columnMask);
     }
 }
 
@@ -1120,133 +1112,44 @@ Executor::applyNot(BankState &state, BankId bank,
             cells.collapseIfRail(t.local);
         }
     } else {
-        // Word-parallel: the drive margin depends on (row region,
-        // coupling class) only, so a 3x3 memo covers every cell.
-        const VariationMap &variation = model.variation();
+        // Word-parallel: the drive margin depends on (target region,
+        // coupling class) only. Source-side rows resolve every column
+        // and destination rows the shared ones, so each side gets one
+        // resolver and each (side, region) one classification.
         couplingClasses(pattern, scratchClasses_);
-        Volt margins[3][3];
-        for (int region = 0; region < 3; ++region) {
-            for (int cls = 0; cls < 3; ++cls) {
-                ComparisonContext ctx;
-                ctx.cellsPerSide = (total + 1) / 2;
-                ctx.glitchGapNs = gapNs;
-                ctx.couplingFraction =
-                    couplingFractionOf(static_cast<std::uint8_t>(cls));
-                ctx.temperature = chip_.temperature();
-                ctx.sequential = event.sets.sequential;
-                ctx.regionMargin =
-                    analog.srcRegionMargin[static_cast<int>(
-                        src_region)] +
-                    analog.dstRegionMargin[region];
-                margins[region][cls] = model.driveMarginMech(total, ctx);
-            }
-        }
-        const double col_bound =
-            kHashNormalBound *
-            (analog.cellOffsetSigma + analog.saOffsetSigma +
-             model.senseAmp().noiseSigma());
-        const double fail_fraction =
-            model.structuralFailFraction(pair_load);
-        const auto columns = static_cast<std::size_t>(geometry.columns);
-        const FastSampler sampler{model, variation,
-                                  analog.cellOffsetSigma,
-                                  analog.saOffsetSigma,
-                                  model.senseAmp().noiseSigma()};
-        // The shared stripe serves every column of this op.
-        const std::uint64_t sa_prefix =
-            variation.saKeyPrefix(bank, stripe);
-        const std::uint64_t fail_prefix =
-            variation.failKeyPrefix(bank, stripe);
-
-        Volt min_margin = margins[0][0];
-        for (int region = 0; region < 3; ++region) {
-            for (int cls = 0; cls < 3; ++cls)
-                min_margin = std::min(min_margin, margins[region][cls]);
-        }
-        const bool all_deterministic =
-            fail_fraction == 0.0 && min_margin > col_bound;
-
-        // Structurally failing columns draw regardless of margin; the
-        // fail population depends only on the op's shared stripe, so
-        // one mask serves every target row.
-        scratchFailCols_ = BitVector(columns);
-        if (!all_deterministic && fail_fraction > 0.0) {
-            for (ColId col = 0; col < static_cast<ColId>(columns);
-                 ++col) {
-                if (variation.structuralFailFromKey(
-                        hashCombine(fail_prefix, col), fail_fraction))
-                    scratchFailCols_.set(col, true);
-            }
-        }
-
         const BitVector not_pattern = ~pattern;
-        BitVector success_mask(columns);
+        std::optional<CellResolver> sides[2];
+        std::optional<CellResolver::Classified> classified[2][3];
+        BitVector correct;
         for (const Target &t : targets) {
-            CellArray &cells = bank_ref.subarray(t.subarray).cells();
-            const BitVector &value = t.invert ? not_pattern : pattern;
-            const BitVector &domain =
-                t.sharedOnly ? shared : allColumnsMask();
-            if (all_deterministic) {
-                success_mask = domain;
-            } else {
-                const Volt *row_margins =
-                    margins[static_cast<int>(t.region)];
-                const double margins3[3] = {row_margins[0],
-                                            row_margins[1],
-                                            row_margins[2]};
-                scratchAmbIdx_.resize(columns);
-                std::size_t amb_count = 0;
-                simd::activeKernels().classifyMarginsByClass(
-                    scratchClasses_.data(), columns, margins3,
-                    col_bound, success_mask.words().data(),
-                    scratchAmbIdx_.data(), &amb_count);
-                {
-                    // Deterministic successes count only inside the
-                    // domain and never on failing columns.
-                    const auto dst = success_mask.words();
-                    const auto dom = domain.words();
-                    const auto fail = scratchFailCols_.words();
-                    for (std::size_t w = 0; w < dst.size(); ++w)
-                        dst[w] &= dom[w] & ~fail[w];
-                }
-                const std::uint64_t cell_prefix =
-                    variation.cellKeyPrefix(bank, t.global);
-                const std::uint64_t noise_row =
-                    cellNoiseRowStream(op_stream, t.global);
-                for (std::size_t a = 0; a < amb_count; ++a) {
-                    const ColId col = scratchAmbIdx_[a];
-                    if (!domain.get(col) || scratchFailCols_.get(col))
-                        continue;
-                    const Volt margin =
-                        row_margins[scratchClasses_[col]];
-                    if (sampler.success(
-                            margin, hashCombine(cell_prefix, col),
-                            hashCombine(sa_prefix, col),
-                            cellNoiseKeyAt(noise_row, col)))
-                        success_mask.set(col, true);
-                }
-                forEachSetBit(scratchFailCols_, [&](ColId col) {
-                    if (!domain.get(col))
-                        return;
-                    const Volt margin =
-                        row_margins[scratchClasses_[col]];
-                    if (model.sampleTrialAt(
-                            margin, 0.0, true,
-                            cellNoiseKeyAt(noise_row, col)))
-                        success_mask.set(col, true);
-                });
+            const int side = t.sharedOnly ? 1 : 0;
+            const auto region = static_cast<int>(t.region);
+            if (!sides[side]) {
+                sides[side].emplace(
+                    chip_, bank, pair_load, op_stream,
+                    std::array<StripeId, 2>{stripe, stripe},
+                    t.sharedOnly ? shared : allColumnsMask());
             }
-            if (cells.rowOnRail(t.local)) {
-                BitVector row = cells.readRow(t.local);
-                blendWords(row.words(), value.words(),
-                           success_mask.words());
-                cells.writeRow(t.local, row);
-            } else {
-                forEachSetBit(success_mask, [&](ColId col) {
-                    cells.setBit(t.local, col, value.get(col));
-                });
-                cells.collapseIfRail(t.local);
+            auto &slot = classified[side][region];
+            if (!slot) {
+                slot = sides[side]->classify(classMargins(
+                    scratchClasses_, [&](double coupling) {
+                        ComparisonContext ctx;
+                        ctx.cellsPerSide = (total + 1) / 2;
+                        ctx.glitchGapNs = gapNs;
+                        ctx.couplingFraction = coupling;
+                        ctx.temperature = chip_.temperature();
+                        ctx.sequential = event.sets.sequential;
+                        ctx.regionMargin =
+                            analog.srcRegionMargin[static_cast<int>(
+                                src_region)] +
+                            analog.dstRegionMargin[region];
+                        return model.driveMarginMech(total, ctx);
+                    }));
             }
+            sides[side]->resolveRow(*slot, t.global, correct);
+            bank_ref.subarray(t.subarray).cells().writeMasked(
+                t.local, t.invert ? not_pattern : pattern, correct);
         }
     }
 
@@ -1373,139 +1276,48 @@ Executor::applyLogic(BankState &state, BankId bank,
             cells.collapseIfRail(t.local);
         }
     } else {
-        // Word-parallel: margins depend on the column voltages plus a
-        // small set of (region, terminal) classes shared by many
-        // rows; compute each class's margin once per column, then
-        // sample per cell only where the margin is inside the noise
-        // bound.
-        const VariationMap &variation = model.variation();
+        // Word-parallel: a target's margins depend on the column and
+        // on its (side, region) class, so each class's margin array
+        // is computed and classified once and shared by its rows. A
+        // cell senses its ideal bit when it resolves correctly and
+        // the complement when not.
         couplingClasses(first_pattern, scratchClasses_);
         const auto columns = static_cast<std::size_t>(geometry.columns);
-
-        struct RowClass
-        {
-            Region own;
-            bool onComplement;
-            bool secondSide;
-        };
-        std::vector<RowClass> classes;
-        std::vector<std::size_t> class_of(targets.size());
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-            const Target &t = targets[i];
-            std::size_t found = classes.size();
-            for (std::size_t c = 0; c < classes.size(); ++c) {
-                if (classes[c].own == t.own &&
-                    classes[c].onComplement == t.onComplement &&
-                    classes[c].secondSide == t.secondSide) {
-                    found = c;
-                    break;
-                }
-            }
-            if (found == classes.size())
-                classes.push_back({t.own, t.onComplement, t.secondSide});
-            class_of[i] = found;
-        }
-
-        // Per-(class, column) margins, plus the per-column structural
-        // state shared by every target row.
-        std::vector<std::vector<Volt>> class_margins(
-            classes.size(), std::vector<Volt>(columns, 0.0));
-        std::vector<std::uint8_t> fail_struct(columns, 0);
-        std::vector<double> sa_u(columns, 0.5);
         BitVector true_side(columns);
-        const double fail_fraction =
-            model.structuralFailFraction(pair_load);
-        const std::uint64_t fail_prefix =
-            variation.failKeyPrefix(bank, stripe);
-        const std::uint64_t sa_prefix =
-            variation.saKeyPrefix(bank, stripe);
         forEachSetBit(shared, [&](ColId col) {
-            const Volt v_first = first_volts[col];
-            const Volt v_second = second_volts[col];
             true_side.set(col, first_on_complement
-                                   ? v_second > v_first
-                                   : v_first > v_second);
-            for (std::size_t c = 0; c < classes.size(); ++c) {
-                ComparisonContext ctx;
-                ctx.cellsPerSide = pair_load;
-                ctx.glitchGapNs = gapNs;
-                ctx.couplingFraction =
-                    couplingFractionOf(scratchClasses_[col]);
-                ctx.temperature = chip_.temperature();
-                ctx.invertedSide = classes[c].onComplement;
-                ctx.regionMargin =
-                    analog.srcRegionMargin[static_cast<int>(
-                        classes[c].secondSide ? classes[c].own
-                                              : com_region)] +
-                    analog.dstRegionMargin[static_cast<int>(
-                        classes[c].secondSide ? ref_region
-                                              : classes[c].own)];
-                class_margins[c][col] =
-                    model.comparisonMargin(v_first, v_second, ctx);
-            }
-            fail_struct[col] =
-                fail_fraction > 0.0 &&
-                        variation.structuralFailFromKey(
-                            hashCombine(fail_prefix, col),
-                            fail_fraction)
-                    ? 1
-                    : 0;
-            sa_u[col] =
-                uniformFromHash(hashCombine(sa_prefix, col));
+                                   ? second_volts[col] > first_volts[col]
+                                   : first_volts[col] > second_volts[col]);
         });
-
-        const double col_bound =
-            kHashNormalBound *
-            (analog.cellOffsetSigma + analog.saOffsetSigma +
-             model.senseAmp().noiseSigma());
-        const FastSampler sampler{model, variation,
-                                  analog.cellOffsetSigma,
-                                  analog.saOffsetSigma,
-                                  model.senseAmp().noiseSigma()};
-
-        BitVector value_row(columns);
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-            const Target &t = targets[i];
-            CellArray &cells = bank_ref.subarray(t.subarray).cells();
-            const std::vector<Volt> &margins =
-                class_margins[class_of[i]];
-            const std::uint64_t cell_prefix =
-                variation.cellKeyPrefix(bank, t.global);
-            const std::uint64_t noise_row =
-                cellNoiseRowStream(op_stream, t.global);
-            value_row.fill(false);
-            forEachSetBit(shared, [&](ColId col) {
-                const bool tsh = true_side.get(col);
-                const bool ideal_bit = t.onComplement ? !tsh : tsh;
-                const Volt margin = margins[col];
-                bool correct;
-                if (fail_struct[col] != 0) {
-                    correct = model.sampleTrialAt(
-                        margin, 0.0, true,
-                        cellNoiseKeyAt(noise_row, col));
-                } else if (margin > col_bound) {
-                    correct = true;
-                } else if (margin < -col_bound) {
-                    correct = false;
-                } else {
-                    correct = sampler.successWithSaU(
-                        margin, sa_u[col],
-                        hashCombine(cell_prefix, col),
-                        cellNoiseKeyAt(noise_row, col));
-                }
-                value_row.set(col, correct ? ideal_bit : !ideal_bit);
-            });
-            if (cells.rowOnRail(t.local)) {
-                BitVector row = cells.readRow(t.local);
-                blendWords(row.words(), value_row.words(),
-                           shared.words());
-                cells.writeRow(t.local, row);
-            } else {
+        const BitVector false_side = ~true_side;
+        const CellResolver core(chip_, bank, pair_load, op_stream,
+                                {stripe, stripe}, shared);
+        std::optional<CellResolver::Classified> classified[2][3];
+        BitVector correct;
+        for (const Target &t : targets) {
+            auto &slot = classified[t.secondSide ? 1 : 0]
+                                   [static_cast<int>(t.own)];
+            if (!slot) {
+                std::vector<Volt> margins(columns, 0.0);
                 forEachSetBit(shared, [&](ColId col) {
-                    cells.setBit(t.local, col, value_row.get(col));
+                    ComparisonContext ctx;
+                    ctx.cellsPerSide = pair_load;
+                    ctx.glitchGapNs = gapNs;
+                    ctx.couplingFraction =
+                        couplingFractionOf(scratchClasses_[col]);
+                    ctx.temperature = chip_.temperature();
+                    ctx.invertedSide = t.onComplement;
+                    ctx.regionMargin = region_margin_of(t);
+                    margins[col] = model.comparisonMargin(
+                        first_volts[col], second_volts[col], ctx);
                 });
-                cells.collapseIfRail(t.local);
+                slot = core.classify(margins);
             }
+            core.resolveRow(*slot, t.global, correct);
+            const BitVector &ideal =
+                t.onComplement ? false_side : true_side;
+            bank_ref.subarray(t.subarray).cells().writeMasked(
+                t.local, ~(ideal ^ correct), shared);
         }
     }
 
@@ -1565,18 +1377,8 @@ Executor::handleWr(const Command &command)
                                  !command.data.get(col));
             }
             cells.collapseIfRail(address.localRow);
-        } else if (cells.rowOnRail(address.localRow)) {
-            BitVector row_bits = cells.readRow(address.localRow);
-            const BitVector complement = ~command.data;
-            blendWords(row_bits.words(), complement.words(),
-                       mask.words());
-            cells.writeRow(address.localRow, row_bits);
         } else {
-            forEachSetBit(mask, [&](ColId col) {
-                cells.setBit(address.localRow, col,
-                             !command.data.get(col));
-            });
-            cells.collapseIfRail(address.localRow);
+            cells.writeMasked(address.localRow, ~command.data, mask);
         }
     }
     state.resolved = true;

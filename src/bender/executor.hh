@@ -18,10 +18,20 @@
  * by construction:
  *
  *  - ExecMode::WordParallel (default): rows at full rail are stored
- *    packed and processed word-at-a-time; per-column work happens only
- *    for cells inside the ambiguity/metastable margin bands, and
- *    margins outside the hard noise bound (kHashNormalBound) resolve
- *    deterministically without drawing at all.
+ *    packed and processed word-at-a-time. RowClone, MAJ, NOT and
+ *    logic each keep only their per-column margins, their target
+ *    rows and one word-wise value expression around one resolution
+ *    core. The core classifies the op's column domain once per
+ *    distinct margin array through the SIMD classifyMargins kernel:
+ *    margins beyond the hard noise bound (kHashNormalBound) resolve
+ *    without a draw, structurally failing columns are coin flips,
+ *    and only the remaining cells draw, per row. It hands back each
+ *    target row's mask of correctly resolved cells. Drive ops
+ *    (RowClone, NOT) write their value where a cell resolved
+ *    correctly and keep the old charge elsewhere; sense ops (MAJ,
+ *    logic) write ideal XNOR correct. Every such write goes through
+ *    CellArray::writeMasked, which owns the packed-blend versus
+ *    analog-lane choice.
  *  - ExecMode::ScalarReference: the straightforward cell-at-a-time
  *    triple loop, kept as the debug/verification reference (and the
  *    pre-word-parallel performance baseline in the benches).
@@ -115,22 +125,6 @@ class Executor
         std::vector<float> pendingBitline;
     };
 
-    /**
-     * One ambiguous column of a word-parallel op: margins land inside
-     * the noise bound, so every row's cell needs an actual draw.
-     */
-    struct AmbiguousCol
-    {
-        ColId col = 0;
-        Volt margin = 0.0; ///< Class margin (without static offsets).
-
-        /** Raw uniform of the column's SA offset (hoisted per op). */
-        double saU = 0.5;
-
-        bool structFail = false;
-        bool ideal = false; ///< Noise-free outcome bit.
-    };
-
     void handleAct(const Command &command, ExecResult &result);
     void handlePre(const Command &command);
     void handleWr(const Command &command);
@@ -206,12 +200,6 @@ class Executor
     void couplingClasses(const BitVector &pattern,
                          std::vector<std::uint8_t> &classes) const;
 
-    /** Coupling fraction of a class index (0.0 / 0.5 / 1.0). */
-    static double couplingFractionOf(std::uint8_t cls)
-    {
-        return 0.5 * cls;
-    }
-
     /** Neighbor-disagreement fraction around a column of a pattern. */
     static double couplingFractionAt(const BitVector &pattern, ColId col);
 
@@ -249,9 +237,6 @@ class Executor
     /** Scratch buffers reused across ops (word-parallel mode). */
     std::vector<float> scratchVolts_;
     std::vector<std::uint8_t> scratchClasses_;
-    std::vector<AmbiguousCol> scratchAmbiguous_;
-    std::vector<std::uint32_t> scratchAmbIdx_;
-    BitVector scratchFailCols_;
 };
 
 } // namespace fcdram

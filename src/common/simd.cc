@@ -11,8 +11,7 @@ namespace fcdram::simd {
 namespace {
 
 void
-classifyScalar(const std::uint8_t *classes, std::size_t n,
-               const double *margins3, double bound,
+classifyScalar(const double *margins, std::size_t n, double bound,
                std::uint64_t *detWords, std::uint32_t *ambiguous,
                std::size_t *ambiguousCount)
 {
@@ -20,7 +19,7 @@ classifyScalar(const std::uint8_t *classes, std::size_t n,
     std::memset(detWords, 0, words * sizeof(std::uint64_t));
     std::size_t amb = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const double margin = margins3[classes[i]];
+        const double margin = margins[i];
         if (margin > bound) {
             detWords[i / 64] |= std::uint64_t{1} << (i % 64);
         } else if (!(margin < -bound)) {

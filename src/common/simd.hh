@@ -1,8 +1,8 @@
 /**
  * @file
  * Runtime-dispatched SIMD kernels for the executor's two hot scalar
- * loops: margin classification (deciding every column of a row
- * deterministically or queueing it for an actual draw) and the analog
+ * loops: margin classification (deciding every column of an op's
+ * margin array or queueing it for a per-row draw) and the analog
  * blend of partial restores. The scalar implementations are always
  * compiled and act as the golden reference; an AVX2 variant is built
  * when the toolchain supports it (see FCDRAM_ENABLE_AVX2 in CMake) and
@@ -23,21 +23,18 @@
 namespace fcdram::simd {
 
 /**
- * Classify @p n columns by their coupling class: column i with class
- * c = classes[i] (0..2) succeeds deterministically when
- * margins3[c] > bound (bit i of detWords set), fails deterministically
- * when margins3[c] < -bound (bit clear, not listed), and is ambiguous
- * otherwise (appended to @p ambiguous). detWords has (n + 63) / 64
- * entries and is fully overwritten (tail bits zero); @p ambiguous must
- * hold n entries; *ambiguousCount receives the count.
+ * Classify @p n columns by their margins: column i succeeds
+ * deterministically when margins[i] > bound (bit i of detWords set),
+ * fails deterministically when margins[i] < -bound (bit clear, not
+ * listed), and is ambiguous otherwise (appended to @p ambiguous in
+ * ascending order). detWords has (n + 63) / 64 entries and is fully
+ * overwritten (tail bits zero); @p ambiguous must hold n entries;
+ * *ambiguousCount receives the count.
  */
-using ClassifyMarginsByClassFn = void (*)(const std::uint8_t *classes,
-                                          std::size_t n,
-                                          const double *margins3,
-                                          double bound,
-                                          std::uint64_t *detWords,
-                                          std::uint32_t *ambiguous,
-                                          std::size_t *ambiguousCount);
+using ClassifyMarginsFn = void (*)(const double *margins, std::size_t n,
+                                   double bound, std::uint64_t *detWords,
+                                   std::uint32_t *ambiguous,
+                                   std::size_t *ambiguousCount);
 
 /**
  * Partial-restore blend: each float value v (widened to double) moves
@@ -52,7 +49,7 @@ using BlendTowardRailFn = void (*)(float *values, std::size_t n,
 /** One dispatchable kernel set. */
 struct Kernels
 {
-    ClassifyMarginsByClassFn classifyMarginsByClass = nullptr;
+    ClassifyMarginsFn classifyMargins = nullptr;
     BlendTowardRailFn blendTowardRail = nullptr;
     const char *name = "";
 };

@@ -5,10 +5,10 @@
  * everything else in the library stays baseline x86-64, and callers
  * reach these kernels only through the runtime dispatch in simd.cc.
  *
- * Bit-exactness notes: classification reduces to a 3-entry verdict
- * lookup per column (the three class margins are compared against the
- * bound once, up front), which vectorizes as a byte shuffle +
- * movemask; the blend widens floats to doubles and applies the same
+ * Bit-exactness notes: classification compares four margins at a
+ * time against +bound and -bound with ordered compares, which agree
+ * with the scalar > and < on every input (NaN included) and pack into
+ * movemask bits; the blend widens floats to doubles and applies the same
  * multiply-then-add sequence as the scalar loop with explicit
  * intrinsics, so no FMA contraction can change results.
  */
@@ -32,63 +32,45 @@ namespace fcdram::simd {
 
 namespace {
 
-/** Per-class verdicts: 0 = deterministic fail, 1 = success, 2 = draw. */
-inline std::uint8_t
-verdictOf(double margin, double bound)
-{
-    if (margin > bound)
-        return 1;
-    if (margin < -bound)
-        return 0;
-    return 2;
-}
-
 void
-classifyAvx2(const std::uint8_t *classes, std::size_t n,
-             const double *margins3, double bound,
+classifyAvx2(const double *margins, std::size_t n, double bound,
              std::uint64_t *detWords, std::uint32_t *ambiguous,
              std::size_t *ambiguousCount)
 {
-    const std::uint8_t verdict[3] = {verdictOf(margins3[0], bound),
-                                     verdictOf(margins3[1], bound),
-                                     verdictOf(margins3[2], bound)};
-    // pshufb lookup table: lane index = class (0..2), others unused.
-    const __m256i lut = _mm256_broadcastsi128_si256(_mm_setr_epi8(
-        static_cast<char>(verdict[0]), static_cast<char>(verdict[1]),
-        static_cast<char>(verdict[2]), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0));
-    const __m256i one = _mm256_set1_epi8(1);
-    const __m256i two = _mm256_set1_epi8(2);
-
-    std::size_t amb = 0;
-    std::size_t i = 0;
+    const __m256d hi = _mm256_set1_pd(bound);
+    const __m256d lo = _mm256_set1_pd(-bound);
     const std::size_t words = (n + 63) / 64;
     for (std::size_t w = 0; w < words; ++w)
         detWords[w] = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i cls = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(classes + i));
-        const __m256i verdicts = _mm256_shuffle_epi8(lut, cls);
-        const auto det = static_cast<std::uint32_t>(_mm256_movemask_epi8(
-            _mm256_cmpeq_epi8(verdicts, one)));
-        const auto draw =
-            static_cast<std::uint32_t>(_mm256_movemask_epi8(
-                _mm256_cmpeq_epi8(verdicts, two)));
-        detWords[i / 64] |= static_cast<std::uint64_t>(det)
-                            << (i % 64);
-        std::uint32_t pending = draw;
-        while (pending != 0) {
-            const unsigned b =
-                static_cast<unsigned>(__builtin_ctz(pending));
-            pending &= pending - 1;
+
+    std::size_t amb = 0;
+    std::size_t i = 0;
+    // 16 columns per step, so a step never straddles a det word.
+    for (; i + 16 <= n; i += 16) {
+        unsigned det = 0;
+        unsigned fail = 0;
+        for (unsigned k = 0; k < 4; ++k) {
+            const __m256d m = _mm256_loadu_pd(margins + i + 4 * k);
+            det |= static_cast<unsigned>(_mm256_movemask_pd(
+                       _mm256_cmp_pd(m, hi, _CMP_GT_OQ)))
+                   << (4 * k);
+            fail |= static_cast<unsigned>(_mm256_movemask_pd(
+                        _mm256_cmp_pd(m, lo, _CMP_LT_OQ)))
+                    << (4 * k);
+        }
+        detWords[i / 64] |= static_cast<std::uint64_t>(det) << (i % 64);
+        unsigned draw = ~(det | fail) & 0xFFFFu;
+        while (draw != 0) {
+            const unsigned b = static_cast<unsigned>(__builtin_ctz(draw));
+            draw &= draw - 1;
             ambiguous[amb++] = static_cast<std::uint32_t>(i + b);
         }
     }
     for (; i < n; ++i) {
-        const std::uint8_t v = verdict[classes[i]];
-        if (v == 1) {
+        const double margin = margins[i];
+        if (margin > bound) {
             detWords[i / 64] |= std::uint64_t{1} << (i % 64);
-        } else if (v == 2) {
+        } else if (!(margin < -bound)) {
             ambiguous[amb++] = static_cast<std::uint32_t>(i);
         }
     }

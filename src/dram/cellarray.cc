@@ -147,6 +147,30 @@ CellArray::writeRow(RowId row, const BitVector &bits)
     lanes_[static_cast<std::size_t>(row)].clear();
 }
 
+void
+CellArray::writeMasked(RowId row, const BitVector &bits,
+                       const BitVector &mask)
+{
+    assert(static_cast<int>(bits.size()) == cols_);
+    assert(static_cast<int>(mask.size()) == cols_);
+    const auto source = bits.words();
+    const auto masked = mask.words();
+    auto &lane = lanes_[static_cast<std::size_t>(row)];
+    if (lane.empty()) {
+        std::uint64_t *words = wordsOf(row);
+        for (std::size_t w = 0; w < wordsPerRow_; ++w)
+            words[w] = (words[w] & ~masked[w]) | (source[w] & masked[w]);
+        return;
+    }
+    for (ColId col = 0; col < static_cast<ColId>(cols_); ++col) {
+        if ((masked[col / 64] >> (col % 64)) & 1) {
+            const bool bit = (source[col / 64] >> (col % 64)) & 1;
+            lane[col] = bit ? kVddF : kGndF;
+        }
+    }
+    collapseIfRail(row);
+}
+
 BitVector
 CellArray::readRow(RowId row) const
 {

@@ -88,6 +88,15 @@ class CellArray
      */
     void writeRow(RowId row, const BitVector &bits);
 
+    /**
+     * Write @p bits at full rail into the columns set in @p mask and
+     * keep every other cell: a word-wise blend on a packed row, a
+     * per-cell lane write on an off-rail row, which then collapses
+     * back to packed form if every cell sits at a rail.
+     */
+    void writeMasked(RowId row, const BitVector &bits,
+                     const BitVector &mask);
+
     /** Read a full row as thresholded bits (word-wise when packed). */
     BitVector readRow(RowId row) const;
 

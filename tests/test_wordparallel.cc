@@ -475,20 +475,22 @@ TEST(SimdKernels, ClassifyMarginsMatchesScalar)
 {
     const simd::Kernels &scalar = simd::scalarKernels();
     const simd::Kernels &active = simd::activeKernels();
-    if (active.classifyMarginsByClass == scalar.classifyMarginsByClass)
+    if (active.classifyMargins == scalar.classifyMargins)
         GTEST_SKIP() << "active kernel set is scalar ("
                      << active.name << ")";
 
     Rng rng(0x51D3);
     for (int iteration = 0; iteration < 50; ++iteration) {
         const std::size_t n = 1 + rng.next() % 300;
-        std::vector<std::uint8_t> classes(n);
-        for (auto &c : classes)
-            c = static_cast<std::uint8_t>(rng.next() % 3);
-        double margins3[3];
-        for (double &m : margins3)
-            m = (rng.uniform() - 0.5) * 0.4;
         const double bound = rng.uniform() * 0.12;
+        // Mostly spread margins, plus some exactly on +-bound.
+        std::vector<double> margins(n);
+        for (double &m : margins) {
+            const std::uint64_t pick = rng.next() % 8;
+            m = pick == 0   ? bound
+                : pick == 1 ? -bound
+                            : (rng.uniform() - 0.5) * 0.4;
+        }
 
         const std::size_t words = (n + 63) / 64;
         std::vector<std::uint64_t> det_a(words, ~std::uint64_t{0});
@@ -496,12 +498,10 @@ TEST(SimdKernels, ClassifyMarginsMatchesScalar)
         std::vector<std::uint32_t> amb_a(n), amb_b(n);
         std::size_t count_a = 0, count_b = 0;
 
-        scalar.classifyMarginsByClass(classes.data(), n, margins3,
-                                      bound, det_a.data(),
-                                      amb_a.data(), &count_a);
-        active.classifyMarginsByClass(classes.data(), n, margins3,
-                                      bound, det_b.data(),
-                                      amb_b.data(), &count_b);
+        scalar.classifyMargins(margins.data(), n, bound, det_a.data(),
+                               amb_a.data(), &count_a);
+        active.classifyMargins(margins.data(), n, bound, det_b.data(),
+                               amb_b.data(), &count_b);
 
         EXPECT_EQ(det_a, det_b) << "iteration " << iteration;
         ASSERT_EQ(count_a, count_b) << "iteration " << iteration;
