@@ -19,12 +19,6 @@ SenseAmpModel::successProbability(Volt margin) const
 }
 
 bool
-SenseAmpModel::sample(Volt margin, Rng &rng) const
-{
-    return margin + rng.gaussian(0.0, noiseSigma_) > 0.0;
-}
-
-bool
 SenseAmpModel::sampleAt(Volt margin, std::uint64_t noiseKey) const
 {
     return margin + noiseSigma_ * gaussianFromHash(noiseKey) > 0.0;

@@ -18,8 +18,6 @@
 
 namespace fcdram {
 
-class Rng;
-
 /**
  * Stateless sense-amp decision helpers shared by the Monte-Carlo
  * executor and the analytic success model.
@@ -37,17 +35,12 @@ class SenseAmpModel
     double successProbability(Volt margin) const;
 
     /**
-     * Sample one sensing/drive event: true = correct outcome.
+     * Sample one sensing/drive event: true = correct outcome. The
+     * per-trial noise is a pure function of @p noiseKey (see
+     * cellNoiseKey), so the outcome is independent of evaluation
+     * order.
      *
      * @param margin Signed margin (V) including static offsets.
-     * @param rng Per-trial noise source.
-     */
-    bool sample(Volt margin, Rng &rng) const;
-
-    /**
-     * Counter-mode variant of sample(): the per-trial noise is a pure
-     * function of @p noiseKey (see cellNoiseKey), so the outcome is
-     * independent of evaluation order.
      */
     bool sampleAt(Volt margin, std::uint64_t noiseKey) const;
 

@@ -191,30 +191,6 @@ SuccessModel::cellSuccessProbability(Volt margin, Volt staticOff,
     return senseAmp_.successProbability(margin - staticOff);
 }
 
-double
-SuccessModel::averageSuccessProbability(Volt margin,
-                                        int rowPairLoad) const
-{
-    const AnalogParams &analog = profile_.analog;
-    const double static_sigma =
-        std::sqrt(analog.cellOffsetSigma * analog.cellOffsetSigma +
-                  analog.saOffsetSigma * analog.saOffsetSigma);
-    const double total_sigma =
-        std::sqrt(static_sigma * static_sigma +
-                  analog.senseNoiseSigma * analog.senseNoiseSigma);
-    const double fail = structuralFailFraction(rowPairLoad);
-    return (1.0 - fail) * normalCdf(margin / total_sigma) + 0.5 * fail;
-}
-
-bool
-SuccessModel::sampleTrial(Volt margin, Volt staticOff, bool structFail,
-                          Rng &rng) const
-{
-    if (structFail)
-        return rng.bernoulli(0.5);
-    return senseAmp_.sample(margin - staticOff, rng);
-}
-
 bool
 SuccessModel::sampleTrialAt(Volt margin, Volt staticOff,
                             bool structFail,

@@ -33,8 +33,6 @@
 
 namespace fcdram {
 
-class Rng;
-
 /** Experiment-level environment shared by all operations. */
 struct OpConditions
 {
@@ -216,22 +214,9 @@ class SuccessModel
                                   bool structFail) const;
 
     /**
-     * Population-average success probability, integrating the static
-     * offsets out analytically (used for fast closed-form sweeps).
-     *
-     * @param margin Operation margin.
-     * @param rowPairLoad Load for the structural-failure fraction.
-     */
-    double averageSuccessProbability(Volt margin, int rowPairLoad) const;
-
-    /** Sample one trial outcome for a specific cell. */
-    bool sampleTrial(Volt margin, Volt staticOff, bool structFail,
-                     Rng &rng) const;
-
-    /**
-     * Counter-mode variant of sampleTrial(): the draw is a pure
-     * function of @p noiseKey (cellNoiseKey of the op sub-stream and
-     * the cell coordinates), so sampling is order-independent. A
+     * Sample one trial outcome for a specific cell. The draw is a
+     * pure function of @p noiseKey (cellNoiseKey of the op sub-stream
+     * and the cell coordinates), so sampling is order-independent. A
      * structurally failing SA consumes the same key as a metastable
      * coin flip.
      */

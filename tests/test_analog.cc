@@ -100,12 +100,15 @@ TEST(SenseAmp, ProbabilityMonotoneInMargin)
 TEST(SenseAmp, SampleMatchesProbability)
 {
     const SenseAmpModel model(params());
-    Rng rng(3);
+    const std::uint64_t seed = 3;
     const double margin = 0.03;
     int hits = 0;
     const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        hits += model.sample(margin, rng) ? 1 : 0;
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t key =
+            hashCombine(seed, static_cast<std::uint64_t>(i));
+        hits += model.sampleAt(margin, key) ? 1 : 0;
+    }
     EXPECT_NEAR(static_cast<double>(hits) / n,
                 model.successProbability(margin), 0.01);
 }

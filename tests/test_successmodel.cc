@@ -264,27 +264,19 @@ TEST(ColumnVariation, MatchesPerCellAccessorsExactly)
 TEST(SuccessModel, SampleTrialMatchesProbability)
 {
     const SuccessModel model(defaultProfile(), 1);
-    Rng rng(3);
+    const std::uint64_t seed = 3;
     const double margin = 0.05;
     const double offset = 0.01;
     int hits = 0;
     const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        hits += model.sampleTrial(margin, offset, false, rng) ? 1 : 0;
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t key =
+            hashCombine(seed, static_cast<std::uint64_t>(i));
+        hits += model.sampleTrialAt(margin, offset, false, key) ? 1 : 0;
+    }
     EXPECT_NEAR(static_cast<double>(hits) / n,
                 model.cellSuccessProbability(margin, offset, false),
                 0.01);
-}
-
-TEST(SuccessModel, AverageIntegratesOffsets)
-{
-    const SuccessModel model(defaultProfile(), 1);
-    // The population average at zero margin is 1/2 regardless of the
-    // offset spread (symmetry), shifted by the structural floor.
-    const double fail = model.structuralFailFraction(1);
-    EXPECT_NEAR(model.averageSuccessProbability(0.0, 1),
-                0.5 * (1.0 - fail) + 0.5 * fail, 1e-9);
-    EXPECT_GT(model.averageSuccessProbability(0.3, 1), 0.98);
 }
 
 TEST(SuccessModel, IdealProfileIsDeterministic)
