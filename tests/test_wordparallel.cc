@@ -268,13 +268,14 @@ exerciseShapes(Chip &chip, ExecMode mode)
             fill_random(first);
             fill_random(second);
             const RowId dst = composeRow(geometry, dst_sa, rl);
-            if (pick % 2 == 0)
-                ops.fracInit(0, dst, second);
+            const bool frac =
+                pick % 2 == 0 && ops.fracInit(0, dst, second);
             ops.executeNot(0, composeRow(geometry, src_sa, rf), dst);
             read_all(first);
             read_all(second);
             run.shapes.push_back(
-                std::string(sets.sequential ? "NOT seq " : "NOT ") +
+                std::string(frac ? "Frac " : "") +
+                (sets.sequential ? "NOT seq " : "NOT ") +
                 std::to_string(nrf) + ":" + std::to_string(nrl));
         }
     }
@@ -340,12 +341,13 @@ exerciseShapes(Chip &chip, ExecMode mode)
             geometry, sa, decoder.sameSubarrayActivation(rf, rl));
         const RowId src = composeRow(geometry, sa, rf);
         fill_random(group);
-        ops.fracInit(0, group.front() == src ? group.back()
-                                             : group.front(),
-                     group);
+        const bool frac = ops.fracInit(
+            0, group.front() == src ? group.back() : group.front(),
+            group).has_value();
         ops.executeRowClone(0, src, composeRow(geometry, sa, rl));
         read_all(group);
-        run.shapes.push_back("RowClone " + std::to_string(k));
+        run.shapes.push_back(std::string(frac ? "Frac " : "") +
+                             "RowClone " + std::to_string(k));
         // MAJ3 with balancing constants, and the widest MAJ.
         std::vector<int> operand_counts;
         if (k >= 4)
@@ -401,9 +403,10 @@ TEST(WordParallelExecutor, BitIdenticalOnEveryActivationShape)
     }
     // The decoder shapes the comparison must have reached somewhere.
     for (const char *shape :
-         {"NOT 16:16", "NOT 16:32", "NOT 1:2", "NOT seq 1:1",
-          "logic 2:2", "logic 16:16", "write 16:16", "RowClone 2",
-          "RowClone 32", "MAJ3 4", "MAJ31 32"}) {
+         {"NOT 1:1", "NOT 16:16", "Frac NOT 16:32",
+          "NOT seq 1:1", "logic 2:2", "logic 16:16", "write 16:16",
+          "Frac RowClone 2", "Frac RowClone 32", "MAJ3 4",
+          "MAJ31 32"}) {
         EXPECT_TRUE(covered.count(shape) != 0) << shape;
     }
 }
