@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "analog/chargesharing.hh"
 #include "common/mathutil.hh"
@@ -171,20 +172,12 @@ struct FastSampler
 class CellResolver
 {
   public:
-    /** A domain column whose cells draw in every row. */
-    struct Draw
-    {
-        ColId col = 0;
-        Volt margin = 0.0;
-        double saU = 0.5; ///< Raw uniform of the column's SA offset.
-        bool structFail = false;
-    };
-
     /** One margin array, classified over the domain. */
     struct Classified
     {
+        std::vector<Volt> margins;
         BitVector decided; ///< Columns correct without a draw.
-        std::vector<Draw> draws;
+        std::vector<std::uint32_t> draws; ///< Live columns that draw.
     };
 
     /**
@@ -196,8 +189,8 @@ class CellResolver
                  const std::array<StripeId, 2> &stripes,
                  const BitVector &domain)
         : model_(chip.model()), variation_(model_.variation()),
-          bank_(bank), opStream_(opStream), domain_(domain),
-          fails_(domain.size()),
+          bank_(bank), opStream_(opStream), live_(domain),
+          fails_(domain.size()), saU_(domain.size(), 0.5),
           sampler_{model_, variation_,
                    chip.profile().analog.cellOffsetSigma,
                    chip.profile().analog.saOffsetSigma,
@@ -208,48 +201,50 @@ class CellResolver
     {
         const double fail_fraction =
             model_.structuralFailFraction(pairLoad);
+        std::uint64_t sa_prefix[2];
         std::uint64_t fail_prefix[2];
         for (std::size_t parity = 0; parity < 2; ++parity) {
-            saPrefix_[parity] =
+            sa_prefix[parity] =
                 variation_.saKeyPrefix(bank, stripes[parity]);
             fail_prefix[parity] =
                 variation_.failKeyPrefix(bank, stripes[parity]);
         }
-        if (fail_fraction > 0.0) {
-            forEachSetBit(domain, [&](ColId col) {
-                if (variation_.structuralFailFromKey(
-                        hashCombine(fail_prefix[col & 1], col),
-                        fail_fraction))
-                    fails_.set(col, true);
-            });
-        }
+        // A failing column's cells are coin flips whatever the margin;
+        // every other domain column is live and gets its SA uniform.
+        forEachSetBit(domain, [&](ColId col) {
+            if (fail_fraction > 0.0 &&
+                variation_.structuralFailFromKey(
+                    hashCombine(fail_prefix[col & 1], col),
+                    fail_fraction)) {
+                fails_.set(col, true);
+                return;
+            }
+            saU_[col] =
+                uniformFromHash(hashCombine(sa_prefix[col & 1], col));
+        });
+        live_.andNot(fails_);
     }
 
     /** Classify @p margins (only domain entries are read). */
-    Classified classify(const std::vector<Volt> &margins) const
+    Classified classify(std::vector<Volt> margins) const
     {
-        const std::size_t columns = domain_.size();
-        Classified out{BitVector(columns), {}};
-        std::vector<std::uint32_t> ambiguous(columns);
+        const std::size_t columns = live_.size();
+        Classified out{std::move(margins), BitVector(columns),
+                       std::vector<std::uint32_t>(columns)};
         std::size_t count = 0;
         simd::activeKernels().classifyMargins(
-            margins.data(), columns, colBound_,
-            out.decided.words().data(), ambiguous.data(), &count);
-        out.decided &= domain_;
-        out.decided.andNot(fails_);
+            out.margins.data(), columns, colBound_,
+            out.decided.words().data(), out.draws.data(), &count);
+        out.decided &= live_;
+        // Keep only the live ambiguous columns, in place.
+        const auto live = live_.words();
+        std::size_t kept = 0;
         for (std::size_t a = 0; a < count; ++a) {
-            const ColId col = ambiguous[a];
-            if (domain_.get(col) && !fails_.get(col)) {
-                out.draws.push_back(
-                    {col, margins[col],
-                     uniformFromHash(
-                         hashCombine(saPrefix_[col & 1], col)),
-                     false});
-            }
+            const std::uint32_t col = out.draws[a];
+            if (((live[col / 64] >> (col % 64)) & 1) != 0)
+                out.draws[kept++] = col;
         }
-        forEachSetBit(fails_, [&](ColId col) {
-            out.draws.push_back({col, margins[col], 0.5, true});
-        });
+        out.draws.resize(kept);
         return out;
     }
 
@@ -258,24 +253,26 @@ class CellResolver
                     BitVector &correct) const
     {
         correct = classified.decided;
+        const auto words = correct.words();
+        const auto mark = [&words](ColId col) {
+            words[col / 64] |= std::uint64_t{1} << (col % 64);
+        };
+        const std::vector<Volt> &margins = classified.margins;
         const std::uint64_t cell_prefix =
             variation_.cellKeyPrefix(bank_, globalRow);
         const std::uint64_t noise_row =
             cellNoiseRowStream(opStream_, globalRow);
-        for (const Draw &draw : classified.draws) {
-            const std::uint64_t noise_key =
-                cellNoiseKeyAt(noise_row, draw.col);
-            const bool ok =
-                draw.structFail
-                    ? model_.sampleTrialAt(draw.margin, 0.0, true,
-                                           noise_key)
-                    : sampler_.successWithSaU(
-                          draw.margin, draw.saU,
-                          hashCombine(cell_prefix, draw.col),
-                          noise_key);
-            if (ok)
-                correct.set(draw.col, true);
+        for (const std::uint32_t col : classified.draws) {
+            if (sampler_.successWithSaU(margins[col], saU_[col],
+                                        hashCombine(cell_prefix, col),
+                                        cellNoiseKeyAt(noise_row, col)))
+                mark(col);
         }
+        forEachSetBit(fails_, [&](ColId col) {
+            if (model_.sampleTrialAt(margins[col], 0.0, true,
+                                     cellNoiseKeyAt(noise_row, col)))
+                mark(col);
+        });
     }
 
   private:
@@ -283,11 +280,11 @@ class CellResolver
     const VariationMap &variation_;
     BankId bank_;
     std::uint64_t opStream_;
-    const BitVector &domain_;
-    BitVector fails_;
+    BitVector live_;  ///< Domain columns that do not fail.
+    BitVector fails_; ///< Structurally failing domain columns.
+    std::vector<double> saU_; ///< SA offset uniform per live column.
     FastSampler sampler_;
     double colBound_;
-    std::uint64_t saPrefix_[2] = {};
 };
 
 /** Coupling fraction of a coupling class (0.0 / 0.5 / 1.0). */
@@ -935,7 +932,7 @@ Executor::applyRowClone(BankState &state, BankId bank,
     // Word-parallel: the drive margin depends on the column only
     // through its coupling class.
     couplingClasses(pattern, scratchClasses_);
-    const std::vector<Volt> margins =
+    std::vector<Volt> margins =
         classMargins(scratchClasses_, [&](double coupling) {
             ComparisonContext ctx;
             ctx.cellsPerSide = total;
@@ -948,7 +945,8 @@ Executor::applyRowClone(BankState &state, BankId bank,
         chip_, bank, pair_load, op_stream,
         {stripeFor(subarray, 0), stripeFor(subarray, 1)},
         allColumnsMask());
-    const CellResolver::Classified classified = core.classify(margins);
+    const CellResolver::Classified classified =
+        core.classify(std::move(margins));
     BitVector correct;
     for (const RowId local : localRows) {
         if (local == src.localRow)
@@ -1016,7 +1014,8 @@ Executor::majResolve(BankId bank, SubarrayId subarray,
     const CellResolver core(
         chip_, bank, pair_load, op_stream,
         {stripeFor(subarray, 0), stripeFor(subarray, 1)}, columnMask);
-    const CellResolver::Classified classified = core.classify(margins);
+    const CellResolver::Classified classified =
+        core.classify(std::move(margins));
     BitVector correct;
     for (const RowId local : localRows) {
         core.resolveRow(classified, composeRow(geometry, subarray, local),
@@ -1311,7 +1310,7 @@ Executor::applyLogic(BankState &state, BankId bank,
                     margins[col] = model.comparisonMargin(
                         first_volts[col], second_volts[col], ctx);
                 });
-                slot = core.classify(margins);
+                slot = core.classify(std::move(margins));
             }
             core.resolveRow(*slot, t.global, correct);
             const BitVector &ideal =
