@@ -112,6 +112,12 @@ findQualifyingPairs(const Chip &chip, const PairContext &context,
     const GeometryConfig &geometry = chip.geometry();
     const auto rows = static_cast<RowId>(geometry.rowsPerSubarray);
     Rng rng(seed);
+    // Probing draws with replacement: a pair found again is skipped,
+    // so no context lists (and no figure counts) a pair twice.
+    const auto keep = [&pairs](const std::pair<RowId, RowId> &pair) {
+        if (std::find(pairs.begin(), pairs.end(), pair) == pairs.end())
+            pairs.push_back(pair);
+    };
 
     if (query.activation == PairQuery::Activation::SameSubarray) {
         // SiMRA row groups: both rows of the pair live in the low
@@ -136,9 +142,8 @@ findQualifyingPairs(const Chip &chip, const PairContext &context,
             sets.secondRows = set;
             if (!query.matches(sets))
                 continue;
-            pairs.emplace_back(
-                composeRow(geometry, context.lowSubarray, partner),
-                composeRow(geometry, context.lowSubarray, base));
+            keep({composeRow(geometry, context.lowSubarray, partner),
+                  composeRow(geometry, context.lowSubarray, base)});
         }
         return pairs;
     }
@@ -152,9 +157,8 @@ findQualifyingPairs(const Chip &chip, const PairContext &context,
             chip.decoder().neighborActivation(rf, rl);
         if (!query.matches(sets))
             continue;
-        pairs.emplace_back(
-            composeRow(geometry, context.lowSubarray, rf),
-            composeRow(geometry, context.lowSubarray + 1, rl));
+        keep({composeRow(geometry, context.lowSubarray, rf),
+              composeRow(geometry, context.lowSubarray + 1, rl)});
     }
     return pairs;
 }

@@ -152,8 +152,9 @@ struct PairQuery
 /**
  * Qualifying (RF, RL) discovery core: probe random local-row pairs of
  * a subarray-pair context and keep those whose neighbor activation
- * satisfies @p query, as global row ids. Pure in (chip, seed); the
- * session memoizes it.
+ * satisfies @p query, as global row ids, each pair at most once (a
+ * probe that finds a kept pair again is skipped). Pure in (chip,
+ * seed); the session memoizes it.
  */
 std::vector<std::pair<RowId, RowId>>
 findQualifyingPairs(const Chip &chip, const PairContext &context,

@@ -226,6 +226,36 @@ TEST(FleetSessionTest, MemoizedPairsMatchDirectDiscovery)
     }
 }
 
+TEST(FleetSessionTest, QualifyingPairsAreDistinct)
+{
+    // Probing draws (RF, RL) with replacement, and every query kind's
+    // qualifying set on these small subarrays is smaller than the
+    // number of probes, so each kind finds some pair more than once.
+    // Discovery keeps it once, whichever query asks.
+    const GeometryConfig geometry = test::tinyGeometry();
+    const PairContext context{0, 1};
+    const std::pair<const char *, PairQuery> queries[] = {
+        {"anyWithDest(1)", PairQuery::anyWithDest(1)},
+        {"simultaneousWithDest(2)", PairQuery::simultaneousWithDest(2)},
+        {"square(2)", PairQuery::square(2)},
+        {"sameSubarray(4)", PairQuery::sameSubarray(4)}};
+    std::map<std::string, std::size_t> found;
+    for (const ChipProfile &profile : test::manufacturerProfiles()) {
+        const Chip chip(profile, geometry, 5);
+        for (const auto &[name, query] : queries) {
+            const auto pairs = findQualifyingPairs(
+                chip, context, query, 4000, 1000, query.key());
+            const std::set<std::pair<RowId, RowId>> distinct(
+                pairs.begin(), pairs.end());
+            EXPECT_EQ(distinct.size(), pairs.size())
+                << profile.label() << " " << name;
+            found[name] += pairs.size();
+        }
+    }
+    for (const auto &[name, query] : queries)
+        EXPECT_GT(found[name], 0u) << name;
+}
+
 TEST(FleetSessionTest, LogicBaselineMatchesDirectLogicSamples)
 {
     // The memo is transparent: every entry is exactly the direct
