@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <map>
+#include <tuple>
 #include <utility>
 
 #include "analog/chargesharing.hh"
@@ -38,33 +39,64 @@ SuccessModel::expectedOutput(BoolOp op, int numInputs, int numOnes)
     return false;
 }
 
-Volt
-SuccessModel::environmentPenalty(Ns glitchGapNs, Celsius temperature,
-                                 double couplingFraction,
-                                 bool sequential) const
+namespace {
+
+/**
+ * The sense-amplifier mechanism's inputs, which the four op margins
+ * fill from their contexts.
+ */
+struct ComparisonContext
 {
-    const AnalogParams &analog = profile_.analog;
-    Volt penalty = couplingPenalty(analog, couplingFraction) +
-                   temperaturePenalty(analog, temperature);
+    /** Cells charge-sharing per terminal (comparison only). */
+    int cellsPerSide = 1;
+
+    /** Violated PRE->ACT gap (ns); negative: the speed grade's. */
+    Ns glitchGapNs = -1.0;
+
+    /** Additive region margin (sum of src- and dst-side terms, V). */
+    Volt regionMargin = 0.0;
+
+    OpConditions cond;
+
+    /** The cell reads the inverted (reference) side (comparison only). */
+    bool invertedSide = false;
+
+    /** Sequential (Samsung-style) activation: no latch penalty. */
+    bool sequential = false;
+};
+
+/** Coupling + temperature + (conditional) latch-window penalty. */
+Volt
+environmentPenalty(const ChipProfile &profile,
+                   const ComparisonContext &ctx)
+{
+    const AnalogParams &analog = profile.analog;
+    Volt penalty = couplingPenalty(analog, ctx.cond.couplingFraction) +
+                   temperaturePenalty(analog, ctx.cond.temperature);
     // The sequential (Samsung-style) two-row activation does not rely
     // on the decoder latch glitch, so the quantized-gap penalty only
     // applies to simultaneous activation designs.
-    if (!sequential && !profile_.decoder.sequentialNeighborOnly) {
-        if (glitchGapNs >= 0.0)
-            penalty += latchWindowPenalty(analog, glitchGapNs);
+    if (!ctx.sequential && !profile.decoder.sequentialNeighborOnly) {
+        if (ctx.glitchGapNs >= 0.0)
+            penalty += latchWindowPenalty(analog, ctx.glitchGapNs);
         else
-            penalty += latchWindowPenalty(analog, profile_.speed);
+            penalty += latchWindowPenalty(analog, profile.speed);
     }
     return penalty;
 }
 
+/**
+ * Correctness margin (V) of a comparison between terminal voltages
+ * @p vA and @p vB: |vA - vB| scaled, minus all penalties.
+ */
 Volt
-SuccessModel::comparisonMargin(Volt vA, Volt vB,
-                               const ComparisonContext &ctx) const
+comparisonMargin(const ChipProfile &profile,
+                 const SenseAmpModel &senseAmp, Volt vA, Volt vB,
+                 const ComparisonContext &ctx)
 {
-    const AnalogParams &analog = profile_.analog;
+    const AnalogParams &analog = profile.analog;
     Volt margin = analog.marginScale * std::abs(vA - vB);
-    margin -= senseAmp_.commonModePenalty(vA, vB);
+    margin -= senseAmp.commonModePenalty(vA, vB);
     // Calibrated sensing asymmetry: comparisons biased to a high
     // common mode (the AND-family reference configuration)
     // consistently underperform low-common-mode ones (Obs. 12).
@@ -80,82 +112,98 @@ SuccessModel::comparisonMargin(Volt vA, Volt vB,
     if (ctx.invertedSide)
         margin -= analog.invertedSidePenalty;
     margin += ctx.regionMargin;
-    margin -= environmentPenalty(ctx.glitchGapNs, ctx.temperature,
-                                 ctx.couplingFraction,
-                                 ctx.sequential || !ctx.glitched);
+    margin -= environmentPenalty(profile, ctx);
     return margin;
 }
 
+/**
+ * Drive (restore) margin (V) of an overdrive into
+ * @p totalActivatedRows rows.
+ */
 Volt
-SuccessModel::driveMarginMech(int totalActivatedRows,
-                              const ComparisonContext &ctx) const
+driveMarginMech(const ChipProfile &profile, int totalActivatedRows,
+                const ComparisonContext &ctx)
 {
     assert(totalActivatedRows >= 2);
-    const AnalogParams &analog = profile_.analog;
+    const AnalogParams &analog = profile.analog;
     Volt margin = analog.marginScale *
                   notDriveMargin(analog, totalActivatedRows);
-    if (ctx.invertedSide)
-        margin -= analog.invertedSidePenalty;
     margin += ctx.regionMargin;
-    margin -= environmentPenalty(ctx.glitchGapNs, ctx.temperature,
-                                 ctx.couplingFraction,
-                                 ctx.sequential || !ctx.glitched);
+    margin -= environmentPenalty(profile, ctx);
     return margin;
 }
+
+} // namespace
 
 Volt
 SuccessModel::notMargin(const NotContext &ctx) const
 {
     const AnalogParams &analog = profile_.analog;
     ComparisonContext mech;
-    mech.cellsPerSide = (ctx.totalActivatedRows + 1) / 2;
+    mech.glitchGapNs = ctx.glitchGapNs;
     mech.regionMargin =
         analog.srcRegionMargin[static_cast<int>(ctx.srcRegion)] +
         analog.dstRegionMargin[static_cast<int>(ctx.dstRegion)];
-    mech.couplingFraction = ctx.cond.couplingFraction;
-    mech.temperature = ctx.cond.temperature;
-    return driveMarginMech(ctx.totalActivatedRows, mech);
+    mech.cond = ctx.cond;
+    mech.sequential = ctx.sequential;
+    return driveMarginMech(profile_, ctx.totalActivatedRows, mech);
+}
+
+Volt
+SuccessModel::rowCloneMargin(const RowCloneContext &ctx) const
+{
+    ComparisonContext mech;
+    mech.glitchGapNs = ctx.glitchGapNs;
+    mech.cond = ctx.cond;
+    return driveMarginMech(profile_, ctx.activatedRows + 2, mech);
 }
 
 Volt
 SuccessModel::logicMargin(const LogicContext &ctx) const
 {
-    assert(ctx.numInputs >= 2);
-    assert(ctx.numOnes >= 0 && ctx.numOnes <= ctx.numInputs);
     const AnalogParams &analog = profile_.analog;
-
-    const bool and_family =
-        ctx.op == BoolOp::And || ctx.op == BoolOp::Nand;
-    const Volt constant = and_family ? kVdd : kGnd;
-    const Volt v_ref =
-        idealReferenceVoltage(ctx.numInputs, constant, analog);
-    const Volt v_com =
-        idealComputeVoltage(ctx.numInputs, ctx.numOnes, analog);
-
+    Volt v_ref = 0.0;
+    Volt v_com = 0.0;
+    if (ctx.sensed) {
+        std::tie(v_ref, v_com) = *ctx.sensed;
+    } else {
+        assert(ctx.numInputs >= 2);
+        assert(ctx.numOnes >= 0 && ctx.numOnes <= ctx.numInputs);
+        const bool and_family =
+            ctx.op == BoolOp::And || ctx.op == BoolOp::Nand;
+        v_ref = idealReferenceVoltage(ctx.numInputs,
+                                      and_family ? kVdd : kGnd, analog);
+        v_com = idealComputeVoltage(ctx.numInputs, ctx.numOnes, analog);
+    }
     ComparisonContext mech;
     mech.cellsPerSide = ctx.numInputs;
+    mech.glitchGapNs = ctx.glitchGapNs;
     mech.regionMargin =
         analog.srcRegionMargin[static_cast<int>(ctx.comRegion)] +
         analog.dstRegionMargin[static_cast<int>(ctx.refRegion)];
-    mech.couplingFraction = ctx.cond.couplingFraction;
-    mech.temperature = ctx.cond.temperature;
+    mech.cond = ctx.cond;
     mech.invertedSide = isInvertedOp(ctx.op);
-    return comparisonMargin(v_ref, v_com, mech);
+    return comparisonMargin(profile_, senseAmp_, v_ref, v_com, mech);
 }
 
 Volt
 SuccessModel::majMargin(const MajContext &ctx) const
 {
     assert(ctx.activatedRows >= 2);
-    assert(ctx.numOnes + ctx.neutralCells <= ctx.activatedRows);
-    const AnalogParams &analog = profile_.analog;
-    const Volt v_shared = idealMajVoltage(
-        ctx.activatedRows, ctx.numOnes, ctx.neutralCells, analog);
+    Volt v_shared = 0.0;
+    if (ctx.sensed) {
+        v_shared = *ctx.sensed;
+    } else {
+        assert(ctx.numOnes + ctx.neutralCells <= ctx.activatedRows);
+        v_shared = idealMajVoltage(ctx.activatedRows, ctx.numOnes,
+                                   ctx.neutralCells, profile_.analog);
+    }
     ComparisonContext mech;
     mech.cellsPerSide = ctx.activatedRows;
-    mech.couplingFraction = ctx.cond.couplingFraction;
-    mech.temperature = ctx.cond.temperature;
-    return comparisonMargin(v_shared, kVddHalf, mech);
+    mech.glitchGapNs = ctx.glitchGapNs;
+    mech.cond = ctx.cond;
+    return comparisonMargin(profile_, senseAmp_, v_shared, kVddHalf,
+                            mech);
 }
 
 double

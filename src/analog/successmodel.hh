@@ -13,9 +13,17 @@
  * A cell's per-trial success probability is
  * Phi((margin - staticOffsets) / senseNoiseSigma), with a separate
  * structural-failure population whose outcome is a metastable coin
- * flip. The same margin core drives both the closed-form analytic
- * engine and the command-level Monte-Carlo executor, so the two agree
- * by construction.
+ * flip.
+ *
+ * Each op maps onto that mechanism in exactly one place, its margin
+ * function: notMargin (NOT drive), rowCloneMargin (RowClone drive),
+ * logicMargin (N-input AND/NAND/OR/NOR) and majMargin (SiMRA MAJ).
+ * The command-level executor (bender/executor) fills their contexts
+ * from the voltages and the glitch gap it senses; the closed-form
+ * analytic engine (fcdram/analytic) and the PuD allocator's
+ * probability vectors (pud/allocator, read by the certifier) leave
+ * those at their ideal defaults. So the engines agree by
+ * construction.
  */
 
 #ifndef FCDRAM_ANALOG_SUCCESSMODEL_HH
@@ -23,6 +31,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "analog/senseamp.hh"
@@ -47,7 +57,10 @@ struct OpConditions
     bool operator==(const OpConditions &) const = default;
 };
 
-/** Context of one NOT operation instance (analytic form). */
+/**
+ * Context of one NOT drive event: the restored source row overdrives
+ * every activated row through the shared sense amplifiers.
+ */
 struct NotContext
 {
     /** NRF + NRL: all rows the shared sense amplifiers drive. @pre >= 2 */
@@ -57,14 +70,45 @@ struct NotContext
     Region dstRegion = Region::Middle;
 
     OpConditions cond;
+
+    /**
+     * Executor only: the measured violated PRE->ACT gap (ns);
+     * negative takes the speed grade's quantized target.
+     */
+    Ns glitchGapNs = -1.0;
+
+    /**
+     * Executor only: a sequential (Samsung-style) activation, which
+     * takes no latch-window penalty.
+     */
+    bool sequential = false;
 };
 
-/** Context of one N-input logic operation instance (analytic form). */
+/**
+ * Context of one same-subarray RowClone: the restored source row
+ * overdrives the activated set, loaded as activatedRows + 2 rows.
+ */
+struct RowCloneContext
+{
+    /** Rows of the same-subarray activation set. @pre >= 1 */
+    int activatedRows = 2;
+
+    OpConditions cond;
+
+    /** Executor only: as NotContext::glitchGapNs. */
+    Ns glitchGapNs = -1.0;
+};
+
+/**
+ * Context of one N-input logic sensing event: the reference bitline
+ * (the first-activated rows) against the compute bitline. NAND/NOR
+ * read the reference rows, AND/OR the compute rows.
+ */
 struct LogicContext
 {
     BoolOp op = BoolOp::And; ///< And, Or, Nand, or Nor.
 
-    int numInputs = 2; ///< N. @pre 2 <= N
+    int numInputs = 2; ///< N: cells per bitline. @pre 1 <= N
 
     int numOnes = 0; ///< Logic-1 operands at this column. @pre <= N
 
@@ -72,15 +116,27 @@ struct LogicContext
     Region refRegion = Region::Middle; ///< Reference-subarray rows.
 
     OpConditions cond;
+
+    /** Executor only: as NotContext::glitchGapNs. */
+    Ns glitchGapNs = -1.0;
+
+    /**
+     * Executor only: the sensed {reference, compute} bitline
+     * voltages. Unset, the margin takes the ideal ones of op,
+     * numInputs and numOnes (idealReferenceVoltage,
+     * idealComputeVoltage; then 2 <= N). Set, they fix the gate
+     * family, and op only names the side its rows are read from.
+     */
+    std::optional<std::pair<Volt, Volt>> sensed;
 };
 
 /**
  * Context of one same-subarray simultaneous many-row (SiMRA) MAJ
- * activation instance (analytic form). The activated cells
- * charge-share one bitline that is sensed against the precharged
- * opposite terminal, so the restored value is the majority of the
- * non-neutral cells; neutral (Frac-initialized, VDD/2) cells act as
- * tiebreakers and bias rows without moving the threshold.
+ * activation instance. The activated cells charge-share one bitline
+ * that is sensed against the precharged opposite terminal, so the
+ * restored value is the majority of the non-neutral cells; neutral
+ * (Frac-initialized, VDD/2) cells act as tiebreakers and bias rows
+ * without moving the threshold.
  */
 struct MajContext
 {
@@ -94,44 +150,16 @@ struct MajContext
     int neutralCells = 1;
 
     OpConditions cond;
-};
 
-/**
- * Mechanism-level context for a sense-amplifier comparison between
- * two multi-cell bitlines (used by the executor, which works from
- * actual cell voltages rather than ideal patterns).
- */
-struct ComparisonContext
-{
-    /** Cells charge-sharing per terminal (N for N-input ops). */
-    int cellsPerSide = 1;
-
-    /**
-     * Actual violated PRE->ACT gap in ns; negative means "use the
-     * profile speed grade's quantized default target".
-     */
+    /** Executor only: as NotContext::glitchGapNs. */
     Ns glitchGapNs = -1.0;
 
-    /** Additive region margin (sum of src- and dst-side terms, V). */
-    Volt regionMargin = 0.0;
-
-    /** Local neighbor-disagreement fraction for coupling. */
-    double couplingFraction = 0.5;
-
-    Celsius temperature = kDefaultTemperature;
-
-    /** Cell sits on the complement (inverted/reference) terminal. */
-    bool invertedSide = false;
-
-    /** Sequential (Samsung-style) activation: no latch penalty. */
-    bool sequential = false;
-
     /**
-     * The comparison happens as part of a glitched (violated-timing)
-     * activation; false for ordinary single-row sensing, which takes
-     * no latch-window penalty.
+     * Executor only: the sensed shared-bitline voltage. Unset, the
+     * margin takes idealMajVoltage of activatedRows, numOnes and
+     * neutralCells.
      */
-    bool glitched = true;
+    std::optional<Volt> sensed;
 };
 
 /**
@@ -150,38 +178,23 @@ class SuccessModel
     static bool expectedOutput(BoolOp op, int numInputs, int numOnes);
 
     /**
-     * Mechanism core: correctness margin (V) of a comparison between
-     * terminal voltages @p vA and @p vB. The "correct" outcome is the
-     * one the ideal voltages imply; the margin is |vA - vB| scaled,
-     * minus all penalties.
+     * The four op margins (V), the only public ones: each maps its
+     * op onto the sense-amplifier mechanism. The executor, the
+     * analytic engine and the PuD allocator (and through its
+     * probabilities the certifier) all call these.
      */
-    Volt comparisonMargin(Volt vA, Volt vB,
-                          const ComparisonContext &ctx) const;
-
-    /**
-     * Mechanism core: drive (restore) margin of a NOT/RowClone-style
-     * overdrive into @p totalActivatedRows rows.
-     */
-    Volt driveMarginMech(int totalActivatedRows,
-                         const ComparisonContext &ctx) const;
-
-    /** Analytic margin (V) of a NOT drive event. */
     Volt notMargin(const NotContext &ctx) const;
+    Volt rowCloneMargin(const RowCloneContext &ctx) const;
 
     /**
-     * Analytic margin (V) of a logic sensing event assuming ideal
-     * initialization. NAND/NOR margins equal their AND/OR
-     * counterparts minus the inverted-side penalty.
+     * NAND/NOR margins equal their AND/OR counterparts minus the
+     * inverted-side penalty, which the reference rows take.
      */
     Volt logicMargin(const LogicContext &ctx) const;
 
     /**
-     * Analytic margin (V) of a same-subarray SiMRA MAJ sensing event
-     * assuming ideal initialization: the charge-shared bitline
-     * against the precharged VDD/2 opposite terminal. Mirrors the
-     * executor's majResolve comparison exactly (same ComparisonContext
-     * shape), so analytic masks conservatively bound the Monte-Carlo
-     * behaviour.
+     * The charge-shared bitline against the precharged VDD/2
+     * opposite terminal.
      */
     Volt majMargin(const MajContext &ctx) const;
 
@@ -206,7 +219,7 @@ class SuccessModel
     /**
      * Analytic per-trial success probability for a specific cell.
      *
-     * @param margin Operation margin from notMargin/logicMargin.
+     * @param margin An op margin (notMargin, logicMargin, ...).
      * @param staticOff The cell's static offset.
      * @param structFail Whether the SA structurally fails at this load.
      */
@@ -228,11 +241,6 @@ class SuccessModel
     const SenseAmpModel &senseAmp() const { return senseAmp_; }
 
   private:
-    /** Coupling + temperature + (conditional) latch-window penalty. */
-    Volt environmentPenalty(Ns glitchGapNs, Celsius temperature,
-                            double couplingFraction,
-                            bool sequential) const;
-
     ChipProfile profile_;
     VariationMap variation_;
     SenseAmpModel senseAmp_;

@@ -898,6 +898,13 @@ Executor::applyRowClone(BankState &state, BankId bank,
     const SuccessModel &model = chip_.model();
     const std::uint64_t op_stream = beginNoiseEpoch();
     const int pair_load = (total + 1) / 2;
+    const auto margin_at = [&](double coupling) {
+        RowCloneContext ctx;
+        ctx.activatedRows = static_cast<int>(localRows.size());
+        ctx.cond = {chip_.temperature(), coupling};
+        ctx.glitchGapNs = gapNs;
+        return model.rowCloneMargin(ctx);
+    };
 
     if (scalar()) {
         for (const RowId local : localRows) {
@@ -907,12 +914,8 @@ Executor::applyRowClone(BankState &state, BankId bank,
             for (ColId col = 0;
                  col < static_cast<ColId>(geometry.columns); ++col) {
                 const StripeId stripe = stripeFor(subarray, col);
-                ComparisonContext ctx;
-                ctx.cellsPerSide = total;
-                ctx.glitchGapNs = gapNs;
-                ctx.couplingFraction = couplingFractionAt(pattern, col);
-                ctx.temperature = chip_.temperature();
-                const Volt margin = model.driveMarginMech(total + 1, ctx);
+                const Volt margin =
+                    margin_at(couplingFractionAt(pattern, col));
                 const Volt offset =
                     model.staticOffset(bank, global, col, stripe);
                 const bool fail_struct = model.structuralFail(
@@ -932,15 +935,7 @@ Executor::applyRowClone(BankState &state, BankId bank,
     // Word-parallel: the drive margin depends on the column only
     // through its coupling class.
     couplingClasses(pattern, scratchClasses_);
-    std::vector<Volt> margins =
-        classMargins(scratchClasses_, [&](double coupling) {
-            ComparisonContext ctx;
-            ctx.cellsPerSide = total;
-            ctx.glitchGapNs = gapNs;
-            ctx.couplingFraction = coupling;
-            ctx.temperature = chip_.temperature();
-            return model.driveMarginMech(total + 1, ctx);
-        });
+    std::vector<Volt> margins = classMargins(scratchClasses_, margin_at);
     const CellResolver core(
         chip_, bank, pair_load, op_stream,
         {stripeFor(subarray, 0), stripeFor(subarray, 1)},
@@ -971,18 +966,21 @@ Executor::majResolve(BankId bank, SubarrayId subarray,
     const std::uint64_t op_stream = beginNoiseEpoch();
     const int pair_load = (totalActivatedRows + 1) / 2;
 
-    ComparisonContext ctx;
-    ctx.cellsPerSide = static_cast<int>(localRows.size());
-    ctx.glitchGapNs = gapNs;
-    ctx.couplingFraction = 0.5;
-    ctx.temperature = chip_.temperature();
+    // Every column takes random-data coupling (OpConditions' default).
+    const auto margin_at = [&](Volt sensed) {
+        MajContext ctx;
+        ctx.activatedRows = static_cast<int>(localRows.size());
+        ctx.cond.temperature = chip_.temperature();
+        ctx.glitchGapNs = gapNs;
+        ctx.sensed = sensed;
+        return model.majMargin(ctx);
+    };
 
     if (scalar()) {
         forEachSetBit(columnMask, [&](ColId col) {
             const Volt v_shared = blVolts[col];
             const StripeId stripe = stripeFor(subarray, col);
-            const Volt margin =
-                model.comparisonMargin(v_shared, kVddHalf, ctx);
+            const Volt margin = margin_at(v_shared);
             const bool ideal = v_shared > kVddHalf;
             for (const RowId local : localRows) {
                 const RowId global =
@@ -1008,7 +1006,7 @@ Executor::majResolve(BankId bank, SubarrayId subarray,
     std::vector<Volt> margins(columns, 0.0);
     BitVector ideal(columns);
     forEachSetBit(columnMask, [&](ColId col) {
-        margins[col] = model.comparisonMargin(blVolts[col], kVddHalf, ctx);
+        margins[col] = margin_at(blVolts[col]);
         ideal.set(col, blVolts[col] > kVddHalf);
     });
     const CellResolver core(
@@ -1031,7 +1029,6 @@ Executor::applyNot(BankState &state, BankId bank,
     Bank &bank_ref = chip_.bank(bank);
     const GeometryConfig &geometry = chip_.geometry();
     const SuccessModel &model = chip_.model();
-    const AnalogParams &analog = chip_.profile().analog;
     const RowAddress src = decomposeRow(geometry, state.firstRow);
     const SubarrayId src_sa = event.firstSubarray;
     const SubarrayId dst_sa = event.secondSubarray;
@@ -1045,6 +1042,16 @@ Executor::applyNot(BankState &state, BankId bank,
     const std::uint64_t op_stream = beginNoiseEpoch();
     const int pair_load = (total + 1) / 2;
     const BitVector &shared = sharedColumnMask(src_sa, dst_sa);
+    const auto margin_at = [&](Region dstRegion, double coupling) {
+        NotContext ctx;
+        ctx.totalActivatedRows = total;
+        ctx.srcRegion = src_region;
+        ctx.dstRegion = dstRegion;
+        ctx.cond = {chip_.temperature(), coupling};
+        ctx.glitchGapNs = gapNs;
+        ctx.sequential = event.sets.sequential;
+        return model.notMargin(ctx);
+    };
 
     // Extra rows in the source subarray get the source value on every
     // column (their non-shared columns are latched by the stripe on
@@ -1084,17 +1091,8 @@ Executor::applyNot(BankState &state, BankId bank,
                  col < static_cast<ColId>(geometry.columns); ++col) {
                 if (t.sharedOnly && !columnShared(src_sa, dst_sa, col))
                     continue;
-                ComparisonContext ctx;
-                ctx.cellsPerSide = (total + 1) / 2;
-                ctx.glitchGapNs = gapNs;
-                ctx.couplingFraction = couplingFractionAt(pattern, col);
-                ctx.temperature = chip_.temperature();
-                ctx.sequential = event.sets.sequential;
-                ctx.regionMargin =
-                    analog.srcRegionMargin[static_cast<int>(
-                        src_region)] +
-                    analog.dstRegionMargin[static_cast<int>(t.region)];
-                const Volt margin = model.driveMarginMech(total, ctx);
+                const Volt margin =
+                    margin_at(t.region, couplingFractionAt(pattern, col));
                 const Volt offset =
                     model.staticOffset(bank, t.global, col, stripe);
                 const bool fail_struct = model.structuralFail(
@@ -1122,28 +1120,17 @@ Executor::applyNot(BankState &state, BankId bank,
         BitVector correct;
         for (const Target &t : targets) {
             const int side = t.sharedOnly ? 1 : 0;
-            const auto region = static_cast<int>(t.region);
             if (!sides[side]) {
                 sides[side].emplace(
                     chip_, bank, pair_load, op_stream,
                     std::array<StripeId, 2>{stripe, stripe},
                     t.sharedOnly ? shared : allColumnsMask());
             }
-            auto &slot = classified[side][region];
+            auto &slot = classified[side][static_cast<int>(t.region)];
             if (!slot) {
                 slot = sides[side]->classify(classMargins(
                     scratchClasses_, [&](double coupling) {
-                        ComparisonContext ctx;
-                        ctx.cellsPerSide = (total + 1) / 2;
-                        ctx.glitchGapNs = gapNs;
-                        ctx.couplingFraction = coupling;
-                        ctx.temperature = chip_.temperature();
-                        ctx.sequential = event.sets.sequential;
-                        ctx.regionMargin =
-                            analog.srcRegionMargin[static_cast<int>(
-                                src_region)] +
-                            analog.dstRegionMargin[region];
-                        return model.driveMarginMech(total, ctx);
+                        return margin_at(t.region, coupling);
                     }));
             }
             sides[side]->resolveRow(*slot, t.global, correct);
@@ -1170,7 +1157,6 @@ Executor::applyLogic(BankState &state, BankId bank,
     Bank &bank_ref = chip_.bank(bank);
     const GeometryConfig &geometry = chip_.geometry();
     const SuccessModel &model = chip_.model();
-    const AnalogParams &analog = chip_.profile().analog;
     const SubarrayId first_sa = event.firstSubarray;
     const SubarrayId second_sa = event.secondSubarray;
     const StripeId stripe = sharedStripe(first_sa, second_sa);
@@ -1183,9 +1169,9 @@ Executor::applyLogic(BankState &state, BankId bank,
     const int total = n_first + n_second;
     const std::uint64_t op_stream = beginNoiseEpoch();
 
-    // Representative regions: the first-activated (reference) side is
-    // indexed by the dst table, the second (compute) side by the src
-    // table, matching the analytic LogicContext convention.
+    // Representative regions of the first-activated (reference) and
+    // the second (compute) side, LogicContext's refRegion and
+    // comRegion.
     const Region ref_region = first_sub.regionFor(rf.localRow, stripe);
     const Region com_region =
         second_sub.regionFor(event.secondLocalRow, stripe);
@@ -1229,11 +1215,20 @@ Executor::applyLogic(BankState &state, BankId bank,
                            second_sub.regionFor(local, stripe),
                            !first_on_complement, true});
     }
-    const auto region_margin_of = [&](const Target &t) {
-        return analog.srcRegionMargin[static_cast<int>(
-                   t.secondSide ? t.own : com_region)] +
-               analog.dstRegionMargin[static_cast<int>(
-                   t.secondSide ? ref_region : t.own)];
+    // The sensed voltages fix the gate family, so the context's op
+    // only names the side a target row is read from: NAND/NOR read
+    // the reference rows, AND/OR the compute rows.
+    const auto margin_at = [&](const Target &t, ColId col,
+                               double coupling) {
+        LogicContext ctx;
+        ctx.op = t.onComplement ? BoolOp::Nand : BoolOp::And;
+        ctx.numInputs = pair_load;
+        ctx.comRegion = t.secondSide ? t.own : com_region;
+        ctx.refRegion = t.secondSide ? ref_region : t.own;
+        ctx.cond = {chip_.temperature(), coupling};
+        ctx.glitchGapNs = gapNs;
+        ctx.sensed = {first_volts[col], second_volts[col]};
+        return model.logicMargin(ctx);
     };
 
     if (scalar()) {
@@ -1250,16 +1245,8 @@ Executor::applyLogic(BankState &state, BankId bank,
                 const bool true_side_high =
                     first_on_complement ? v_second > v_first
                                         : v_first > v_second;
-                ComparisonContext ctx;
-                ctx.cellsPerSide = pair_load;
-                ctx.glitchGapNs = gapNs;
-                ctx.couplingFraction =
-                    couplingFractionAt(first_pattern, col);
-                ctx.temperature = chip_.temperature();
-                ctx.invertedSide = t.onComplement;
-                ctx.regionMargin = region_margin_of(t);
-                const Volt margin =
-                    model.comparisonMargin(v_first, v_second, ctx);
+                const Volt margin = margin_at(
+                    t, col, couplingFractionAt(first_pattern, col));
                 const Volt offset =
                     model.staticOffset(bank, t.global, col, stripe);
                 const bool fail_struct = model.structuralFail(
@@ -1299,16 +1286,8 @@ Executor::applyLogic(BankState &state, BankId bank,
             if (!slot) {
                 std::vector<Volt> margins(columns, 0.0);
                 forEachSetBit(shared, [&](ColId col) {
-                    ComparisonContext ctx;
-                    ctx.cellsPerSide = pair_load;
-                    ctx.glitchGapNs = gapNs;
-                    ctx.couplingFraction =
-                        couplingFractionOf(scratchClasses_[col]);
-                    ctx.temperature = chip_.temperature();
-                    ctx.invertedSide = t.onComplement;
-                    ctx.regionMargin = region_margin_of(t);
-                    margins[col] = model.comparisonMargin(
-                        first_volts[col], second_volts[col], ctx);
+                    margins[col] = margin_at(
+                        t, col, couplingFractionOf(scratchClasses_[col]));
                 });
                 slot = core.classify(std::move(margins));
             }

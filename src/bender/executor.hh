@@ -11,7 +11,10 @@
  *  - cross-subarray NOT (restored first ACT, neighboring subarrays),
  *  - cross-subarray N-input logic (charge-shared comparison).
  *
- * All stochastic outcomes draw from the chip's SuccessModel with
+ * Each op takes its margins from its one SuccessModel margin
+ * function (rowCloneMargin, majMargin, notMargin, logicMargin), fed
+ * with the voltages and the glitch gap the executor senses. All
+ * stochastic outcomes draw from the chip's SuccessModel with
  * counter-based noise: each draw is a pure function of
  * (trial stream, op epoch, row, col), so sampling is independent of
  * evaluation order. That makes two execution strategies bit-identical

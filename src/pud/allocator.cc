@@ -186,16 +186,14 @@ rowCloneSuccessProbabilities(const Chip &chip, BankId bank,
     if (set.size() != 2)
         return {};
 
-    // Mirror the executor's RowClone drive model (applyRowClone):
-    // the restored source overdrives the activated set.
     const SuccessModel &model = chip.model();
     const int total = static_cast<int>(set.size()) + 1;
-    ComparisonContext ctx;
-    ctx.cellsPerSide = total;
-    ctx.couplingFraction =
+    RowCloneContext ctx;
+    ctx.activatedRows = static_cast<int>(set.size());
+    ctx.cond.couplingFraction =
         marginCase == MarginCase::Worst ? 1.0 : 0.0;
-    ctx.temperature = temperature;
-    const Volt margin = model.driveMarginMech(total + 1, ctx);
+    ctx.cond.temperature = temperature;
+    const Volt margin = model.rowCloneMargin(ctx);
 
     std::vector<double> probabilities(
         static_cast<std::size_t>(geometry.columns), -1.0);

@@ -436,13 +436,14 @@ referenceRowCloneProbabilities(const Chip &chip, BankId bank,
     if (set.size() != 2)
         return {};
     const int total = 3;
-    ComparisonContext ctx;
-    ctx.cellsPerSide = total;
-    ctx.couplingFraction = marginCase == MarginCase::Worst ? 1.0 : 0.0;
-    ctx.temperature = temperature;
-    return referenceRowProbabilities(
-        chip, bank, dstGlobal,
-        chip.model().driveMarginMech(total + 1, ctx), (total + 1) / 2);
+    RowCloneContext ctx;
+    ctx.activatedRows = 2;
+    ctx.cond.couplingFraction =
+        marginCase == MarginCase::Worst ? 1.0 : 0.0;
+    ctx.cond.temperature = temperature;
+    return referenceRowProbabilities(chip, bank, dstGlobal,
+                                     chip.model().rowCloneMargin(ctx),
+                                     (total + 1) / 2);
 }
 
 std::vector<double>
