@@ -9,22 +9,6 @@
 namespace fcdram {
 
 std::uint64_t
-splitMix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-hashCombine(std::uint64_t a, std::uint64_t b)
-{
-    return splitMix64(a ^ (0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2) +
-                           splitMix64(b)));
-}
-
-std::uint64_t
 hashString(std::string_view text, std::uint64_t seed)
 {
     std::uint64_t hash = splitMix64(seed);
@@ -33,20 +17,6 @@ hashString(std::string_view text, std::uint64_t seed)
             hash, splitMix64(static_cast<unsigned char>(c)));
     }
     return hash;
-}
-
-double
-uniformFromHash(std::uint64_t key)
-{
-    // The +0.5 offset keeps the value strictly above 0; the top
-    // 53 bits of the key select the lattice point.
-    double u = (static_cast<double>(key >> 11) + 0.5) * 0x1.0p-53;
-    // (2^53 - 1) + 0.5 rounds up to 2^53, which would map to exactly
-    // 1.0 and blow up the normal quantile; clamp to the largest
-    // sub-1.0 lattice point instead.
-    if (u >= 1.0)
-        u = 1.0 - 0x1.0p-53;
-    return u;
 }
 
 double

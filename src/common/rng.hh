@@ -20,14 +20,28 @@ namespace fcdram {
 /**
  * SplitMix64 mixing step. Useful both as a seed expander and as a
  * cheap stateless hash for deterministic per-cell variation values.
+ * Inline, like hashCombine and uniformFromHash: every drawn cell of
+ * a word-parallel op calls them several times.
  *
  * @param x Input state/key.
  * @return Mixed 64-bit value.
  */
-std::uint64_t splitMix64(std::uint64_t x);
+inline std::uint64_t
+splitMix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
 
 /** Combine two 64-bit keys into one (order-sensitive). */
-std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b);
+inline std::uint64_t
+hashCombine(std::uint64_t a, std::uint64_t b)
+{
+    return splitMix64(a ^ (0x9e3779b97f4a7c15ULL + (b << 6) + (b >> 2) +
+                           splitMix64(b)));
+}
 
 /**
  * Deterministic 64-bit hash of a byte string (a hashCombine fold
@@ -43,7 +57,19 @@ std::uint64_t hashString(std::string_view text,
  * Stateless: the same key always yields the same value, so draws are
  * independent of evaluation order.
  */
-double uniformFromHash(std::uint64_t key);
+inline double
+uniformFromHash(std::uint64_t key)
+{
+    // The +0.5 offset keeps the value strictly above 0; the top
+    // 53 bits of the key select the lattice point.
+    double u = (static_cast<double>(key >> 11) + 0.5) * 0x1.0p-53;
+    // (2^53 - 1) + 0.5 rounds up to 2^53, which would map to exactly
+    // 1.0 and blow up the normal quantile; clamp to the largest
+    // sub-1.0 lattice point instead.
+    if (u >= 1.0)
+        u = 1.0 - 0x1.0p-53;
+    return u;
+}
 
 /**
  * Standard-normal deviate derived from a 64-bit hash key (uniform
