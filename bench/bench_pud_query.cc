@@ -20,7 +20,9 @@
  *    activate the fused shape (wide-gate fusion demonstrably pays).
  */
 
+#include <chrono>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "benchutil.hh"
@@ -352,41 +354,48 @@ main(int argc, char **argv)
         widePool.mkOr(wideCols),
     };
 
-    const auto runWide = [&](ExecMode mode, double &warmMsOut) {
+    // One service per executor mode. The cold submits pay compilation
+    // and placement; the warm submits measure the execution data plane
+    // alone. They alternate between the modes rep by rep, so host load
+    // falls on both sides alike, and each side keeps its best of 3 to
+    // reject scheduler noise from the timed ratio.
+    const ExecMode wideModes[2] = {ExecMode::WordParallel,
+                                   ExecMode::ScalarReference};
+    std::unique_ptr<QueryService> wideServices[2];
+    std::vector<BoundQuery> wideBatches[2];
+    for (int side = 0; side < 2; ++side) {
         EngineOptions wideOptions = options;
-        wideOptions.execMode = mode;
-        QueryService wideService(wideSession, wideOptions);
-        std::vector<BoundQuery> wideBatch;
+        wideOptions.execMode = wideModes[side];
+        wideServices[side] =
+            std::make_unique<QueryService>(wideSession, wideOptions);
+        QueryService &wideService = *wideServices[side];
         for (const ExprId root : wideQueries) {
-            wideBatch.push_back(
+            wideBatches[side].push_back(
                 wideService.prepare(widePool, root).bindSeeded());
         }
-        // Cold submit pays compilation + placement; the warm submits
-        // measure the execution data plane alone. Best-of-3 rejects
-        // scheduler noise from the timed ratio.
-        wideService.collect(wideService.submit(wideBatch, wideModule));
-        warmMsOut = 0.0;
-        BatchQueryResult result;
-        for (int rep = 0; rep < 3; ++rep) {
+        wideService.collect(
+            wideService.submit(wideBatches[side], wideModule));
+    }
+    BatchQueryResult wideResults[2];
+    double wideMs[2] = {0.0, 0.0};
+    for (int rep = 0; rep < 3; ++rep) {
+        for (int side = 0; side < 2; ++side) {
+            QueryService &wideService = *wideServices[side];
             const auto start = std::chrono::steady_clock::now();
-            result = wideService.collect(
-                wideService.submit(wideBatch, wideModule));
+            wideResults[side] = wideService.collect(
+                wideService.submit(wideBatches[side], wideModule));
             const double ms =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-            if (rep == 0 || ms < warmMsOut)
-                warmMsOut = ms;
+            if (rep == 0 || ms < wideMs[side])
+                wideMs[side] = ms;
         }
-        return result;
-    };
-
-    double wideWordMs = 0.0;
-    double wideScalarMs = 0.0;
-    const BatchQueryResult wideWord =
-        runWide(ExecMode::WordParallel, wideWordMs);
-    const BatchQueryResult wideScalar =
-        runWide(ExecMode::ScalarReference, wideScalarMs);
+    }
+    const BatchQueryResult &wideWord = wideResults[0];
+    const BatchQueryResult &wideScalar = wideResults[1];
+    const double wideWordMs = wideMs[0];
+    const double wideScalarMs = wideMs[1];
 
     bool wideIdentical = true;
     for (std::size_t q = 0; q < wideQueries.size(); ++q) {
