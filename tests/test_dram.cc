@@ -5,7 +5,6 @@
 #include "dram/bank.hh"
 #include "dram/cellarray.hh"
 #include "dram/chip.hh"
-#include "dram/module.hh"
 #include "dram/openbitline.hh"
 #include "dram/subarray.hh"
 #include "testutil.hh"
@@ -228,31 +227,6 @@ TEST(Chip, TemperatureMutable)
     Chip chip(test::idealProfile(), GeometryConfig::tiny(), 3);
     chip.setTemperature(80.0);
     EXPECT_DOUBLE_EQ(chip.temperature(), 80.0);
-}
-
-TEST(Module, LockStepChipsDifferBySeed)
-{
-    const Module module(test::idealProfile(), GeometryConfig::tiny(),
-                        11, 4);
-    EXPECT_EQ(module.numChips(), 4);
-    EXPECT_NE(module.chip(0).seed(), module.chip(1).seed());
-}
-
-TEST(Module, FromSpec)
-{
-    const ModuleSpec spec = table1Fleet().front();
-    const Module module =
-        Module::fromSpec(spec, GeometryConfig::tiny(), 1, 2);
-    EXPECT_EQ(module.profile().manufacturer, spec.manufacturer);
-    EXPECT_EQ(module.numChips(), 2);
-}
-
-TEST(Module, TemperatureBroadcast)
-{
-    Module module(test::idealProfile(), GeometryConfig::tiny(), 11, 3);
-    module.setTemperature(70.0);
-    for (int i = 0; i < module.numChips(); ++i)
-        EXPECT_DOUBLE_EQ(module.chip(i).temperature(), 70.0);
 }
 
 } // namespace

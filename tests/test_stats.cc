@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/table.hh"
-#include "stats/histogram.hh"
 #include "stats/successrate.hh"
 #include "stats/summary.hh"
 
@@ -64,71 +63,6 @@ TEST(BoxStats, ToStringContainsMean)
     set.add(4.0);
     const std::string s = set.box().toString();
     EXPECT_NE(s.find("3.00"), std::string::npos);
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-100.0); // clamps to first bin
-    h.add(100.0);  // clamps to last bin
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinCenters)
-{
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binCenter(9), 9.5);
-}
-
-TEST(Histogram, Fractions)
-{
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.1);
-    h.add(0.2);
-    h.add(0.8);
-    EXPECT_NEAR(h.binFraction(0), 2.0 / 3.0, 1e-12);
-    EXPECT_NEAR(h.binFraction(1), 1.0 / 3.0, 1e-12);
-}
-
-TEST(Histogram, QuantileUniformDistribution)
-{
-    Histogram h(0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.add(static_cast<double>(i) + 0.5);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 50.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.95), 95.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
-    // Out-of-range q clamps.
-    EXPECT_DOUBLE_EQ(h.quantile(-1.0), h.quantile(0.0));
-    EXPECT_DOUBLE_EQ(h.quantile(2.0), h.quantile(1.0));
-}
-
-TEST(Histogram, QuantileSkewedAndEmpty)
-{
-    const Histogram empty(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-
-    // All mass in one bin interpolates inside that bin.
-    Histogram point(0.0, 10.0, 10);
-    for (int i = 0; i < 4; ++i)
-        point.add(5.5);
-    EXPECT_DOUBLE_EQ(point.quantile(0.5), 5.5);
-    EXPECT_DOUBLE_EQ(point.quantile(1.0), 6.0);
-
-    // Heavy tail: 90 low samples, 10 high — p99 lands in the top bin.
-    Histogram skew(0.0, 100.0, 10);
-    for (int i = 0; i < 90; ++i)
-        skew.add(1.0);
-    for (int i = 0; i < 10; ++i)
-        skew.add(95.0);
-    EXPECT_DOUBLE_EQ(skew.quantile(0.5), 50.0 / 9.0);
-    EXPECT_DOUBLE_EQ(skew.quantile(0.99), 99.0);
 }
 
 TEST(SuccessRate, PerCellAccounting)
