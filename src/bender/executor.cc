@@ -1217,11 +1217,13 @@ Executor::applyLogic(BankState &state, BankId bank,
     }
     // The sensed voltages fix the gate family, so the context's op
     // only names the side a target row is read from: NAND/NOR read
-    // the reference rows, AND/OR the compute rows.
+    // the reference (first-activated) rows, which take the
+    // inverted-side penalty, and AND/OR the compute rows. The ideal
+    // bit still follows the terminal.
     const auto margin_at = [&](const Target &t, ColId col,
                                double coupling) {
         LogicContext ctx;
-        ctx.op = t.onComplement ? BoolOp::Nand : BoolOp::And;
+        ctx.op = t.secondSide ? BoolOp::And : BoolOp::Nand;
         ctx.numInputs = pair_load;
         ctx.comRegion = t.secondSide ? t.own : com_region;
         ctx.refRegion = t.secondSide ? ref_region : t.own;

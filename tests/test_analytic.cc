@@ -5,11 +5,15 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dram/address.hh"
 #include "dram/openbitline.hh"
 #include "fcdram/analytic.hh"
+#include "fcdram/golden.hh"
 #include "fcdram/ops.hh"
+#include "fcdram/session.hh"
 #include "pud/allocator.hh"
 #include "stats/summary.hh"
 #include "testutil.hh"
@@ -965,6 +969,72 @@ TEST(EngineAgreementLogic, TwoInputAndMatches)
         ASSERT_GT(result.computeCells.numCells(), 0u);
         EXPECT_NEAR(result.computeCells.averageSuccessPercent(),
                     analytic_mean, 8.0);
+    }
+}
+
+TEST(EngineAgreementLogic, InvertedSidePenaltyFallsOnReferenceRows)
+{
+    // A 1 V inverted-side penalty on an otherwise ideal chip: the
+    // analytic engine charges it to the reference rows, which read
+    // NAND/NOR, so P(AND) = 1 and P(NAND) = 0. The executor must
+    // agree in both modes: every shared column's compute row reads
+    // the golden AND, and its reference row the wrong NAND value.
+    ChipProfile profile = test::idealProfile();
+    profile.analog.invertedSidePenalty = 1.0;
+    const GeometryConfig geometry = test::tinyGeometry();
+    const Chip pristine(profile, geometry, 5);
+    const auto pairs = findQualifyingPairs(
+        pristine, PairContext{0, 0}, PairQuery::square(2), 2000, 1, 41);
+    ASSERT_FALSE(pairs.empty());
+    const auto [ref_anchor, com_anchor] = pairs.front();
+    const ActivationSets sets = pristine.decoder().neighborActivation(
+        decomposeRow(geometry, ref_anchor).localRow,
+        decomposeRow(geometry, com_anchor).localRow);
+    std::vector<RowId> ref_rows;
+    std::vector<RowId> com_rows;
+    for (const RowId local : sets.firstRows)
+        ref_rows.push_back(composeRow(geometry, 0, local));
+    for (const RowId local : sets.secondRows)
+        com_rows.push_back(composeRow(geometry, 1, local));
+
+    AnalyticConfig config;
+    config.sampleBinomial = false;
+    const AnalyticAnalyzer analytic(pristine, config);
+    for (const auto &[op, probability] :
+         {std::pair{BoolOp::And, 1.0}, std::pair{BoolOp::Nand, 0.0}}) {
+        const auto samples =
+            analytic.logicSamples(0, op, ref_anchor, com_anchor,
+                                  OpConditions(), PatternClass::Random);
+        ASSERT_FALSE(samples.empty());
+        for (const CellSample &sample : samples)
+            EXPECT_NEAR(sample.probability, probability, 1e-12);
+    }
+
+    Rng rng(43);
+    std::vector<BitVector> operands;
+    for (std::size_t i = 0; i < com_rows.size(); ++i) {
+        BitVector operand(static_cast<std::size_t>(geometry.columns));
+        operand.randomize(rng);
+        operands.push_back(operand);
+    }
+    const BitVector golden = goldenAnd(operands);
+    for (const ExecMode mode :
+         {ExecMode::WordParallel, ExecMode::ScalarReference}) {
+        Chip chip(profile, geometry, 5);
+        DramBender bender(chip, 47, mode);
+        Ops ops(bender);
+        ASSERT_TRUE(ops.initReference(0, BoolOp::And, ref_rows));
+        for (std::size_t i = 0; i < com_rows.size(); ++i)
+            bender.writeRow(0, com_rows[i], operands[i]);
+        const LogicOpResult result = ops.executeLogic(
+            0, BoolOp::And, ref_anchor, com_anchor, ref_rows, com_rows);
+        ASSERT_FALSE(result.columns.empty());
+        for (const ColId col : result.columns) {
+            EXPECT_EQ(result.computeResult.get(col), golden.get(col))
+                << "compute col " << col;
+            EXPECT_EQ(result.referenceResult.get(col), golden.get(col))
+                << "reference col " << col;
+        }
     }
 }
 
