@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 #include <map>
-#include <tuple>
 #include <utility>
 
 #include "analog/chargesharing.hh"
@@ -165,7 +164,8 @@ SuccessModel::logicMargin(const LogicContext &ctx) const
     Volt v_ref = 0.0;
     Volt v_com = 0.0;
     if (ctx.sensed) {
-        std::tie(v_ref, v_com) = *ctx.sensed;
+        v_ref = ctx.sensed->first;
+        v_com = ctx.sensed->second;
     } else {
         assert(ctx.numInputs >= 2);
         assert(ctx.numOnes >= 0 && ctx.numOnes <= ctx.numInputs);

@@ -178,10 +178,10 @@ class SuccessModel
     static bool expectedOutput(BoolOp op, int numInputs, int numOnes);
 
     /**
-     * The four op margins (V), the only public ones: each maps its
-     * op onto the sense-amplifier mechanism. The executor, the
-     * analytic engine and the PuD allocator (and through its
-     * probabilities the certifier) all call these.
+     * The four op margins (V). Each maps its op onto the
+     * sense-amplifier mechanism; the executor, the analytic engine
+     * and the PuD allocator (and through its probabilities the
+     * certifier) call only these.
      */
     Volt notMargin(const NotContext &ctx) const;
     Volt rowCloneMargin(const RowCloneContext &ctx) const;
