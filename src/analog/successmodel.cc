@@ -59,9 +59,6 @@ struct ComparisonContext
 
     /** The cell reads the inverted (reference) side (comparison only). */
     bool invertedSide = false;
-
-    /** Sequential (Samsung-style) activation: no latch penalty. */
-    bool sequential = false;
 };
 
 /** Coupling + temperature + (conditional) latch-window penalty. */
@@ -75,7 +72,7 @@ environmentPenalty(const ChipProfile &profile,
     // The sequential (Samsung-style) two-row activation does not rely
     // on the decoder latch glitch, so the quantized-gap penalty only
     // applies to simultaneous activation designs.
-    if (!ctx.sequential && !profile.decoder.sequentialNeighborOnly) {
+    if (!profile.decoder.sequentialNeighborOnly) {
         if (ctx.glitchGapNs >= 0.0)
             penalty += latchWindowPenalty(analog, ctx.glitchGapNs);
         else
@@ -144,7 +141,6 @@ SuccessModel::notMargin(const NotContext &ctx) const
         analog.srcRegionMargin[static_cast<int>(ctx.srcRegion)] +
         analog.dstRegionMargin[static_cast<int>(ctx.dstRegion)];
     mech.cond = ctx.cond;
-    mech.sequential = ctx.sequential;
     return driveMarginMech(profile_, ctx.totalActivatedRows, mech);
 }
 

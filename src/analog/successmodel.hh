@@ -76,12 +76,6 @@ struct NotContext
      * negative takes the speed grade's quantized target.
      */
     Ns glitchGapNs = -1.0;
-
-    /**
-     * Executor only: a sequential (Samsung-style) activation, which
-     * takes no latch-window penalty.
-     */
-    bool sequential = false;
 };
 
 /**

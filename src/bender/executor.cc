@@ -1049,7 +1049,6 @@ Executor::applyNot(BankState &state, BankId bank,
         ctx.dstRegion = dstRegion;
         ctx.cond = {chip_.temperature(), coupling};
         ctx.glitchGapNs = gapNs;
-        ctx.sequential = event.sets.sequential;
         return model.notMargin(ctx);
     };
 
