@@ -3,7 +3,11 @@
 #include <functional>
 #include <tuple>
 
+#include "analog/coupling.hh"
+#include "analog/drive.hh"
+#include "analog/latchwindow.hh"
 #include "analog/successmodel.hh"
+#include "analog/temperature.hh"
 #include "common/rng.hh"
 #include "dram/address.hh"
 #include "dram/openbitline.hh"
@@ -97,6 +101,32 @@ TEST(SuccessModel, CouplingReducesMargin)
     NotContext random = fixed;
     random.cond.couplingFraction = 0.5;
     EXPECT_GT(model.notMargin(fixed), model.notMargin(random));
+}
+
+TEST(SuccessModel, RowCloneLoadsActivatedRowsPlusTwo)
+{
+    // The restored source drives k activated rows as a load of k + 2
+    // rows; rebuild that margin from the drive and penalty terms.
+    const ChipProfile profile = defaultProfile();
+    const AnalogParams &analog = profile.analog;
+    const SuccessModel model(profile, 1);
+    const OpConditions cond;
+    for (const int k : {1, 2}) {
+        RowCloneContext ctx;
+        ctx.activatedRows = k;
+        const Volt expected =
+            analog.marginScale * notDriveMargin(analog, k + 2) -
+            couplingPenalty(analog, cond.couplingFraction) -
+            temperaturePenalty(analog, cond.temperature) -
+            latchWindowPenalty(analog, profile.speed);
+        EXPECT_NEAR(model.rowCloneMargin(ctx), expected, 1e-12) << k;
+        // A load off by one row would move the margin far past that.
+        EXPECT_GT(analog.marginScale *
+                      (notDriveMargin(analog, k + 2) -
+                       notDriveMargin(analog, k + 3)),
+                  1e-6)
+            << k;
+    }
 }
 
 TEST(SuccessModel, LogicWorstCasesAtBoundary)
