@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 #include "analog/successmodel.hh"
 #include "dram/address.hh"
 #include "dram/bank.hh"
 #include "dram/openbitline.hh"
 #include "dram/subarray.hh"
-#include "fcdram/analytic.hh"
 #include "fcdram/ops.hh"
 #include "fcdram/reliablemask.hh"
 
@@ -64,6 +64,65 @@ thresholdMask(const std::vector<double> &probabilities,
     return mask;
 }
 
+/**
+ * The conditions a margin case pins: full neighbor-bitline
+ * disagreement for Worst, none for Best, at the temperature the run
+ * will execute at.
+ */
+OpConditions
+conditionsFor(MarginCase marginCase, Celsius temperature)
+{
+    OpConditions cond;
+    cond.couplingFraction = marginCase == MarginCase::Worst ? 1.0 : 0.0;
+    cond.temperature = temperature;
+    return cond;
+}
+
+/**
+ * The one measured-row evaluation behind the four probability
+ * vectors: each of @p columns of the executor's measured row
+ * @p measuredGlobal succeeds with the cell probability at @p margin;
+ * columns outside @p columns hold -1.0.
+ */
+std::vector<double>
+measuredRowProbabilities(const Chip &chip, BankId bank,
+                         const std::vector<ColId> &columns,
+                         const std::function<StripeId(ColId)> &stripeOf,
+                         int rowPairLoad, RowId measuredGlobal,
+                         Volt margin)
+{
+    const SuccessModel &model = chip.model();
+    std::vector<double> probabilities(
+        static_cast<std::size_t>(chip.geometry().columns), -1.0);
+    const ColumnVariation statics(model, bank, columns, stripeOf,
+                                  rowPairLoad);
+    statics.forEachCell(measuredGlobal,
+                        [&](const auto &column, Volt offset) {
+        probabilities[column.col] = model.cellSuccessProbability(
+            margin, offset, column.structFail);
+    });
+    return probabilities;
+}
+
+/** Ranking key: the reliable density a slot offers. */
+double
+density(const GateSlot &slot)
+{
+    return slot.score();
+}
+
+double
+density(const NotSlot &slot)
+{
+    return ReliableMask::maskDensity(slot.mask);
+}
+
+double
+density(const MajSlot &slot)
+{
+    return ReliableMask::maskDensity(slot.mask);
+}
+
 } // namespace
 
 std::vector<double>
@@ -80,40 +139,28 @@ logicSuccessProbabilities(const Chip &chip, BankId bank, BoolOp op,
         return {};
     const int n = sets.nrl();
 
-    const SuccessModel &model = chip.model();
     const Bank &bankRef = chip.bank(bank);
     const StripeId stripe = sharedStripe(ref.subarray, com.subarray);
-    const auto columns =
-        sharedColumns(geometry, ref.subarray, com.subarray);
 
     // The executor reads the first row of the measured side, so the
     // probabilities cover exactly that row's cells.
     const bool measureRef = isInvertedOp(op);
     const auto &rows = measureRef ? sets.firstRows : sets.secondRows;
     const SubarrayId rowSa = measureRef ? ref.subarray : com.subarray;
-    const Subarray &rowSub = bankRef.subarray(rowSa);
     const RowId measured = rows.front();
 
     LogicContext ctx;
     ctx.op = op;
     ctx.numInputs = n;
-    // Worst: full neighbor-bitline disagreement; Best: none.
-    ctx.cond.couplingFraction =
-        marginCase == MarginCase::Worst ? 1.0 : 0.0;
-    // Trust columns at the temperature the run will execute at.
-    ctx.cond.temperature = temperature;
-    const Region own = rowSub.regionFor(measured, stripe);
+    ctx.cond = conditionsFor(marginCase, temperature);
+    const Region own =
+        bankRef.subarray(rowSa).regionFor(measured, stripe);
     const Region refRep = bankRef.subarray(ref.subarray)
                               .regionFor(ref.localRow, stripe);
     const Region comRep = bankRef.subarray(com.subarray)
                               .regionFor(com.localRow, stripe);
-    if (measureRef) {
-        ctx.refRegion = own;
-        ctx.comRegion = comRep;
-    } else {
-        ctx.comRegion = own;
-        ctx.refRegion = refRep;
-    }
+    ctx.refRegion = measureRef ? own : refRep;
+    ctx.comRegion = measureRef ? comRep : own;
 
     // The sensing margin depends on how many operand rows carry
     // logic-1 at a column; a deployment mask must hold for every
@@ -122,7 +169,7 @@ logicSuccessProbabilities(const Chip &chip, BankId bank, BoolOp op,
     Volt extremeMargin = 0.0;
     for (int k = 0; k <= n; ++k) {
         ctx.numOnes = k;
-        const Volt margin = model.logicMargin(ctx);
+        const Volt margin = chip.model().logicMargin(ctx);
         if (k == 0)
             extremeMargin = margin;
         else if (marginCase == MarginCase::Worst)
@@ -130,17 +177,10 @@ logicSuccessProbabilities(const Chip &chip, BankId bank, BoolOp op,
         else
             extremeMargin = std::max(extremeMargin, margin);
     }
-
-    std::vector<double> probabilities(
-        static_cast<std::size_t>(geometry.columns), -1.0);
-    const RowId global = composeRow(geometry, rowSa, measured);
-    const ColumnVariation statics(
-        model, bank, columns, [stripe](ColId) { return stripe; }, n);
-    statics.forEachCell(global, [&](const auto &column, Volt offset) {
-        probabilities[column.col] = model.cellSuccessProbability(
-            extremeMargin, offset, column.structFail);
-    });
-    return probabilities;
+    return measuredRowProbabilities(
+        chip, bank, sharedColumns(geometry, ref.subarray, com.subarray),
+        [stripe](ColId) { return stripe; }, n,
+        composeRow(geometry, rowSa, measured), extremeMargin);
 }
 
 std::vector<double>
@@ -148,28 +188,31 @@ notSuccessProbabilities(const Chip &chip, BankId bank, RowId srcGlobal,
                         RowId dstGlobal, Celsius temperature,
                         MarginCase marginCase)
 {
-    AnalyticConfig config;
-    config.sampleBinomial = false;
-    const AnalyticAnalyzer analyzer(chip, config);
-    OpConditions cond;
-    cond.couplingFraction =
-        marginCase == MarginCase::Worst ? 1.0 : 0.0;
-    cond.temperature = temperature;
-    const auto samples =
-        analyzer.notSamples(bank, srcGlobal, dstGlobal, cond);
-    if (samples.empty())
-        return {};
     const GeometryConfig &geometry = chip.geometry();
+    const RowAddress src = decomposeRow(geometry, srcGlobal);
+    const RowAddress dst = decomposeRow(geometry, dstGlobal);
+    const ActivationSets sets =
+        chip.decoder().neighborActivation(src.localRow, dst.localRow);
+    if (!sets.simultaneous && !sets.sequential)
+        return {};
+
     // The executor reads the first destination row of the activation.
-    const RowId measured = samples.front().rowLocal;
-    std::vector<double> probabilities(
-        static_cast<std::size_t>(geometry.columns), -1.0);
-    for (const CellSample &sample : samples) {
-        if (sample.rowLocal != measured)
-            continue;
-        probabilities[sample.col] = sample.probability;
-    }
-    return probabilities;
+    const Bank &bankRef = chip.bank(bank);
+    const StripeId stripe = sharedStripe(src.subarray, dst.subarray);
+    const RowId measured = sets.secondRows.front();
+    const int total = sets.nrf() + sets.nrl();
+    NotContext ctx;
+    ctx.totalActivatedRows = total;
+    ctx.srcRegion = bankRef.subarray(src.subarray)
+                        .regionFor(src.localRow, stripe);
+    ctx.dstRegion =
+        bankRef.subarray(dst.subarray).regionFor(measured, stripe);
+    ctx.cond = conditionsFor(marginCase, temperature);
+    return measuredRowProbabilities(
+        chip, bank, sharedColumns(geometry, src.subarray, dst.subarray),
+        [stripe](ColId) { return stripe; }, (total + 1) / 2,
+        composeRow(geometry, dst.subarray, measured),
+        chip.model().notMargin(ctx));
 }
 
 std::vector<double>
@@ -186,26 +229,14 @@ rowCloneSuccessProbabilities(const Chip &chip, BankId bank,
     if (set.size() != 2)
         return {};
 
-    const SuccessModel &model = chip.model();
     const int total = static_cast<int>(set.size()) + 1;
     RowCloneContext ctx;
     ctx.activatedRows = static_cast<int>(set.size());
-    ctx.cond.couplingFraction =
-        marginCase == MarginCase::Worst ? 1.0 : 0.0;
-    ctx.cond.temperature = temperature;
-    const Volt margin = model.rowCloneMargin(ctx);
-
-    std::vector<double> probabilities(
-        static_cast<std::size_t>(geometry.columns), -1.0);
-    const ColumnVariation statics(
-        model, bank, allColumns(geometry),
+    ctx.cond = conditionsFor(marginCase, temperature);
+    return measuredRowProbabilities(
+        chip, bank, allColumns(geometry),
         [&](ColId col) { return stripeFor(dst.subarray, col); },
-        (total + 1) / 2);
-    statics.forEachCell(dstGlobal, [&](const auto &column, Volt offset) {
-        probabilities[column.col] = model.cellSuccessProbability(
-            margin, offset, column.structFail);
-    });
-    return probabilities;
+        (total + 1) / 2, dstGlobal, chip.model().rowCloneMargin(ctx));
 }
 
 std::vector<double>
@@ -227,9 +258,7 @@ majSuccessProbabilities(const Chip &chip, BankId bank, RowId rfGlobal,
     MajContext ctx;
     ctx.activatedRows = activatedRows;
     ctx.neutralCells = 1;
-    ctx.cond.couplingFraction =
-        marginCase == MarginCase::Worst ? 1.0 : 0.0;
-    ctx.cond.temperature = temperature;
+    ctx.cond = conditionsFor(marginCase, temperature);
     Volt margin = 0.0;
     if (marginCase == MarginCase::Worst) {
         // The deciding vote of any hosted gate is one cell; the
@@ -246,66 +275,11 @@ majSuccessProbabilities(const Chip &chip, BankId bank, RowId rfGlobal,
             margin = k == 0 ? candidate : std::max(margin, candidate);
         }
     }
-
-    const RowId measured = set.front();
-    const RowId global = composeRow(geometry, rf.subarray, measured);
-    const int pair_load = (activatedRows + 1) / 2;
-    std::vector<double> probabilities(
-        static_cast<std::size_t>(geometry.columns), -1.0);
-    const ColumnVariation statics(
-        model, bank, allColumns(geometry),
+    return measuredRowProbabilities(
+        chip, bank, allColumns(geometry),
         [&](ColId col) { return stripeFor(rf.subarray, col); },
-        pair_load);
-    statics.forEachCell(global, [&](const auto &column, Volt offset) {
-        probabilities[column.col] = model.cellSuccessProbability(
-            margin, offset, column.structFail);
-    });
-    return probabilities;
-}
-
-BitVector
-worstCaseLogicMask(const Chip &chip, BankId bank, BoolOp op,
-                   RowId refGlobal, RowId comGlobal,
-                   double thresholdPercent, Celsius temperature)
-{
-    return thresholdMask(
-        logicSuccessProbabilities(chip, bank, op, refGlobal, comGlobal,
-                                  temperature, MarginCase::Worst),
-        thresholdPercent);
-}
-
-BitVector
-worstCaseNotMask(const Chip &chip, BankId bank, RowId srcGlobal,
-                 RowId dstGlobal, double thresholdPercent,
-                 Celsius temperature)
-{
-    return thresholdMask(
-        notSuccessProbabilities(chip, bank, srcGlobal, dstGlobal,
-                                temperature, MarginCase::Worst),
-        thresholdPercent);
-}
-
-BitVector
-worstCaseRowCloneMask(const Chip &chip, BankId bank, RowId srcGlobal,
-                      RowId dstGlobal, double thresholdPercent,
-                      Celsius temperature)
-{
-    return thresholdMask(
-        rowCloneSuccessProbabilities(chip, bank, srcGlobal, dstGlobal,
-                                     temperature, MarginCase::Worst),
-        thresholdPercent);
-}
-
-BitVector
-worstCaseMajMask(const Chip &chip, BankId bank, RowId rfGlobal,
-                 RowId rlGlobal, int activatedRows,
-                 double thresholdPercent, Celsius temperature)
-{
-    return thresholdMask(
-        majSuccessProbabilities(chip, bank, rfGlobal, rlGlobal,
-                                activatedRows, temperature,
-                                MarginCase::Worst),
-        thresholdPercent);
+        (activatedRows + 1) / 2,
+        composeRow(geometry, rf.subarray, set.front()), margin);
 }
 
 RowAllocator::RowAllocator(const FleetSession &session,
@@ -360,12 +334,15 @@ RowAllocator::discover(const PairContext &context,
                                options_.candidatePairsPerWidth, seed);
 }
 
-const std::vector<GateSlot> &
-RowAllocator::gateSlots(int width) const
+template <class Slot, class Build>
+const std::vector<Slot> &
+RowAllocator::rankSlots(std::map<int, std::vector<Slot>> &cache,
+                        int key, const PairQuery &query,
+                        const Build &build) const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto cached = slotsByWidth_.find(width);
-    if (cached != slotsByWidth_.end())
+    const auto cached = cache.find(key);
+    if (cached != cache.end())
         return cached->second;
 
     if (contexts_.empty()) {
@@ -374,74 +351,19 @@ RowAllocator::gateSlots(int width) const
                         : directContexts();
     }
 
-    const GeometryConfig &geometry = chip_->geometry();
-    const PairQuery query = PairQuery::square(width);
-    std::vector<GateSlot> slots;
+    std::vector<Slot> slots;
+    const auto full = [&] {
+        return static_cast<int>(slots.size()) >=
+               options_.candidatePairsPerWidth;
+    };
     for (const PairContext &context : contexts_) {
-        if (static_cast<int>(slots.size()) >=
-            options_.candidatePairsPerWidth)
+        if (full())
             break;
-        for (const auto &[refAnchor, comAnchor] :
-             discover(context, query)) {
-            if (static_cast<int>(slots.size()) >=
-                options_.candidatePairsPerWidth)
+        for (const auto &[first, second] : discover(context, query)) {
+            if (full())
                 break;
-            const RowAddress ref = decomposeRow(geometry, refAnchor);
-            const RowAddress com = decomposeRow(geometry, comAnchor);
-            const ActivationSets sets =
-                chip_->decoder().neighborActivation(ref.localRow,
-                                                    com.localRow);
-            GateSlot slot;
-            slot.context = context;
-            slot.refAnchor = refAnchor;
-            slot.comAnchor = comAnchor;
-            slot.width = width;
-            for (const RowId local : sets.firstRows) {
-                slot.refRows.push_back(
-                    composeRow(geometry, ref.subarray, local));
-            }
-            for (const RowId local : sets.secondRows) {
-                slot.computeRows.push_back(
-                    composeRow(geometry, com.subarray, local));
-            }
-            // Staging rows for RowClone copy-in, pairwise disjoint
-            // and clear of the activation set.
-            std::vector<RowId> avoid;
-            for (const RowId local : sets.secondRows)
-                avoid.push_back(local);
-            const double threshold = options_.maskThresholdPercent;
-            // Staging donors share the fracInit XOR-flip search.
-            for (const RowId local : sets.secondRows) {
-                const RowId donor =
-                    findPairActivatingDonor(*chip_, local, avoid);
-                if (donor == kInvalidRow) {
-                    slot.stagingRows.push_back(kInvalidRow);
-                    slot.stagingMasks.emplace_back();
-                    continue;
-                }
-                avoid.push_back(donor);
-                const RowId donorGlobal =
-                    composeRow(geometry, com.subarray, donor);
-                const RowId targetGlobal =
-                    composeRow(geometry, com.subarray, local);
-                slot.stagingRows.push_back(donorGlobal);
-                slot.stagingMasks.push_back(worstCaseRowCloneMask(
-                    *chip_, context.bank, donorGlobal, targetGlobal,
-                    threshold, temperature_));
-            }
-            slot.andMask = worstCaseLogicMask(
-                *chip_, context.bank, BoolOp::And, refAnchor,
-                comAnchor, threshold, temperature_);
-            slot.orMask = worstCaseLogicMask(
-                *chip_, context.bank, BoolOp::Or, refAnchor,
-                comAnchor, threshold, temperature_);
-            slot.nandMask = worstCaseLogicMask(
-                *chip_, context.bank, BoolOp::Nand, refAnchor,
-                comAnchor, threshold, temperature_);
-            slot.norMask = worstCaseLogicMask(
-                *chip_, context.bank, BoolOp::Nor, refAnchor,
-                comAnchor, threshold, temperature_);
-            slots.push_back(std::move(slot));
+            if (std::optional<Slot> slot = build(context, first, second))
+                slots.push_back(std::move(*slot));
         }
     }
 
@@ -449,119 +371,124 @@ RowAllocator::gateSlots(int width) const
     // plus the deterministic candidate order keeps placement
     // reproducible across runs and worker counts.
     std::stable_sort(slots.begin(), slots.end(),
-                     [](const GateSlot &a, const GateSlot &b) {
-                         return a.score() > b.score();
+                     [](const Slot &a, const Slot &b) {
+                         return density(a) > density(b);
                      });
     if (static_cast<int>(slots.size()) > options_.slotsPerWidth)
         slots.resize(static_cast<std::size_t>(options_.slotsPerWidth));
-    return slotsByWidth_.emplace(width, std::move(slots))
-        .first->second;
+    return cache.emplace(key, std::move(slots)).first->second;
+}
+
+const std::vector<GateSlot> &
+RowAllocator::gateSlots(int width) const
+{
+    const GeometryConfig &geometry = chip_->geometry();
+    const auto build = [&](const PairContext &context, RowId refAnchor,
+                           RowId comAnchor) -> std::optional<GateSlot> {
+        const RowAddress ref = decomposeRow(geometry, refAnchor);
+        const RowAddress com = decomposeRow(geometry, comAnchor);
+        const ActivationSets sets =
+            chip_->decoder().neighborActivation(ref.localRow,
+                                                com.localRow);
+        GateSlot slot;
+        slot.context = context;
+        slot.refAnchor = refAnchor;
+        slot.comAnchor = comAnchor;
+        slot.width = width;
+        for (const RowId local : sets.firstRows)
+            slot.refRows.push_back(composeRow(geometry, ref.subarray, local));
+        for (const RowId local : sets.secondRows) {
+            slot.computeRows.push_back(
+                composeRow(geometry, com.subarray, local));
+        }
+        // Staging rows for RowClone copy-in, pairwise disjoint and
+        // clear of the activation set; donors share the fracInit
+        // XOR-flip search.
+        std::vector<RowId> avoid(sets.secondRows);
+        for (const RowId local : sets.secondRows) {
+            const RowId donor =
+                findPairActivatingDonor(*chip_, local, avoid);
+            if (donor == kInvalidRow) {
+                slot.stagingRows.push_back(kInvalidRow);
+                slot.stagingMasks.emplace_back();
+                continue;
+            }
+            avoid.push_back(donor);
+            const RowId donorGlobal =
+                composeRow(geometry, com.subarray, donor);
+            slot.stagingRows.push_back(donorGlobal);
+            slot.stagingMasks.push_back(thresholdMask(
+                rowCloneSuccessProbabilities(
+                    *chip_, context.bank, donorGlobal,
+                    composeRow(geometry, com.subarray, local),
+                    temperature_, MarginCase::Worst),
+                options_.maskThresholdPercent));
+        }
+        const auto logicMask = [&](BoolOp op) {
+            return thresholdMask(
+                logicSuccessProbabilities(*chip_, context.bank, op,
+                                          refAnchor, comAnchor,
+                                          temperature_,
+                                          MarginCase::Worst),
+                options_.maskThresholdPercent);
+        };
+        slot.andMask = logicMask(BoolOp::And);
+        slot.orMask = logicMask(BoolOp::Or);
+        slot.nandMask = logicMask(BoolOp::Nand);
+        slot.norMask = logicMask(BoolOp::Nor);
+        return slot;
+    };
+    return rankSlots(slotsByWidth_, width, PairQuery::square(width),
+                     build);
 }
 
 const std::vector<NotSlot> &
 RowAllocator::notSlots() const
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (notSlots_.has_value())
-        return *notSlots_;
-
-    if (contexts_.empty()) {
-        contexts_ = session_ != nullptr
-                        ? session_->pairContexts(module_)
-                        : directContexts();
-    }
-
+    const auto build = [&](const PairContext &context, RowId src,
+                           RowId dst) -> std::optional<NotSlot> {
+        NotSlot slot;
+        slot.context = context;
+        slot.srcRow = src;
+        slot.dstRow = dst;
+        slot.mask = thresholdMask(
+            notSuccessProbabilities(*chip_, context.bank, src, dst,
+                                    temperature_, MarginCase::Worst),
+            options_.maskThresholdPercent);
+        return slot;
+    };
     // Any activation reaching exactly one destination row performs
     // NOT (simultaneous or sequential, so Samsung designs place too).
-    const PairQuery query = PairQuery::anyWithDest(1);
-    std::vector<NotSlot> slots;
-    for (const PairContext &context : contexts_) {
-        if (static_cast<int>(slots.size()) >=
-            options_.candidatePairsPerWidth)
-            break;
-        for (const auto &[src, dst] : discover(context, query)) {
-            if (static_cast<int>(slots.size()) >=
-                options_.candidatePairsPerWidth)
-                break;
-            NotSlot slot;
-            slot.context = context;
-            slot.srcRow = src;
-            slot.dstRow = dst;
-            slot.mask = worstCaseNotMask(*chip_, context.bank, src,
-                                         dst,
-                                         options_.maskThresholdPercent,
-                                         temperature_);
-            slots.push_back(std::move(slot));
-        }
-    }
-    std::stable_sort(slots.begin(), slots.end(),
-                     [](const NotSlot &a, const NotSlot &b) {
-                         return ReliableMask::maskDensity(a.mask) >
-                                ReliableMask::maskDensity(b.mask);
-                     });
-    if (static_cast<int>(slots.size()) > options_.slotsPerWidth)
-        slots.resize(static_cast<std::size_t>(options_.slotsPerWidth));
-    notSlots_ = std::move(slots);
-    return *notSlots_;
+    return rankSlots(notSlots_, 1, PairQuery::anyWithDest(1), build);
 }
 
 const std::vector<MajSlot> &
 RowAllocator::majSlots(int activatedRows) const
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto cached = majSlotsByRows_.find(activatedRows);
-    if (cached != majSlotsByRows_.end())
-        return cached->second;
-
-    if (contexts_.empty()) {
-        contexts_ = session_ != nullptr
-                        ? session_->pairContexts(module_)
-                        : directContexts();
-    }
-
     const GeometryConfig &geometry = chip_->geometry();
-    const PairQuery query = PairQuery::sameSubarray(activatedRows);
-    std::vector<MajSlot> slots;
-    for (const PairContext &context : contexts_) {
-        if (static_cast<int>(slots.size()) >=
-            options_.candidatePairsPerWidth)
-            break;
-        for (const auto &[rfAnchor, rlAnchor] :
-             discover(context, query)) {
-            if (static_cast<int>(slots.size()) >=
-                options_.candidatePairsPerWidth)
-                break;
-            const RowAddress rf = decomposeRow(geometry, rfAnchor);
-            const auto set = chip_->decoder().sameSubarrayActivation(
-                rf.localRow,
-                decomposeRow(geometry, rlAnchor).localRow);
-            if (static_cast<int>(set.size()) != activatedRows)
-                continue;
-            MajSlot slot;
-            slot.context = context;
-            slot.rfAnchor = rfAnchor;
-            slot.rlAnchor = rlAnchor;
-            slot.activatedRows = activatedRows;
-            for (const RowId local : set) {
-                slot.rows.push_back(
-                    composeRow(geometry, rf.subarray, local));
-            }
-            slot.mask = worstCaseMajMask(
-                *chip_, context.bank, rfAnchor, rlAnchor,
-                activatedRows, options_.maskThresholdPercent,
-                temperature_);
-            slots.push_back(std::move(slot));
-        }
-    }
-    std::stable_sort(slots.begin(), slots.end(),
-                     [](const MajSlot &a, const MajSlot &b) {
-                         return ReliableMask::maskDensity(a.mask) >
-                                ReliableMask::maskDensity(b.mask);
-                     });
-    if (static_cast<int>(slots.size()) > options_.slotsPerWidth)
-        slots.resize(static_cast<std::size_t>(options_.slotsPerWidth));
-    return majSlotsByRows_.emplace(activatedRows, std::move(slots))
-        .first->second;
+    const auto build = [&](const PairContext &context, RowId rfAnchor,
+                           RowId rlAnchor) -> std::optional<MajSlot> {
+        const RowAddress rf = decomposeRow(geometry, rfAnchor);
+        const auto set = chip_->decoder().sameSubarrayActivation(
+            rf.localRow, decomposeRow(geometry, rlAnchor).localRow);
+        if (static_cast<int>(set.size()) != activatedRows)
+            return std::nullopt;
+        MajSlot slot;
+        slot.context = context;
+        slot.rfAnchor = rfAnchor;
+        slot.rlAnchor = rlAnchor;
+        slot.activatedRows = activatedRows;
+        for (const RowId local : set)
+            slot.rows.push_back(composeRow(geometry, rf.subarray, local));
+        slot.mask = thresholdMask(
+            majSuccessProbabilities(*chip_, context.bank, rfAnchor,
+                                    rlAnchor, activatedRows,
+                                    temperature_, MarginCase::Worst),
+            options_.maskThresholdPercent);
+        return slot;
+    };
+    return rankSlots(majSlotsByRows_, activatedRows,
+                     PairQuery::sameSubarray(activatedRows), build);
 }
 
 Placement
@@ -572,70 +499,45 @@ RowAllocator::place(const MicroProgram &program) const
     placement.notSlotOf.assign(program.ops.size(), -1);
     placement.majSlotOf.assign(program.ops.size(), -1);
 
-    // (wave, width) round-robin: independent gates of one wave spread
-    // over the ranked slots (distinct subarray pairs when available).
+    // (wave, shape) round-robin: independent ops of one wave spread
+    // over the ranked slots (distinct subarray pairs when available),
+    // and each (shape, rank) slot enters the placement once.
     std::map<std::pair<int, int>, std::size_t> rotation;
-    std::map<std::pair<int, std::size_t>, int> used; // (width, rank)
+    std::map<std::pair<int, std::size_t>, int> used;
+    const auto assign = [&](const MicroOp &op, int turnKey, int slotKey,
+                            const auto &ranked, auto &placed) {
+        if (ranked.empty()) {
+            placement.complete = false;
+            return -1;
+        }
+        const std::size_t rank =
+            rotation[{op.wave, turnKey}]++ % ranked.size();
+        const auto [it, added] = used.try_emplace(
+            {slotKey, rank}, static_cast<int>(placed.size()));
+        if (added)
+            placed.push_back(ranked[rank]);
+        return it->second;
+    };
 
     for (std::size_t i = 0; i < program.ops.size(); ++i) {
         const MicroOp &op = program.ops[i];
-        if (op.kind == MicroOpKind::Maj) {
-            const std::vector<MajSlot> &slots =
-                majSlots(op.activatedRows);
-            if (slots.empty()) {
-                placement.complete = false;
-                continue;
-            }
-            const std::size_t rank =
-                rotation[{op.wave, -op.activatedRows}]++ %
-                slots.size();
-            const auto key =
-                std::make_pair(-op.activatedRows - 1, rank);
-            auto it = used.find(key);
-            if (it == used.end()) {
-                placement.majSlots.push_back(slots[rank]);
-                it = used.emplace(key,
-                                  static_cast<int>(
-                                      placement.majSlots.size() - 1))
-                         .first;
-            }
-            placement.majSlotOf[i] = it->second;
-        } else if (op.kind == MicroOpKind::Wide) {
-            const std::vector<GateSlot> &slots = gateSlots(op.width());
-            if (slots.empty()) {
-                placement.complete = false;
-                continue;
-            }
-            const std::size_t rank =
-                rotation[{op.wave, op.width()}]++ % slots.size();
-            const auto key = std::make_pair(op.width(), rank);
-            auto it = used.find(key);
-            if (it == used.end()) {
-                placement.gateSlots.push_back(slots[rank]);
-                it = used.emplace(key,
-                                  static_cast<int>(
-                                      placement.gateSlots.size() - 1))
-                         .first;
-            }
-            placement.gateSlotOf[i] = it->second;
-        } else if (op.kind == MicroOpKind::Not) {
-            const std::vector<NotSlot> &slots = notSlots();
-            if (slots.empty()) {
-                placement.complete = false;
-                continue;
-            }
-            const std::size_t rank =
-                rotation[{op.wave, 1}]++ % slots.size();
-            const auto key = std::make_pair(-1, rank);
-            auto it = used.find(key);
-            if (it == used.end()) {
-                placement.notSlots.push_back(slots[rank]);
-                it = used.emplace(key,
-                                  static_cast<int>(
-                                      placement.notSlots.size() - 1))
-                         .first;
-            }
-            placement.notSlotOf[i] = it->second;
+        switch (op.kind) {
+          case MicroOpKind::Wide:
+            placement.gateSlotOf[i] =
+                assign(op, op.width(), op.width(),
+                       gateSlots(op.width()), placement.gateSlots);
+            break;
+          case MicroOpKind::Not:
+            placement.notSlotOf[i] =
+                assign(op, 1, -1, notSlots(), placement.notSlots);
+            break;
+          case MicroOpKind::Maj:
+            placement.majSlotOf[i] = assign(
+                op, -op.activatedRows, -op.activatedRows - 1,
+                majSlots(op.activatedRows), placement.majSlots);
+            break;
+          case MicroOpKind::Load:
+            break;
         }
     }
     return placement;

@@ -4,15 +4,17 @@
  * qualifying (RF, RL) subarray-pair activations of one module.
  *
  * Wide N-input gates need an N:N simultaneous activation pair; NOT
- * needs a pair reaching one destination row. Candidate pairs come
- * from the FleetSession discovery cache (or direct probing for a
- * private chip), and the placement policy is reliability-mask-aware:
- * each candidate's per-column worst-case success probability is
- * evaluated with the analytic model (worst operand ones-count, worst
- * bitline-coupling pattern) and the pairs with the densest reliable
- * masks win. Columns outside a gate's mask are computed on the CPU
- * per-column at execution time (the fallback path), so the mask also
- * bounds which bit positions the DRAM result is trusted for.
+ * needs a pair reaching one destination row; SiMRA MAJ needs an N-row
+ * same-subarray group. Candidate pairs come from the FleetSession
+ * discovery cache (or direct probing for a private chip), and one
+ * ranking frame places all three reliability-mask-aware: each
+ * candidate's mask is the threshold cut of its per-column worst-case
+ * success probability (worst operand ones-count, full bitline
+ * coupling; the op's SuccessModel margin) and the candidates with the
+ * densest masks win. Columns outside an op's mask are computed on the
+ * CPU per column at execution time (the fallback path), so the mask
+ * also bounds which bit positions the DRAM result is trusted for
+ * (pud::trustedMasks in pud/lower.hh).
  */
 
 #ifndef FCDRAM_PUD_ALLOCATOR_HH
@@ -212,6 +214,20 @@ class RowAllocator
     const std::vector<MajSlot> &majSlots(int activatedRows) const;
 
   private:
+    /**
+     * The one ranking frame behind gateSlots, notSlots and majSlots,
+     * cached in @p cache under @p key. Walks the module's pair
+     * contexts and turns @p query's discovered (first, second) pairs
+     * into slots through build(context, first, second) until
+     * candidatePairsPerWidth slots exist (a candidate build rejects
+     * with nullopt does not count), then keeps the slotsPerWidth
+     * densest, stably sorted.
+     */
+    template <class Slot, class Build>
+    const std::vector<Slot> &
+    rankSlots(std::map<int, std::vector<Slot>> &cache, int key,
+              const PairQuery &query, const Build &build) const;
+
     std::vector<std::pair<RowId, RowId>>
     discover(const PairContext &context, const PairQuery &query) const;
 
@@ -231,7 +247,7 @@ class RowAllocator
     mutable std::mutex mutex_;
     mutable std::map<int, std::vector<GateSlot>> slotsByWidth_;
     mutable std::map<int, std::vector<MajSlot>> majSlotsByRows_;
-    mutable std::optional<std::vector<NotSlot>> notSlots_;
+    mutable std::map<int, std::vector<NotSlot>> notSlots_; ///< Key 1.
     mutable std::vector<PairContext> contexts_;
 };
 
@@ -250,9 +266,12 @@ enum class MarginCase : std::uint8_t { Worst, Best };
  * under @p marginCase, indexed by column id. Columns the mechanism
  * does not reach (outside the subarray pair's shared stripe) hold
  * -1.0; empty when the pair does not activate as N:N simultaneous.
- * worstCaseLogicMask is exactly the threshold cut of the Worst
- * vector, and the plan certifier (verify/certify) seeds its gate
- * flip-probability intervals from the [Worst, Best] pair.
+ * Every reliability mask the allocator places is the
+ * maskThresholdPercent cut of a Worst vector, and the plan certifier
+ * (verify/certify) seeds its flip-probability intervals from the
+ * [Worst, Best] pair. All four functions evaluate the cells of the
+ * row the executor reads, at @p temperature, which must match the
+ * chip temperature at execution time.
  */
 std::vector<double>
 logicSuccessProbabilities(const Chip &chip, BankId bank, BoolOp op,
@@ -265,7 +284,11 @@ notSuccessProbabilities(const Chip &chip, BankId bank, RowId srcGlobal,
                         RowId dstGlobal, Celsius temperature,
                         MarginCase marginCase);
 
-/** Per-column success probabilities of an in-subarray RowClone. */
+/**
+ * Per-column success probabilities of an in-subarray RowClone onto
+ * @p dstGlobal; every column participates (RowClone is not confined
+ * to a shared stripe). Empty unless the pair activates two rows.
+ */
 std::vector<double>
 rowCloneSuccessProbabilities(const Chip &chip, BankId bank,
                              RowId srcGlobal, RowId dstGlobal,
@@ -274,62 +297,16 @@ rowCloneSuccessProbabilities(const Chip &chip, BankId bank,
 
 /**
  * Per-column success probabilities of a SiMRA MAJ group's measured
- * (first) row. Worst evaluates the one-deciding-cell margin on the
- * penalized high-common-mode side; Best the easiest ones-count at
- * zero coupling. Empty when the pair does not expand to
- * @p activatedRows rows.
+ * (first) row, on every column of the subarray. Worst evaluates the
+ * one-deciding-cell margin on the penalized high-common-mode side
+ * (the minimum any hosted gate can face); Best the easiest
+ * ones-count at zero coupling. Empty when the pair does not expand
+ * to @p activatedRows rows.
  */
 std::vector<double>
 majSuccessProbabilities(const Chip &chip, BankId bank, RowId rfGlobal,
                         RowId rlGlobal, int activatedRows,
                         Celsius temperature, MarginCase marginCase);
-
-/**
- * Worst-case reliable mask of one executed gate side: for every
- * shared column, the minimum success probability over all operand
- * ones-counts at full bitline coupling must meet @p thresholdPercent.
- * Empty when the pair does not activate as N:N simultaneous.
- *
- * All worst-case masks are evaluated at @p temperature, which must
- * match the chip temperature at execution time (the margin model is
- * temperature-dependent).
- *
- * @param op And/Or measure the compute side, Nand/Nor the reference
- *        side (the executed gate is the same).
- */
-BitVector worstCaseLogicMask(const Chip &chip, BankId bank, BoolOp op,
-                             RowId refGlobal, RowId comGlobal,
-                             double thresholdPercent,
-                             Celsius temperature);
-
-/** Worst-case reliable mask of a NOT destination row. */
-BitVector worstCaseNotMask(const Chip &chip, BankId bank,
-                           RowId srcGlobal, RowId dstGlobal,
-                           double thresholdPercent,
-                           Celsius temperature);
-
-/**
- * Worst-case reliable mask of an in-subarray RowClone from
- * @p srcGlobal onto @p dstGlobal (all columns participate; RowClone
- * is not confined to the shared stripe).
- */
-BitVector worstCaseRowCloneMask(const Chip &chip, BankId bank,
-                                RowId srcGlobal, RowId dstGlobal,
-                                double thresholdPercent,
-                                Celsius temperature);
-
-/**
- * Worst-case reliable mask of a SiMRA MAJ group's measured (first)
- * row: the one-deciding-cell majority margin (the minimum any hosted
- * gate can face, taken on the penalized high-common-mode side) at
- * full bitline coupling, for every column of the subarray (the
- * in-subarray mechanism is not confined to a shared stripe). Empty
- * when the pair does not expand to @p activatedRows rows.
- */
-BitVector worstCaseMajMask(const Chip &chip, BankId bank,
-                           RowId rfGlobal, RowId rlGlobal,
-                           int activatedRows, double thresholdPercent,
-                           Celsius temperature);
 
 } // namespace fcdram::pud
 

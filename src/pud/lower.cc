@@ -176,6 +176,14 @@ lowerMaj(const Chip &chip, const MicroOp &op, const MajSlot &slot)
     return lowered;
 }
 
+/** Narrow @p mask to @p copy where both cover the same columns. */
+void
+narrow(BitVector &mask, const BitVector &copy)
+{
+    if (mask.size() == copy.size())
+        mask &= copy;
+}
+
 } // namespace
 
 std::vector<LoweredOp>
@@ -215,6 +223,43 @@ lower(const MicroProgram &program, const Placement &placement,
         }
     }
     return lowered;
+}
+
+TrustedMasks
+trustedMasks(const MicroProgram &program, const Placement &placement,
+             std::size_t i, const LoweredOp &lowered)
+{
+    const MicroOp &op = program.ops[i];
+    TrustedMasks masks;
+    switch (op.kind) {
+      case MicroOpKind::Load:
+        break;
+      case MicroOpKind::Wide:
+        if (const GateSlot *slot = slotOf(placement.gateSlotOf, i,
+                                          placement.gateSlots)) {
+            masks.compute = slot->mask(op.family);
+            masks.reference = slot->mask(
+                op.family == BoolOp::And ? BoolOp::Nand : BoolOp::Nor);
+            for (const LoweredStep &staging : lowered.prologue) {
+                const BitVector &copy =
+                    slot->stagingMasks[staging.operand];
+                narrow(masks.compute, copy);
+                narrow(masks.reference, copy);
+            }
+        }
+        break;
+      case MicroOpKind::Not:
+        if (const NotSlot *slot = slotOf(placement.notSlotOf, i,
+                                         placement.notSlots))
+            masks.compute = slot->mask;
+        break;
+      case MicroOpKind::Maj:
+        if (const MajSlot *slot = slotOf(placement.majSlotOf, i,
+                                         placement.majSlots))
+            masks.compute = slot->mask;
+        break;
+    }
+    return masks;
 }
 
 } // namespace fcdram::pud

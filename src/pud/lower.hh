@@ -8,6 +8,10 @@
  *  - verify::verifyPlan lints their programs;
  *  - verify::analyzeActivationPressure counts their ACTs;
  *  - verify::certifyPlan reads the clone-or-write choice from them;
+ *  - trustedMasks turns that choice into the columns a placed op's
+ *    DRAM result is trusted for, the one rule both PudEngine::execute
+ *    (which columns keep the DRAM bits) and verify::certifyPlan
+ *    (which columns carry an error bound) apply;
  *  - the engine prices QueryResult::dram, load and bankBusyNs from
  *    their programs.
  *
@@ -128,6 +132,27 @@ struct LoweredOp
 std::vector<LoweredOp> lower(const MicroProgram &program,
                              const Placement &placement,
                              const Chip &chip, CopyInMode copyIn);
+
+/** Columns a placed op's DRAM result is trusted for, per vote set. */
+struct TrustedMasks
+{
+    BitVector compute;   ///< AND/OR, NOT or MAJ result.
+    BitVector reference; ///< NAND/NOR result of a wide gate.
+};
+
+/**
+ * Trusted columns of op @p i as placed by @p placement and lowered to
+ * @p lowered (element i of lower()): the slot's reliability mask per
+ * result side, narrowed for a wide gate by the staging mask of every
+ * RowClone copy-in in its prologue (a column the clone cannot serve
+ * reliably leaves both sides). A mask not sized like the staging mask
+ * (the placement lint's UPL010) is left unnarrowed. Empty masks when
+ * the op has no slot. Every reason a column leaves a mask is applied
+ * here.
+ */
+TrustedMasks trustedMasks(const MicroProgram &program,
+                          const Placement &placement, std::size_t i,
+                          const LoweredOp &lowered);
 
 } // namespace fcdram::pud
 

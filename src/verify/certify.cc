@@ -217,6 +217,10 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
     for (std::size_t i = 0; i < n; ++i) {
         const MicroOp &op = program.ops[i];
         const auto opIndex = static_cast<std::uint32_t>(i);
+        // The columns the engine keeps the DRAM result for; the rest
+        // take the CPU fallback path.
+        const pud::TrustedMasks trusted =
+            pud::trustedMasks(program, placement, i, lowered[i]);
         switch (op.kind) {
         case MicroOpKind::Load:
             break;
@@ -231,14 +235,10 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
 
             // RowClone copy-in (the lowering's staged operands): the
             // staging->compute clone re-runs every trial, so its flip
-            // probability adds to the per-trial flip; columns the
-            // clone cannot serve reliably are excluded from the DRAM
-            // mask (the executor's copy mask) and fall back to the CPU.
-            BitVector copyMask(columns, true);
+            // probability adds to the per-trial flip.
             std::vector<double> cloneFlip(columns, 0.0);
             for (const pud::LoweredStep &staging : lowered[i].prologue) {
                 const std::size_t k = staging.operand;
-                copyMask &= slot.stagingMasks[k];
                 const auto cloneWorst = pud::rowCloneSuccessProbabilities(
                     chip, bank, slot.stagingRows[k], slot.computeRows[k],
                     temperature, pud::MarginCase::Worst);
@@ -254,11 +254,8 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
                                        values[input].support);
 
             if (op.computeValue != kNoValue) {
-                BitVector mask = slot.mask(op.family);
-                if (mask.size() == columns)
-                    mask &= copyMask;
                 defineValue(
-                    op.computeValue, mask,
+                    op.computeValue, trusted.compute,
                     pud::logicSuccessProbabilities(
                         chip, bank, op.family, slot.refAnchor,
                         slot.comAnchor, temperature,
@@ -273,11 +270,8 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
                 const BoolOp inverted = op.family == BoolOp::And
                                             ? BoolOp::Nand
                                             : BoolOp::Nor;
-                BitVector mask = slot.mask(inverted);
-                if (mask.size() == columns)
-                    mask &= copyMask;
                 defineValue(
-                    op.referenceValue, mask,
+                    op.referenceValue, trusted.reference,
                     pud::logicSuccessProbabilities(
                         chip, bank, inverted, slot.refAnchor,
                         slot.comAnchor, temperature,
@@ -304,7 +298,7 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
                 support = supportUnion(support,
                                        values[input].support);
             defineValue(
-                op.computeValue, slot.mask,
+                op.computeValue, trusted.compute,
                 pud::notSuccessProbabilities(
                     chip, slot.context.bank, slot.srcRow, slot.dstRow,
                     temperature, pud::MarginCase::Worst),
@@ -328,7 +322,7 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
                 support = supportUnion(support,
                                        values[input].support);
             defineValue(
-                op.computeValue, slot.mask,
+                op.computeValue, trusted.compute,
                 pud::majSuccessProbabilities(
                     chip, slot.context.bank, slot.rfAnchor,
                     slot.rlAnchor, slot.activatedRows, temperature,

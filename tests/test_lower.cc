@@ -11,6 +11,7 @@
 #include "obs/telemetry.hh"
 #include "pud/engine.hh"
 #include "pud/lower.hh"
+#include "verify/certify.hh"
 #include "verify/pressure.hh"
 #include "testutil.hh"
 
@@ -143,6 +144,80 @@ TEST(LowerTest, PricedCommandsEqualIssuedCommands)
             }
         }
     }
+}
+
+TEST(LowerTest, StagingMaskNarrowsTrustedColumnsForEngineAndCertifier)
+{
+    // A column the staging -> compute RowClone cannot serve leaves
+    // both result sides of the gate: the engine keeps the CPU value
+    // there and the certificate bounds no error there. The ideal chip
+    // gets enough sense noise that a trusted column's bound is above
+    // zero while every mask still passes the 99.99% cut.
+    const auto session =
+        std::make_shared<FleetSession>(CampaignConfig::forTests());
+    EngineOptions options;
+    options.backend = BackendChoice::NandNor;
+    options.copyIn = CopyInMode::RowClone;
+    const PudEngine engine(session, options);
+    ChipProfile profile = test::idealProfile();
+    profile.analog.senseNoiseSigma = 0.03;
+    Chip chip = session->checkoutChip(profile, 21);
+    ExprPool pool;
+    const MicroProgram program =
+        engine.compileFor(pool, pool.mkAnd(makeColumns(pool, 2)), chip);
+    const Placement placement = RowAllocator(chip, 21).place(program);
+    const std::vector<LoweredOp> lowered =
+        lower(program, placement, chip, CopyInMode::RowClone);
+
+    std::size_t gate = 0;
+    while (gate < program.ops.size() &&
+           program.ops[gate].kind != MicroOpKind::Wide)
+        ++gate;
+    ASSERT_LT(gate, program.ops.size());
+    ASSERT_EQ(program.result, program.ops[gate].computeValue);
+    ASSERT_FALSE(lowered[gate].prologue.empty());
+    const std::size_t operand = lowered[gate].prologue.front().operand;
+
+    const TrustedMasks wide =
+        trustedMasks(program, placement, gate, lowered[gate]);
+    ColId c = 0;
+    while (c < wide.compute.size() &&
+           !(wide.compute.get(c) && wide.reference.get(c)))
+        ++c;
+    ASSERT_LT(c, wide.compute.size());
+
+    Placement narrowed = placement;
+    BitVector &staging =
+        narrowed.gateSlots[static_cast<std::size_t>(
+                               narrowed.gateSlotOf[gate])]
+            .stagingMasks[operand];
+    staging.set(c, false);
+
+    const TrustedMasks trusted =
+        trustedMasks(program, narrowed, gate, lowered[gate]);
+    BitVector compute = wide.compute;
+    BitVector reference = wide.reference;
+    compute.set(c, false);
+    reference.set(c, false);
+    EXPECT_EQ(trusted.compute, compute);
+    EXPECT_EQ(trusted.reference, reference);
+
+    const auto bits =
+        static_cast<std::size_t>(session->config().geometry.columns);
+    const QueryResult result = engine.execute(
+        program, narrowed, chip.temperature(), chip, 7,
+        PudEngine::randomColumns(columnNames(2), bits, 5));
+    EXPECT_FALSE(result.mask.get(c));
+    EXPECT_EQ(result.mask, compute);
+    EXPECT_EQ(result.output.get(c), result.golden.get(c));
+
+    const auto bound = [&](const Placement &certified) {
+        return verify::certifyPlan(program, certified, chip,
+                                   chip.temperature(), 1, true)
+            .perColumnErrorBound[c];
+    };
+    EXPECT_GT(bound(placement), 0.0);
+    EXPECT_EQ(bound(narrowed), 0.0);
 }
 
 /** One DRAM command as the trace records it; PRE carries no row. */
