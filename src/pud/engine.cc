@@ -10,6 +10,7 @@
 
 #include "bender/bender.hh"
 #include "common/rng.hh"
+#include "obs/telemetry.hh"
 
 namespace fcdram::pud {
 
@@ -294,8 +295,6 @@ PudEngine::PudEngine(std::shared_ptr<FleetSession> session,
                 << options_.redundancy;
         throw std::invalid_argument(message.str());
     }
-    if (options_.telemetry.any())
-        obs::global().enable(options_.telemetry);
 }
 
 
@@ -305,35 +304,18 @@ PudEngine::compile(const ExprPool &pool, ExprId root) const
     return Compiler(options_.compiler).compile(pool, root);
 }
 
-ComputeBackend
-PudEngine::resolveBackend(const ChipProfile &profile) const
-{
-    switch (options_.backend) {
-      case BackendChoice::NandNor:
-        return ComputeBackend::NandNor;
-      case BackendChoice::SimraMaj:
-        return ComputeBackend::SimraMaj;
-      case BackendChoice::Auto:
-        break;
-    }
-    return profile.supportsSimra() ? ComputeBackend::SimraMaj
-                                   : ComputeBackend::NandNor;
-}
-
 std::pair<ComputeBackend, int>
 PudEngine::backendCapability(const Chip &chip) const
 {
     const RowDecoder &decoder = chip.decoder();
-    ComputeBackend backend;
-    if (options_.backend == BackendChoice::Auto) {
-        // Decoder-level check: the profile may promise more rows
-        // than this chip's geometry can expand to.
-        backend = decoder.maxSameSubarrayRows() >= 4
-                      ? ComputeBackend::SimraMaj
-                      : ComputeBackend::NandNor;
-    } else {
-        backend = resolveBackend(chip.profile());
-    }
+    // Auto is a decoder-level check: the profile may promise more
+    // rows than this chip's geometry can expand to.
+    const bool simra =
+        options_.backend == BackendChoice::SimraMaj ||
+        (options_.backend == BackendChoice::Auto &&
+         decoder.maxSameSubarrayRows() >= 4);
+    const ComputeBackend backend = simra ? ComputeBackend::SimraMaj
+                                         : ComputeBackend::NandNor;
     int capability = 0;
     if (backend == ComputeBackend::SimraMaj) {
         // A k-input gate occupies a 2k-row group.
@@ -566,28 +548,13 @@ PudEngine::execute(const MicroProgram &program,
             waveBankNs[{op.wave, bank}] += trialCost.latencyNs;
         }
 
-        BitVector computeMask;
-        BitVector referenceMask;
-        if (op.kind == MicroOpKind::Wide) {
-            const GateSlot &slot =
-                placement.gateSlots[placement.gateSlotOf[i]];
-            computeMask = slot.mask(op.family);
-            referenceMask = slot.mask(
-                op.family == BoolOp::And ? BoolOp::Nand : BoolOp::Nor);
-            // Clone unreliability shrinks the gate's masks.
-            for (const LoweredStep &staging : steps.prologue) {
-                computeMask &= slot.stagingMasks[staging.operand];
-                referenceMask &= slot.stagingMasks[staging.operand];
-            }
-        } else if (op.kind == MicroOpKind::Not) {
-            computeMask = placement.notSlots[placement.notSlotOf[i]].mask;
-        } else {
-            computeMask = placement.majSlots[placement.majSlotOf[i]].mask;
-        }
+        const TrustedMasks trusted =
+            trustedMasks(program, placement, i, steps);
         if (op.computeValue != kNoValue)
-            assemble(op.computeValue, computeMask, computeVotes);
+            assemble(op.computeValue, trusted.compute, computeVotes);
         if (op.referenceValue != kNoValue)
-            assemble(op.referenceValue, referenceMask, referenceVotes);
+            assemble(op.referenceValue, trusted.reference,
+                     referenceVotes);
     }
 
     // Waves overlap across banks; the command bus serializes within

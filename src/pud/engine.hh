@@ -41,7 +41,6 @@
 
 #include "bender/executor.hh"
 #include "fcdram/session.hh"
-#include "obs/telemetry.hh"
 #include "pud/allocator.hh"
 #include "pud/compiler.hh"
 #include "pud/lower.hh"
@@ -60,8 +59,8 @@ enum class BackendChoice : std::uint8_t {
     SimraMaj, ///< Force the SiMRA MAJ basis.
 
     /**
-     * Per chip: SimraMaj when the profile supports >= 4-row
-     * same-subarray groups (ChipProfile::supportsSimra), else
+     * Per chip: SimraMaj when the chip's decoder expands to >= 4-row
+     * same-subarray groups (PudEngine::backendCapability), else
      * NandNor.
      */
     Auto,
@@ -105,10 +104,10 @@ struct EngineOptions
 
     /**
      * Gate basis queries lower to; overrides compiler.backend. The
-     * default Auto picks per chip from the profiled capability
-     * (ChipProfile::supportsSimra), so SiMRA-capable designs use the
-     * cheaper MAJ basis without explicit opt-in and everything else
-     * falls back to NAND/NOR.
+     * default Auto picks per chip from the decoder's same-subarray
+     * capability, so SiMRA-capable designs use the cheaper MAJ basis
+     * without explicit opt-in and everything else falls back to
+     * NAND/NOR.
      */
     BackendChoice backend = BackendChoice::Auto;
 
@@ -144,15 +143,6 @@ struct EngineOptions
      * Off.
      */
     VerifyPolicy verify = VerifyPolicy::Enforce;
-
-    /**
-     * Telemetry pillars to enable on the process-wide obs registry
-     * when the engine is constructed (obs::global().enable, sticky:
-     * constructing a second engine never disables a pillar a first
-     * one turned on). All-false (the default) leaves the registry
-     * untouched.
-     */
-    obs::TelemetryConfig telemetry;
 
     /**
      * Submit-time accuracy SLO checked against every derived plan's
@@ -354,9 +344,6 @@ class PudEngine
      */
     MicroProgram compileFor(const ExprPool &pool, ExprId root,
                             const Chip &chip) const;
-
-    /** Concrete basis options().backend resolves to on a design. */
-    ComputeBackend resolveBackend(const ChipProfile &profile) const;
 
     /**
      * The (backend, gate fan-in capability) pair a query resolves to

@@ -552,13 +552,16 @@ TEST_F(PudEngineTest, AutoBackendResolvesFromProfiledCapability)
     EngineOptions options;
     options.backend = BackendChoice::Auto;
     PudEngine engine(session_, options);
-    EXPECT_EQ(engine.resolveBackend(test::idealProfile()),
-              ComputeBackend::SimraMaj);
-    EXPECT_EQ(engine.resolveBackend(ChipProfile::make(
-                  Manufacturer::Samsung, 8, 'A', 8, 2666)),
+    const auto backendOn = [&](const ChipProfile &profile) {
+        return engine.backendCapability(session_->checkoutChip(profile, 21))
+            .first;
+    };
+    EXPECT_EQ(backendOn(test::idealProfile()), ComputeBackend::SimraMaj);
+    EXPECT_EQ(backendOn(ChipProfile::make(Manufacturer::Samsung, 8, 'A',
+                                          8, 2666)),
               ComputeBackend::NandNor);
-    EXPECT_EQ(engine.resolveBackend(ChipProfile::make(
-                  Manufacturer::Micron, 8, 'B', 8, 2666)),
+    EXPECT_EQ(backendOn(ChipProfile::make(Manufacturer::Micron, 8, 'B',
+                                          8, 2666)),
               ComputeBackend::NandNor);
 }
 

@@ -451,10 +451,13 @@ TEST_F(QueryServiceTest, AutoBackendIsTheDefaultAndPicksSimra)
     EXPECT_EQ(options.backend, BackendChoice::Auto);
 
     PudEngine engine(session_);
-    EXPECT_EQ(engine.resolveBackend(test::idealProfile()),
-              ComputeBackend::SimraMaj);
-    EXPECT_EQ(engine.resolveBackend(ChipProfile::make(
-                  Manufacturer::Samsung, 8, 'A', 8, 2666)),
+    const auto backendOn = [&](const ChipProfile &profile) {
+        return engine.backendCapability(session_->checkoutChip(profile, 21))
+            .first;
+    };
+    EXPECT_EQ(backendOn(test::idealProfile()), ComputeBackend::SimraMaj);
+    EXPECT_EQ(backendOn(ChipProfile::make(Manufacturer::Samsung, 8, 'A',
+                                          8, 2666)),
               ComputeBackend::NandNor);
 
     // End to end with default options on a SiMRA-capable chip: the
