@@ -218,6 +218,11 @@ QueryService::runBatchOnModule(const FleetSession::Module &module,
             session_->chip(module).temperature());
     }();
 
+    // One label per module visit: ModuleSpec::profile() builds the
+    // whole ChipProfile.
+    const std::string label = module.spec->profile().label() + " #" +
+                              std::to_string(module.index);
+
     accum.queries.resize(batch.size());
     std::map<int, double> bankBusyNs;
     double serialNs = 0.0;
@@ -279,10 +284,7 @@ QueryService::runBatchOnModule(const FleetSession::Module &module,
 
         ModuleQueryStats stats;
         stats.moduleIndex = module.index;
-        std::ostringstream label;
-        label << module.spec->profile().label() << " #"
-              << module.index;
-        stats.label = label.str();
+        stats.label = label;
         stats.certificate = plan->certificate;
         stats.result = engine_.execute(
             *plan->program, plan->placement, plan->temperature, chip,
