@@ -9,8 +9,10 @@
  *
  *  2. Fleet sweep: single-trial NOT runs over the SK Hynix fleet
  *     through FleetSession::runOverFleet on the persistent-pool
- *     scheduler. A RESULT_HASH line fingerprints every outcome
- *     (worker-count invariant by construction).
+ *     scheduler, then single-trial 4:4 AND/OR runs over the same
+ *     modules. A RESULT_HASH line fingerprints every NOT outcome and
+ *     a LOGIC_HASH line every logic outcome (both worker-count
+ *     invariant by construction).
  *
  *  3. Telemetry overhead guard: word-parallel NOT runs at 8192
  *     columns through a nullptr sink, the disabled global sink and
@@ -28,12 +30,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -92,6 +97,16 @@ opsPerSecond(Body &&body, int iters)
     return seconds > 0.0 ? static_cast<double>(iters) / seconds : 0.0;
 }
 
+/** CPU time this thread has run, in seconds. */
+double
+threadCpuSeconds()
+{
+    timespec now{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+    return static_cast<double>(now.tv_sec) +
+           1e-9 * static_cast<double>(now.tv_nsec);
+}
+
 /** One operation's throughput in both executor modes. */
 struct OpThroughput
 {
@@ -109,33 +124,49 @@ struct OpThroughput
 };
 
 /**
- * Measure one violated-timing program end to end (fresh chip per
- * mode so both start from identical state).
+ * Measure one violated-timing program end to end in both executor
+ * modes, each on its own fresh chip so both start from identical
+ * state. The modes alternate repetition by repetition, so host load
+ * falls on both alike, and each keeps its best of 5 CPU-time
+ * repetitions of @p iters executions.
  */
 OpThroughput
 measureProgram(const std::string &name, int iters,
                Program (*build)(Ops &, const Chip &), int rowsPerOp)
 {
+    constexpr int kReps = 5;
     OpThroughput row;
     row.name = name;
     row.rowsPerOp = rowsPerOp;
-    for (const ExecMode mode :
-         {ExecMode::WordParallel, ExecMode::ScalarReference}) {
-        Chip chip(benchProfile(), wideGeometry(), 1);
-        DramBender bender(chip, 7, mode);
-        Ops ops(bender);
-        const Program program = build(ops, chip);
-        if (program.commands.empty())
-            continue;
-        const double ops_per_sec = opsPerSecond(
-            [&] { benchmark::DoNotOptimize(bender.execute(program)); },
-            iters);
-        const double rows_per_sec = ops_per_sec * rowsPerOp;
-        if (mode == ExecMode::WordParallel)
-            row.wordRowsPerSec = rows_per_sec;
-        else
-            row.scalarRowsPerSec = rows_per_sec;
+    const ExecMode modes[2] = {ExecMode::WordParallel,
+                               ExecMode::ScalarReference};
+    Chip chips[2] = {Chip(benchProfile(), wideGeometry(), 1),
+                     Chip(benchProfile(), wideGeometry(), 1)};
+    std::unique_ptr<DramBender> benders[2];
+    Program programs[2];
+    for (int side = 0; side < 2; ++side) {
+        benders[side] =
+            std::make_unique<DramBender>(chips[side], 7, modes[side]);
+        Ops ops(*benders[side]);
+        programs[side] = build(ops, chips[side]);
+        if (programs[side].commands.empty())
+            return row;
     }
+    double best[2] = {0.0, 0.0};
+    for (int rep = 0; rep < kReps; ++rep) {
+        for (int side = 0; side < 2; ++side) {
+            const double start = threadCpuSeconds();
+            for (int i = 0; i < iters; ++i) {
+                benchmark::DoNotOptimize(
+                    benders[side]->execute(programs[side]));
+            }
+            const double seconds = threadCpuSeconds() - start;
+            if (seconds > 0.0)
+                best[side] = std::max(best[side], iters / seconds);
+        }
+    }
+    row.wordRowsPerSec = best[0] * rowsPerOp;
+    row.scalarRowsPerSec = best[1] * rowsPerOp;
     return row;
 }
 
@@ -257,15 +288,27 @@ namespace {
 /** Single-trial runs per module (fixed, so RESULT_HASH is stable). */
 constexpr std::uint64_t kSweepTrialsPerModule = 256;
 
+/** Single-trial logic runs per module (fixed, so LOGIC_HASH is stable). */
+constexpr std::uint64_t kLogicTrialsPerModule = 32;
+
+/** Operands of the logic sweep's N:N gates. */
+constexpr int kLogicInputs = 4;
+
+std::uint64_t
+hashBits(std::uint64_t h, const BitVector &bits)
+{
+    for (const std::uint64_t word : bits.words())
+        h = hashCombine(h, word);
+    return h;
+}
+
 /** Order-stable fingerprint of one trial's outcomes. */
 std::uint64_t
 hashExecResult(std::uint64_t h, const ExecResult &result)
 {
     h = hashCombine(h, result.reads.size());
-    for (const BitVector &bits : result.reads) {
-        for (const std::uint64_t word : bits.words())
-            h = hashCombine(h, word);
-    }
+    for (const BitVector &bits : result.reads)
+        h = hashBits(h, bits);
     h = hashCombine(h, result.activations.size());
     for (const ActivationEvent &event : result.activations) {
         h = hashCombine(h,
@@ -304,16 +347,88 @@ makeNotProgram(const Chip &chip, std::uint64_t pairSeed)
     return builder.build();
 }
 
-} // namespace
+/** Per-module fold of one sweep: outcome hash and trial count. */
+struct SweepAccum
+{
+    std::uint64_t hash = 0;
+    std::uint64_t trials = 0;
+
+    void mergeFrom(SweepAccum &&other)
+    {
+        hash = hashCombine(hash, other.hash);
+        trials += other.trials;
+    }
+};
 
 /**
- * Section 2: single-trial NOT runs over the SK Hynix fleet. Each
- * module runs its trials in order on one private chip copy, trial t
- * seeded by Scheduler::taskSeed(view.seed, t); runOverFleet folds the
- * per-module hashes in module order. Returns the fleet's result hash,
- * which is therefore independent of the worker count.
+ * kLogicTrialsPerModule single-trial kLogicInputs:kLogicInputs logic
+ * runs on one module's private chip copy, AND and OR families in
+ * turn: Ops::initReference, seeded random operand rows,
+ * Ops::executeLogic, and both reads (AND/OR and NAND/NOR) hashed.
+ * Trial t is seeded by Scheduler::taskSeed(view.seed, t).
  */
-std::uint64_t
+void
+runLogicTrials(const FleetSession::ModuleView &view, SweepAccum &accum)
+{
+    const auto pairs = findActivationPairs(view.chip, kLogicInputs,
+                                           kLogicInputs, 1, view.seed);
+    if (pairs.empty())
+        return;
+    const GeometryConfig &geometry = view.chip.geometry();
+    const auto [rf, rl] = pairs.front();
+    const ActivationSets sets =
+        view.chip.decoder().neighborActivation(rf, rl);
+    std::vector<RowId> refRows;
+    std::vector<RowId> computeRows;
+    for (const RowId local : sets.firstRows)
+        refRows.push_back(composeRow(geometry, 0, local));
+    for (const RowId local : sets.secondRows)
+        computeRows.push_back(composeRow(geometry, 1, local));
+
+    Chip chip = view.chip;
+    BitVector operand(static_cast<std::size_t>(geometry.columns));
+    for (std::uint64_t t = 0; t < kLogicTrialsPerModule; ++t) {
+        const std::uint64_t seed = Scheduler::taskSeed(view.seed, t);
+        DramBender bender(chip, seed);
+        Ops ops(bender);
+        const BoolOp op = t % 2 == 0 ? BoolOp::And : BoolOp::Or;
+        accum.hash =
+            hashCombine(accum.hash, ops.initReference(0, op, refRows));
+        Rng rng(seed);
+        for (const RowId row : computeRows) {
+            operand.randomize(rng);
+            bender.writeRow(0, row, operand);
+        }
+        const LogicOpResult result = ops.executeLogic(
+            0, op, composeRow(geometry, 0, rf),
+            composeRow(geometry, 1, rl), refRows, computeRows);
+        accum.hash = hashBits(hashBits(accum.hash, result.computeResult),
+                              result.referenceResult);
+    }
+    accum.trials += kLogicTrialsPerModule;
+}
+
+} // namespace
+
+/** The fleet sweep's two fingerprints. */
+struct FleetHashes
+{
+    std::uint64_t result = 0; ///< NOT sweep (RESULT_HASH).
+    std::uint64_t logic = 0;  ///< Logic sweep (LOGIC_HASH).
+};
+
+/**
+ * Section 2: single-trial NOT runs over the SK Hynix fleet, then the
+ * logic sweep (runLogicTrials) over the same modules. Each module
+ * runs its trials in order on one private chip copy, trial t seeded
+ * by Scheduler::taskSeed(view.seed, t); runOverFleet folds the
+ * per-module hashes in module order. Both hashes are therefore
+ * independent of the worker count. The logic sweep covers the
+ * executor's cross-subarray logic path, which the NOT sweep never
+ * reaches; it has its own hash so RESULT_HASH stays comparable with
+ * runs from before it existed.
+ */
+FleetHashes
 runFleetSweepSection(benchutil::BenchReport &report, int workers)
 {
     std::cout << "\n-- Fleet sweep (single-trial NOT runs,"
@@ -325,18 +440,6 @@ runFleetSweepSection(benchutil::BenchReport &report, int workers)
     config.geometry.numBanks = 1;
     config.workers = workers;
     const FleetSession session(config);
-
-    struct SweepAccum
-    {
-        std::uint64_t hash = 0;
-        std::uint64_t trials = 0;
-
-        void mergeFrom(SweepAccum &&other)
-        {
-            hash = hashCombine(hash, other.hash);
-            trials += other.trials;
-        }
-    };
 
     using Clock = std::chrono::steady_clock;
     const Clock::time_point start = Clock::now();
@@ -371,7 +474,15 @@ runFleetSweepSection(benchutil::BenchReport &report, int workers)
               << session.modules(FleetSession::Fleet::SkHynix).size()
               << " modules, " << formatDouble(trials_per_sec, 0)
               << " trials/s\n";
-    return total.hash;
+
+    const SweepAccum logic = session.runOverFleet<SweepAccum>(
+        FleetSession::Fleet::SkHynix, runLogicTrials);
+    report.lap("logic_sweep");
+    report.metric("logic_sweep_trials",
+                  static_cast<double>(logic.trials));
+    std::cout << "logic sweep: " << logic.trials << " single-trial "
+              << kLogicInputs << ":" << kLogicInputs << " AND/OR runs\n";
+    return {total.hash, logic.hash};
 }
 
 namespace {
@@ -680,15 +791,17 @@ main(int argc, char **argv)
     report.metric("workers", workers);
 
     fcdram::runThroughputSection(report);
-    const std::uint64_t result_hash =
+    const fcdram::FleetHashes hashes =
         fcdram::runFleetSweepSection(report, workers);
     const double telemetry_ratio =
         fcdram::runTelemetryOverheadSection(report);
 
     std::printf("RESULT_HASH %016llx\n",
-                static_cast<unsigned long long>(result_hash));
+                static_cast<unsigned long long>(hashes.result));
+    std::printf("LOGIC_HASH %016llx\n",
+                static_cast<unsigned long long>(hashes.logic));
     report.metric("result_hash_low32",
-                  static_cast<double>(result_hash & 0xFFFFFFFFULL));
+                  static_cast<double>(hashes.result & 0xFFFFFFFFULL));
     report.save();
 
     if (telemetry_ratio < 0.97) {
