@@ -219,9 +219,9 @@ class RowAllocator
      * cached in @p cache under @p key. Walks the module's pair
      * contexts and turns @p query's discovered (first, second) pairs
      * into slots through build(context, first, second) until
-     * candidatePairsPerWidth slots exist (a candidate build rejects
-     * with nullopt does not count), then keeps the slotsPerWidth
-     * densest, stably sorted.
+     * candidatePairsPerWidth slots exist (a candidate that build
+     * rejects with nullopt does not count), then keeps the
+     * slotsPerWidth densest, stably sorted.
      */
     template <class Slot, class Build>
     const std::vector<Slot> &

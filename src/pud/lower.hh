@@ -147,8 +147,8 @@ struct TrustedMasks
  * RowClone copy-in in its prologue (a column the clone cannot serve
  * reliably leaves both sides). A mask not sized like the staging mask
  * (the placement lint's UPL010) is left unnarrowed. Empty masks when
- * the op has no slot. Every reason a column leaves a mask is applied
- * here.
+ * the op has no slot. After the allocator's threshold cut, this is
+ * the only place a placed op's trusted columns shrink.
  */
 TrustedMasks trustedMasks(const MicroProgram &program,
                           const Placement &placement, std::size_t i,
