@@ -101,7 +101,7 @@ main()
         for (std::size_t i = 0; i < com_rows.size(); ++i)
             bender.writeRow(0, com_rows[i], operands[i]);
         const LogicOpResult result = ops.executeLogic(
-            0, op, composeRow(geometry, 0, logic_pairs.front().first),
+            0, composeRow(geometry, 0, logic_pairs.front().first),
             composeRow(geometry, 1, logic_pairs.front().second),
             ref_rows, com_rows);
         const BitVector golden_direct = goldenOp(op, operands);

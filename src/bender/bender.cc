@@ -10,7 +10,9 @@ namespace fcdram {
 DramBender::DramBender(Chip &chip, std::uint64_t sessionSeed,
                        ExecMode mode)
     : chip_(chip), sessionSeed_(sessionSeed), trialCounter_(0),
-      mode_(mode)
+      mode_(mode),
+      ones_(static_cast<std::size_t>(chip.geometry().columns), true),
+      zeros_(static_cast<std::size_t>(chip.geometry().columns), false)
 {
 }
 

@@ -52,6 +52,12 @@ class DramBender
     /** Read a row with nominal timing (ACT - RD - PRE). */
     BitVector readRow(BankId bank, RowId row);
 
+    /** The all-1s (@p value true) or all-0s row of the chip's width. */
+    const BitVector &constantRow(bool value) const
+    {
+        return value ? ones_ : zeros_;
+    }
+
     /** Set the chip temperature for subsequent operations. */
     void setTemperature(Celsius temperature);
 
@@ -74,6 +80,8 @@ class DramBender
     std::uint64_t sessionSeed_;
     std::uint64_t trialCounter_;
     ExecMode mode_;
+    BitVector ones_;
+    BitVector zeros_;
 };
 
 } // namespace fcdram

@@ -60,7 +60,6 @@ rotl(std::uint64_t x, int k)
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
-    : cachedGaussian_(0.0), hasCachedGaussian_(false)
 {
     std::uint64_t x = seed;
     for (auto &word : s_) {
@@ -109,31 +108,6 @@ Rng::below(std::uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-double
-Rng::gaussian()
-{
-    if (hasCachedGaussian_) {
-        hasCachedGaussian_ = false;
-        return cachedGaussian_;
-    }
-    double u1 = 0.0;
-    do {
-        u1 = uniform();
-    } while (u1 <= 0.0);
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    cachedGaussian_ = r * std::sin(theta);
-    hasCachedGaussian_ = true;
-    return r * std::cos(theta);
-}
-
-double
-Rng::gaussian(double mean, double sigma)
-{
-    return mean + sigma * gaussian();
 }
 
 bool

@@ -148,19 +148,11 @@ class Rng
     /** Uniform integer in [0, bound). @pre bound > 0 */
     std::uint64_t below(std::uint64_t bound);
 
-    /** Standard normal deviate (Box-Muller, cached second value). */
-    double gaussian();
-
-    /** Normal deviate with given mean and standard deviation. */
-    double gaussian(double mean, double sigma);
-
     /** Bernoulli trial with success probability p. */
     bool bernoulli(double p);
 
   private:
     std::uint64_t s_[4];
-    double cachedGaussian_;
-    bool hasCachedGaussian_;
 };
 
 } // namespace fcdram

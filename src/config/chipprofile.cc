@@ -46,12 +46,6 @@ ChipProfile::maxLogicInputs() const
     return 1 << decoder.latchStages;
 }
 
-bool
-ChipProfile::supportsSimra() const
-{
-    return maxSimraRows() >= 4;
-}
-
 int
 ChipProfile::maxSimraRows() const
 {

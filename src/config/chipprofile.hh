@@ -212,12 +212,6 @@ struct ChipProfile
     int maxLogicInputs() const;
 
     /**
-     * True if the design can simultaneously activate >= 4 rows of one
-     * subarray (the SiMRA mechanism: native in-subarray MAJ).
-     */
-    bool supportsSimra() const;
-
-    /**
      * Largest same-subarray simultaneous activation (the SiMRA
      * row-group size): min(decoder cap, 2^(latchStages + 1), counting
      * the half-select doubling). 0 when the design ignores violated

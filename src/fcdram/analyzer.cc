@@ -114,6 +114,20 @@ SuccessRateAnalyzer::runLogic(const LogicTrialConfig &config)
     std::vector<BitVector> operands(
         result.computeRows.size(), BitVector(columns_total));
 
+    // One trial: the reference init (every trial, since the last one
+    // left NAND/NOR results there and consumed the Frac row), the
+    // operand writes, the logic fire. Without a Frac helper, only the
+    // first constants.
+    std::vector<Step> steps;
+    StepWriter writer{chip, config.bank, steps};
+    const bool initialized =
+        writer.reference(config.op, result.referenceRows);
+    if (initialized) {
+        for (std::size_t i = 0; i < operands.size(); ++i)
+            writer.write(result.computeRows[i], Step::Source::Operand, i);
+        writer.logic(config.refGlobal, config.comGlobal);
+    }
+
     for (int trial = 0; trial < config.trials; ++trial) {
         // Operand patterns.
         for (std::size_t i = 0; i < operands.size(); ++i) {
@@ -133,21 +147,14 @@ SuccessRateAnalyzer::runLogic(const LogicTrialConfig &config)
                 break;
             }
         }
-        // Reference initialization happens every trial: the previous
-        // operation overwrote the reference rows with NAND/NOR
-        // results and consumed the Frac row.
-        if (!ops_.initReference(config.bank,
-                                and_family ? BoolOp::And : BoolOp::Or,
-                                result.referenceRows)) {
+        runSteps(
+            bender_, steps,
+            [&](std::size_t k) -> const BitVector & {
+                return operands[k];
+            },
+            [](const Step &, const BitVector &) {});
+        if (!initialized)
             continue;
-        }
-        for (std::size_t i = 0; i < operands.size(); ++i) {
-            bender_.writeRow(config.bank, result.computeRows[i],
-                             operands[i]);
-        }
-
-        bender_.execute(ops_.buildDoubleAct(
-            config.bank, config.refGlobal, config.comGlobal));
 
         const BitVector expected_com = and_family
                                            ? goldenAnd(operands)

@@ -207,18 +207,6 @@ Campaign::Campaign(std::shared_ptr<FleetSession> session)
     assert(session_ != nullptr);
 }
 
-const std::vector<ModuleSpec> &
-Campaign::skHynixFleet() const
-{
-    return session_->specs(Fleet::SkHynix);
-}
-
-const std::vector<ModuleSpec> &
-Campaign::table1() const
-{
-    return session_->specs(Fleet::Table1);
-}
-
 std::map<std::string, SampleSet>
 Campaign::activationCoverage()
 {

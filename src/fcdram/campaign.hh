@@ -45,12 +45,6 @@ class Campaign
         return session_;
     }
 
-    /** SK Hynix entries of the Table-1 fleet. */
-    const std::vector<ModuleSpec> &skHynixFleet() const;
-
-    /** Full Table-1 fleet (SK Hynix + Samsung). */
-    const std::vector<ModuleSpec> &table1() const;
-
     /**
      * Fig. 5: coverage of each NRF:NRL activation type across sampled
      * (RF, RL) pairs; one coverage sample per (module, subarray pair).

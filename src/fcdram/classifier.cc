@@ -5,6 +5,7 @@
 
 #include "dram/address.hh"
 #include "dram/openbitline.hh"
+#include "obs/telemetry.hh"
 
 namespace fcdram {
 
@@ -73,6 +74,7 @@ ActivationClassifier::classify(BankId bank, SubarrayId firstSubarray,
         .act(bank, rl, kViolatedGapTargetNs)
         .writeNominal(bank, rl, probe)
         .preNominal(bank);
+    const obs::DramLabel label("DoubleAct"); // Reads label themselves.
     bender_.execute(builder.build());
 
     // Step 3: read every row of both subarrays and detect captures.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fcdram/ops.hh"
+#include "obs/telemetry.hh"
 
 namespace fcdram {
 
@@ -34,6 +35,9 @@ SubarrayMapper::sameSubarrayProbe(BankId bank, RowId src, RowId dst,
         BitVector different = ~pattern;
         bender_.writeRow(bank, src, pattern);
         bender_.writeRow(bank, dst, different);
+        // Not Ops::executeRowClone, which asserts one subarray: the
+        // probe looks for pairs that straddle a boundary.
+        const obs::DramLabel label("RowClone"); // readRow labels itself.
         bender_.execute(ops.buildRowClone(bank, src, dst));
         const BitVector readback = bender_.readRow(bank, dst);
         // A successful copy reproduces the source pattern (modulo a

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.hh"
 #include "dram/openbitline.hh"
@@ -41,25 +42,6 @@ Ops::buildMaj(BankId bank, RowId rfGlobal, RowId rlGlobal) const
     return buildDoubleAct(bank, rfGlobal, rlGlobal);
 }
 
-std::vector<RowId>
-Ops::executeMajActivation(BankId bank, RowId rfGlobal, RowId rlGlobal)
-{
-    const obs::DramLabel label("MAJ");
-    const ExecResult result =
-        bender_.execute(buildMaj(bank, rfGlobal, rlGlobal));
-    std::vector<RowId> rows;
-    const GeometryConfig &geometry = bender_.chip().geometry();
-    for (const ActivationEvent &event : result.activations) {
-        if (event.firstSubarray != event.secondSubarray)
-            continue;
-        for (const RowId local : event.sets.secondRows) {
-            rows.push_back(
-                composeRow(geometry, event.firstSubarray, local));
-        }
-    }
-    return rows;
-}
-
 std::optional<BitVector>
 Ops::executeMaj(BankId bank, RowId rfGlobal, RowId rlGlobal,
                 const std::vector<BitVector> &operands)
@@ -89,24 +71,17 @@ Ops::executeMaj(BankId bank, RowId rfGlobal, RowId rlGlobal,
     for (const RowId local : set)
         rows.push_back(composeRow(geometry, rf.subarray, local));
 
-    const RowId neutral = rows.back();
-    if (!fracInit(bank, neutral, rows))
-        return std::nullopt;
-    for (std::size_t i = 0; i < m; ++i)
-        bender_.writeRow(bank, rows[i], operands[i]);
-    const auto columns = static_cast<std::size_t>(geometry.columns);
     const std::size_t pairs = (set.size() - m - 1) / 2;
-    for (std::size_t i = 0; i < pairs; ++i) {
-        bender_.writeRow(bank, rows[m + 2 * i],
-                         BitVector(columns, true));
-        bender_.writeRow(bank, rows[m + 2 * i + 1],
-                         BitVector(columns, false));
-    }
-    const auto activated =
-        executeMajActivation(bank, rfGlobal, rlGlobal);
-    if (activated.size() != rows.size())
+    std::vector<Step> steps;
+    if (!StepWriter{bender_.chip(), bank, steps}.maj(
+            rfGlobal, rlGlobal, rows, m, pairs, pairs))
         return std::nullopt;
-    return bender_.readRow(bank, rows.front());
+    std::optional<BitVector> result;
+    runSteps(
+        bender_, steps,
+        [&](std::size_t k) -> const BitVector & { return operands[k]; },
+        [&](const Step &, BitVector bits) { result = std::move(bits); });
+    return result;
 }
 
 std::vector<RowId>
@@ -178,68 +153,161 @@ fracHelper(const Chip &chip, RowId rowGlobal,
                : composeRow(geometry, address.subarray, helper_local);
 }
 
+void
+StepWriter::write(RowId row, Step::Source source, std::size_t operand)
+{
+    out.push_back({.kind = Step::Kind::Write,
+                   .program = hostWriteProgram(speed(), bank, row),
+                   .bank = bank,
+                   .row = row,
+                   .source = source,
+                   .operand = operand});
+}
+
+void
+StepWriter::run(const char *label, Program program,
+                std::size_t mustOpen)
+{
+    out.push_back({.kind = Step::Kind::Run,
+                   .label = label,
+                   .program = std::move(program),
+                   .bank = bank,
+                   .mustOpen = mustOpen});
+}
+
+void
+StepWriter::read(RowId row, Step::Sink sink)
+{
+    out.push_back({.kind = Step::Kind::Read,
+                   .label = "RowRead",
+                   .program = hostReadProgram(speed(), bank, row),
+                   .bank = bank,
+                   .row = row,
+                   .sink = sink});
+}
+
+bool
+StepWriter::frac(RowId target, const std::vector<RowId> &avoid)
+{
+    const RowId helper = fracHelper(chip, target, avoid);
+    if (helper == kInvalidRow)
+        return false;
+    // Charge-share an all-1s helper with an all-0s target and
+    // interrupt the restore: both rows settle near VDD/2.
+    write(helper, Step::Source::Ones);
+    write(target, Step::Source::Zeros);
+    run("Frac", fracProgram(speed(), bank, helper, target));
+    return true;
+}
+
+bool
+StepWriter::reference(BoolOp op, const std::vector<RowId> &refRows)
+{
+    assert(!refRows.empty());
+    const Step::Source constant =
+        op == BoolOp::And || op == BoolOp::Nand ? Step::Source::Ones
+                                                : Step::Source::Zeros;
+    const std::size_t constants = refRows.size() - 1;
+    for (std::size_t k = 0; k < constants; ++k)
+        write(refRows[k], constant);
+    if (!frac(refRows.back(), refRows))
+        return false;
+    for (std::size_t k = 0; k < constants; ++k)
+        write(refRows[k], constant);
+    return true;
+}
+
+void
+StepWriter::logic(RowId refAnchor, RowId comAnchor)
+{
+    run("Logic", doubleActProgram(speed(), bank, refAnchor, comAnchor));
+}
+
+bool
+StepWriter::maj(RowId rfAnchor, RowId rlAnchor,
+                const std::vector<RowId> &rows, std::size_t operands,
+                std::size_t ones, std::size_t zeros)
+{
+    const std::size_t size = rows.size();
+    if (operands + ones + zeros > size)
+        return false;
+    for (std::size_t n = 0; n < size - operands - ones - zeros; ++n) {
+        if (!frac(rows[size - 1 - n], rows))
+            return false;
+    }
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < operands; ++k)
+        write(rows[next++], Step::Source::Operand, k);
+    for (std::size_t k = 0; k < ones; ++k)
+        write(rows[next++], Step::Source::Ones);
+    for (std::size_t k = 0; k < zeros; ++k)
+        write(rows[next++], Step::Source::Zeros);
+    run("MAJ", doubleActProgram(speed(), bank, rfAnchor, rlAnchor), size);
+    read(rows.front(), Step::Sink::Compute);
+    return true;
+}
+
+bool
+runProgramStep(DramBender &bender, const Step &step)
+{
+    const obs::DramLabel label(step.label);
+    const ExecResult result = bender.execute(step.program);
+    if (step.mustOpen == 0)
+        return true;
+    std::size_t opened = 0;
+    for (const ActivationEvent &event : result.activations)
+        opened += event.sets.secondRows.size();
+    return opened == step.mustOpen;
+}
+
+bool
+runSteps(DramBender &bender, const std::vector<Step> &steps)
+{
+    return runSteps(
+        bender, steps,
+        [](std::size_t) -> const BitVector & {
+            throw std::logic_error("runSteps: no operand rows given");
+        },
+        [](const Step &, const BitVector &) {});
+}
+
 std::optional<RowId>
 Ops::fracInit(BankId bank, RowId rowGlobal,
               const std::vector<RowId> &avoid)
 {
-    const RowId helper = fracHelper(bender_.chip(), rowGlobal, avoid);
-    if (helper == kInvalidRow)
+    std::vector<Step> steps;
+    if (!StepWriter{bender_.chip(), bank, steps}.frac(rowGlobal, avoid))
         return std::nullopt;
-    // Charge-share an all-1s helper with an all-0s target and
-    // interrupt the restore: both rows settle near VDD/2.
-    const auto columns =
-        static_cast<std::size_t>(bender_.chip().geometry().columns);
-    bender_.writeRow(bank, helper, BitVector(columns, true));
-    bender_.writeRow(bank, rowGlobal, BitVector(columns, false));
-    const obs::DramLabel label("Frac");
-    bender_.execute(fracProgram(bender_.chip().profile().speed, bank,
-                                helper, rowGlobal));
-    return helper;
+    runSteps(bender_, steps);
+    return steps.front().row; // The helper's all-1s write.
 }
 
 bool
 Ops::initReference(BankId bank, BoolOp op,
                    const std::vector<RowId> &refRows)
 {
-    assert(!refRows.empty());
-    const GeometryConfig &geometry = bender_.chip().geometry();
-    const bool and_family = op == BoolOp::And || op == BoolOp::Nand;
-    BitVector constant(static_cast<std::size_t>(geometry.columns),
-                       and_family);
-    // The Frac row must be initialized last: its helper activation
-    // would otherwise be disturbed by later writes.
-    for (std::size_t i = 0; i + 1 < refRows.size(); ++i)
-        bender_.writeRow(bank, refRows[i], constant);
-    const auto helper = fracInit(bank, refRows.back(), refRows);
-    if (!helper)
-        return false;
-    // Re-write the constants in case the Frac helper overlapped a
-    // constant row's bitline transient (cheap and safe).
-    for (std::size_t i = 0; i + 1 < refRows.size(); ++i)
-        bender_.writeRow(bank, refRows[i], constant);
-    return true;
+    std::vector<Step> steps;
+    const bool initialized =
+        StepWriter{bender_.chip(), bank, steps}.reference(op, refRows);
+    runSteps(bender_, steps);
+    return initialized;
 }
 
 LogicOpResult
-Ops::executeLogic(BankId bank, BoolOp op, RowId refAnchor,
-                  RowId comAnchor, const std::vector<RowId> &refRows,
+Ops::executeLogic(BankId bank, RowId refAnchor, RowId comAnchor,
+                  const std::vector<RowId> &refRows,
                   const std::vector<RowId> &computeRows)
 {
-    (void)op;
     assert(!refRows.empty() && !computeRows.empty());
+    std::vector<Step> fire;
+    StepWriter{bender_.chip(), bank, fire}.logic(refAnchor, comAnchor);
+    runSteps(bender_, fire);
+
     const GeometryConfig &geometry = bender_.chip().geometry();
-    const RowAddress ref = decomposeRow(geometry, refAnchor);
-    const RowAddress com = decomposeRow(geometry, comAnchor);
-
-    const ExecResult exec = [&] {
-        const obs::DramLabel label("Logic");
-        return bender_.execute(
-            buildDoubleAct(bank, refAnchor, comAnchor));
-    }();
-    (void)exec;
-
     LogicOpResult result;
-    result.columns = sharedColumns(geometry, ref.subarray, com.subarray);
+    result.columns =
+        sharedColumns(geometry, decomposeRow(geometry, refAnchor).subarray,
+                      decomposeRow(geometry, comAnchor).subarray);
     result.computeResult = bender_.readRow(bank, computeRows.front());
     result.referenceResult = bender_.readRow(bank, refRows.front());
     return result;

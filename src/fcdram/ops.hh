@@ -3,11 +3,18 @@
  * FCDRAM operation builders: the library's public surface for issuing
  * in-DRAM NOT, N-input AND/OR/NAND/NOR, MAJ, RowClone and Frac
  * operations as violated-timing command programs.
+ *
+ * Each command recipe is written once, here: StepWriter writes the
+ * Frac init, reference init, logic fire and MAJ group as Steps for
+ * given rows, and runSteps is the one interpreter of Steps. Ops, the
+ * paper's trial method (SuccessRateAnalyzer) and the PuD lowering
+ * (pud/lower.hh) all build on them.
  */
 
 #ifndef FCDRAM_FCDRAM_OPS_HH
 #define FCDRAM_FCDRAM_OPS_HH
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -15,6 +22,154 @@
 #include "dram/address.hh"
 
 namespace fcdram {
+
+/** One step of an op's command recipe. */
+struct Step
+{
+    enum class Kind : std::uint8_t {
+        Write, ///< Host row write (DramBender::writeRow).
+        Run,   ///< Violated-timing program under DramLabel `label`.
+        Read,  ///< Host row read (DramBender::readRow) into a sink.
+    };
+
+    /** Data a Write lands in its row. */
+    enum class Source : std::uint8_t {
+        Operand, ///< The op's input number `operand`.
+        Ones,
+        Zeros,
+    };
+
+    /** Result side a Read feeds. */
+    enum class Sink : std::uint8_t {
+        Compute,   ///< AND/OR, NOT or MAJ result.
+        Reference, ///< NAND/NOR result of a wide gate.
+    };
+
+    Kind kind = Kind::Run;
+
+    /**
+     * DramLabel epoch the commands execute under: "Frac", "Logic",
+     * "MAJ", "NOT" or "RowClone" for a Run, "RowRead" for a Read.
+     */
+    const char *label = "";
+
+    /**
+     * The step's commands. A Write's ACT-WR-PRE is what the direct
+     * host write stands for: priced and counted, never executed.
+     */
+    Program program;
+
+    BankId bank = 0;
+
+    /** Write and Read: the target row. */
+    RowId row = 0;
+
+    Source source = Source::Operand;
+    std::size_t operand = 0;
+    Sink sink = Sink::Compute;
+
+    /**
+     * Run: rows the executed program must open behind its second ACT
+     * (the NOT destination, the whole MAJ group); any other count
+     * stops the steps. 0 leaves the program unchecked.
+     */
+    std::size_t mustOpen = 0;
+};
+
+/** Appends the steps of one op on one bank of @p chip. */
+struct StepWriter
+{
+    const Chip &chip;
+    BankId bank;
+    std::vector<Step> &out;
+
+    const SpeedGrade &speed() const { return chip.profile().speed; }
+
+    /** Host write of @p source (input @p operand) to @p row. */
+    void write(RowId row, Step::Source source, std::size_t operand = 0);
+
+    /** @p program under DramLabel @p label (see Step::mustOpen). */
+    void run(const char *label, Program program,
+             std::size_t mustOpen = 0);
+
+    /** Host read of @p row into @p sink. */
+    void read(RowId row, Step::Sink sink);
+
+    /**
+     * Frac init of @p target: an all-1s helper (fracHelper, skipping
+     * @p avoid), an all-0s target, the interrupted double activation.
+     * False, with nothing written, when no helper exists.
+     */
+    bool frac(RowId target, const std::vector<RowId> &avoid);
+
+    /**
+     * Reference init of an N-input gate of @p op's family: N-1
+     * constants (all-1s for AND/NAND, all-0s for OR/NOR), the Frac
+     * init of the last row, the constants again in case the helper
+     * disturbed one. False when the Frac row has no helper (the first
+     * constants are written regardless).
+     */
+    bool reference(BoolOp op, const std::vector<RowId> &refRows);
+
+    /** Logic fire: the double activation of the (RF, RL) anchors. */
+    void logic(RowId refAnchor, RowId comAnchor);
+
+    /**
+     * The SiMRA MAJ group over @p rows, the decoder's expansion of
+     * (rf, rl): a Frac init per neutral row (the rows the counts leave
+     * at the end), first since a helper activation would disturb data
+     * written before it; @p operands operand rows from the front,
+     * @p ones all-1s and @p zeros all-0s rows; the group activation,
+     * which must open every row; the first row's read. False when the
+     * counts overfill the group or a neutral row has no helper.
+     */
+    bool maj(RowId rfAnchor, RowId rlAnchor,
+             const std::vector<RowId> &rows, std::size_t operands,
+             std::size_t ones, std::size_t zeros);
+};
+
+/**
+ * Executes a Run step's program under its DramLabel. False when the
+ * step sets mustOpen and the program opens another number of rows.
+ */
+bool runProgramStep(DramBender &bender, const Step &step);
+
+/**
+ * The one interpreter of Steps, in order on @p bender: a Write lands
+ * operand(k) or a constant row, a Run goes through runProgramStep, a
+ * Read hands (step, bits) to @p read. Returns false, issuing nothing
+ * more, at a Run that fails its mustOpen check. Only execute and
+ * readRow tick the bender's trial counter, so steps draw the noise
+ * the same calls made by hand would.
+ */
+template <class Operand, class Read>
+bool
+runSteps(DramBender &bender, const std::vector<Step> &steps,
+         const Operand &operand, Read &&read)
+{
+    for (const Step &step : steps) {
+        switch (step.kind) {
+          case Step::Kind::Write:
+            bender.writeRow(step.bank, step.row,
+                            step.source == Step::Source::Operand
+                                ? operand(step.operand)
+                                : bender.constantRow(
+                                      step.source == Step::Source::Ones));
+            break;
+          case Step::Kind::Run:
+            if (!runProgramStep(bender, step))
+                return false;
+            break;
+          case Step::Kind::Read:
+            read(step, bender.readRow(step.bank, step.row));
+            break;
+        }
+    }
+    return true;
+}
+
+/** runSteps for steps that write no operand and read no row. */
+bool runSteps(DramBender &bender, const std::vector<Step> &steps);
 
 /** Outcome of an N-input logic operation issued through Ops. */
 struct LogicOpResult
@@ -75,9 +230,10 @@ class Ops
     bool executeRowClone(BankId bank, RowId srcGlobal, RowId dstGlobal);
 
     /**
-     * Initialize @p row to ~VDD/2 via the Frac idiom: pick a helper
-     * row in the same subarray that pair-activates with @p row, write
-     * all-1s/all-0s, and interrupt the charge-shared activation.
+     * Initialize @p row to ~VDD/2 via the Frac idiom
+     * (StepWriter::frac): pick a helper row in the same subarray that
+     * pair-activates with @p row, write all-1s/all-0s, and interrupt
+     * the charge-shared activation.
      *
      * @param avoid Rows (global) that must not be used as helpers.
      * @return The helper row used, or nullopt if none could be found.
@@ -88,63 +244,50 @@ class Ops
     /**
      * Prepare the reference subarray rows for an N-input AND/NAND
      * (constants = all-1s) or OR/NOR (constants = all-0s) operation:
-     * N-1 constant rows plus one Frac row.
+     * N-1 constant rows plus one Frac row (StepWriter::reference).
      *
      * @param refRows Global ids of the N reference rows.
-     * @return false if Frac initialization failed.
+     * @return false if Frac initialization failed (the first
+     *         constants are written regardless).
      */
     bool initReference(BankId bank, BoolOp op,
                        const std::vector<RowId> &refRows);
 
     /**
-     * Execute an N-input logic operation. The reference rows must
-     * already be initialized (initReference) and the operand rows
-     * written. The violated sequence is issued to the original
-     * (RF, RL) anchor pair whose activation defined the row sets;
-     * using any other pair would activate a different set.
+     * Execute an N-input logic operation (StepWriter::logic), then
+     * read the first compute and reference rows. The reference rows
+     * (initReference, which fixes the op) and operand rows must
+     * already be written.
      *
-     * @param op And, Or, Nand, or Nor.
      * @param refAnchor The RF row (global) of the discovered pair.
      * @param comAnchor The RL row (global) of the discovered pair.
      * @param refRows N reference rows (global, one subarray).
      * @param computeRows N compute rows (global, neighboring subarray).
      */
-    LogicOpResult executeLogic(BankId bank, BoolOp op, RowId refAnchor,
+    LogicOpResult executeLogic(BankId bank, RowId refAnchor,
                                RowId comAnchor,
                                const std::vector<RowId> &refRows,
                                const std::vector<RowId> &computeRows);
 
     /**
-     * Fire a SiMRA double activation for a same-subarray (RF, RL)
-     * pair. Rows must already hold their operand/constant/neutral
-     * values. Returns the global rows actually activated together
-     * (empty if no in-subarray multi-row activation occurred).
-     */
-    std::vector<RowId> executeMajActivation(BankId bank, RowId rfGlobal,
-                                            RowId rlGlobal);
-
-    /**
      * One-shot odd-input in-subarray MAJ (MAJ3 on a 4-row group,
      * MAJ5 on an 8-row group, generally on the decoder's
-     * (rf, rl)-masked expansion): Frac-initializes one tiebreaker
-     * row, balances the remaining rows with equal all-1s/all-0s
-     * constants (which cancel in the majority), writes the operands,
-     * fires the activation, and reads the result back from the
-     * group's first row.
+     * (rf, rl)-masked expansion) as StepWriter::maj with one Frac
+     * tiebreaker row and equal numbers of all-1s and all-0s rows,
+     * which cancel in the majority.
      *
      * @param operands Odd number of operand bit-vectors,
      *        operands.size() <= group size - 1.
      * @return The MAJ result, or nullopt when the pair does not
-     *         expand to a group that can host the gate or the Frac
-     *         initialization fails.
+     *         expand to a group that can host the gate, the Frac
+     *         initialization fails or the activation opens another
+     *         number of rows.
      * @throws std::invalid_argument when the operand count is even
      *         or zero (stale rows would vote in the majority).
      */
     std::optional<BitVector>
     executeMaj(BankId bank, RowId rfGlobal, RowId rlGlobal,
                const std::vector<BitVector> &operands);
-
-    DramBender &bender() { return bender_; }
 
   private:
     DramBender &bender_;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "obs/telemetry.hh"
+
 namespace fcdram {
 
 DramTrng::DramTrng(DramBender &bender, BankId bank, SubarrayId subarray)
@@ -24,6 +26,7 @@ DramTrng::rawSample()
     ops_.fracInit(bank_, rowB_, {rowA_});
     // Metastable charge share: both bitline terminals sit at VDD/2,
     // so the amplification outcome is thermal-noise driven.
+    const obs::DramLabel label("DoubleAct"); // Reads label themselves.
     bender_.execute(ops_.buildDoubleAct(bank_, rowA_, rowB_));
     ++rawSamples_;
     return bender_.readRow(bank_, rowA_);

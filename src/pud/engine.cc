@@ -134,22 +134,12 @@ priceProgram(const Program &program)
 }
 
 QueryCost
-priceSteps(const std::vector<LoweredStep> &steps)
+priceSteps(const std::vector<Step> &steps)
 {
     QueryCost cost;
-    for (const LoweredStep &step : steps)
+    for (const Step &step : steps)
         cost.add(priceProgram(step.program));
     return cost;
-}
-
-/** Rows an executed program opened behind its second ACT. */
-std::size_t
-openedRows(const ExecResult &result)
-{
-    std::size_t rows = 0;
-    for (const ActivationEvent &event : result.activations)
-        rows += event.sets.secondRows.size();
-    return rows;
 }
 
 /**
@@ -469,8 +459,6 @@ PudEngine::execute(const MicroProgram &program,
 
     const std::vector<LoweredOp> lowered =
         lower(program, placement, chip, options_.copyIn);
-    const BitVector ones(numColumns, true);
-    const BitVector zeros(numColumns, false);
     // Residency: one host write lands a column in DRAM; every query
     // after that reuses it in place.
     const QueryCost residency =
@@ -500,39 +488,19 @@ PudEngine::execute(const MicroProgram &program,
             continue;
         }
 
-        const auto rowData =
-            [&](const LoweredStep &step) -> const BitVector & {
-            switch (step.source) {
-              case LoweredStep::Source::Ones: return ones;
-              case LoweredStep::Source::Zeros: return zeros;
-              case LoweredStep::Source::Operand: break;
-            }
-            return values[op.inputs[step.operand]];
+        const auto operand = [&](std::size_t k) -> const BitVector & {
+            return values[op.inputs[k]];
         };
-        for (const LoweredStep &step : steps.prologue)
-            bender.writeRow(step.bank, step.row, rowData(step));
         VoteSet computeVotes(numColumns);
         VoteSet referenceVotes(numColumns);
-        bool ok = true;
-        for (int trial = 0; ok && trial < trials; ++trial) {
-            for (const LoweredStep &step : steps.body) {
-                if (step.kind == LoweredStep::Kind::Write) {
-                    bender.writeRow(step.bank, step.row, rowData(step));
-                } else if (step.kind == LoweredStep::Kind::Read) {
-                    (step.sink == LoweredStep::Sink::Reference
-                         ? referenceVotes
-                         : computeVotes)
-                        .add(bender.readRow(step.bank, step.row));
-                } else {
-                    const obs::DramLabel label(step.label);
-                    const ExecResult run = bender.execute(step.program);
-                    ok = step.mustOpen == 0 ||
-                         openedRows(run) == step.mustOpen;
-                    if (!ok)
-                        break;
-                }
-            }
-        }
+        const auto vote = [&](const Step &step, const BitVector &bits) {
+            (step.sink == Step::Sink::Reference ? referenceVotes
+                                                : computeVotes)
+                .add(bits);
+        };
+        bool ok = runSteps(bender, steps.prologue, operand, vote);
+        for (int trial = 0; ok && trial < trials; ++trial)
+            ok = runSteps(bender, steps.body, operand, vote);
         if (!ok) {
             cpuFallback(op);
             continue;

@@ -1,10 +1,10 @@
 /**
  * @file
  * The PuD lowering: one pure function from a placed μprogram to the
- * ordered DDR4 command stream each op issues. It is the only
- * description of what the simulator does per op:
+ * ordered DDR4 command stream each op issues, as fcdram::Steps. It is
+ * the only description of what the simulator does per op:
  *
- *  - PudEngine::execute interprets the steps;
+ *  - PudEngine::execute runs the steps through fcdram::runSteps;
  *  - verify::verifyPlan lints their programs;
  *  - verify::analyzeActivationPressure counts their ACTs;
  *  - verify::certifyPlan reads the clone-or-write choice from them;
@@ -15,18 +15,17 @@
  *  - the engine prices QueryResult::dram, load and bankBusyNs from
  *    their programs.
  *
- * Every program comes from the command-shape builders of
- * bender/program.hh. Per trial, an op issues:
+ * The reference init, logic fire and MAJ group are fcdram::StepWriter
+ * recipes, shared with Ops and the paper's trial method; the lowering
+ * adds the copy-in, NOT and read steps, with the placed rows. Per
+ * trial, an op issues:
  *
- *  - wide N-input gate: the N-1 reference constants (all-1s for the
- *    AND family, all-0s for OR), the Frac init of the last reference
- *    row, the constants once more (Ops::initReference), one copy-in
- *    per operand (host write, or RowClone from its staging row), the
- *    violated double activation, then the compute and reference reads;
+ *  - wide N-input gate: the reference init, one copy-in per operand
+ *    (host write, or RowClone from its staging row), the logic fire,
+ *    then the compute and reference reads;
  *  - NOT: source and destination writes, the copy program, the
  *    destination read;
- *  - SiMRA MAJ: one Frac per neutral row, the operand and constant
- *    writes, the group activation, the first row's read.
+ *  - SiMRA MAJ: the MAJ group over its slot's rows.
  */
 
 #ifndef FCDRAM_PUD_LOWER_HH
@@ -35,8 +34,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "bender/program.hh"
 #include "dram/chip.hh"
+#include "fcdram/ops.hh"
 #include "pud/allocator.hh"
 #include "pud/compiler.hh"
 
@@ -57,71 +56,18 @@ enum class CopyInMode : std::uint8_t {
     RowClone,
 };
 
-/** One step of a lowered op. */
-struct LoweredStep
-{
-    enum class Kind : std::uint8_t {
-        Write, ///< Host row write (DramBender::writeRow).
-        Run,   ///< Violated-timing program under DramLabel `label`.
-        Read,  ///< Host row read (DramBender::readRow) into a vote set.
-    };
-
-    /** Data a Write lands in its row. */
-    enum class Source : std::uint8_t {
-        Operand, ///< The op's input number `operand`.
-        Ones,
-        Zeros,
-    };
-
-    /** Vote set a Read feeds. */
-    enum class Sink : std::uint8_t {
-        Compute,   ///< AND/OR, NOT or MAJ result.
-        Reference, ///< NAND/NOR result of a wide gate.
-    };
-
-    Kind kind = Kind::Run;
-
-    /**
-     * DramLabel epoch the commands execute under: "Frac", "Logic",
-     * "MAJ", "NOT" or "RowClone" for a Run, "RowRead" for a Read.
-     */
-    const char *label = "";
-
-    /**
-     * The step's commands. A Write's ACT-WR-PRE is what the direct
-     * host write stands for: priced and counted, never executed.
-     */
-    Program program;
-
-    BankId bank = 0;
-
-    /** Write and Read: the target row. */
-    RowId row = 0;
-
-    Source source = Source::Operand;
-    std::size_t operand = 0;
-    Sink sink = Sink::Compute;
-
-    /**
-     * Run: rows the executed program must open behind its second ACT
-     * (the NOT destination, the whole MAJ group); any other count
-     * sends the op to the CPU. 0 leaves the program unchecked.
-     */
-    std::size_t mustOpen = 0;
-};
-
 /** One μop's command stream. */
 struct LoweredOp
 {
     /** Once per op: the RowClone staging writes (residency). */
-    std::vector<LoweredStep> prologue;
+    std::vector<Step> prologue;
 
     /**
      * One majority-vote trial in issue order, repeated per trial.
      * Empty when the op runs on the CPU: Loads, unplaced ops, and
      * gates whose Frac row has no pair-activating donor.
      */
-    std::vector<LoweredStep> body;
+    std::vector<Step> body;
 };
 
 /**

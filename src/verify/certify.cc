@@ -237,7 +237,7 @@ certifyPlan(const MicroProgram &program, const Placement &placement,
             // staging->compute clone re-runs every trial, so its flip
             // probability adds to the per-trial flip.
             std::vector<double> cloneFlip(columns, 0.0);
-            for (const pud::LoweredStep &staging : lowered[i].prologue) {
+            for (const Step &staging : lowered[i].prologue) {
                 const std::size_t k = staging.operand;
                 const auto cloneWorst = pud::rowCloneSuccessProbabilities(
                     chip, bank, slot.stagingRows[k], slot.computeRows[k],

@@ -26,7 +26,7 @@ analyzeActivationPressure(const pud::MicroProgram &program,
              program, placement, chip,
              rowCloneCopyIn ? pud::CopyInMode::RowClone
                             : pud::CopyInMode::HostWrite)) {
-        for (const pud::LoweredStep &step : op.body) {
+        for (const Step &step : op.body) {
             for (const Command &command : step.program.commands) {
                 if (command.type != CommandType::Act)
                     continue;

@@ -39,8 +39,8 @@ verifyPlan(const MicroProgram &program, const Placement &placement,
     context.ignoresViolatedCommands =
         chip.profile().decoder.ignoresViolatedCommands;
     for (std::size_t i = 0; i < lowered.size(); ++i) {
-        for (const pud::LoweredStep &step : lowered[i].body) {
-            if (step.kind == pud::LoweredStep::Kind::Write)
+        for (const Step &step : lowered[i].body) {
+            if (step.kind == Step::Kind::Write)
                 continue;
             context.epoch = step.label;
             context.locus =

@@ -1027,7 +1027,7 @@ TEST(EngineAgreementLogic, InvertedSidePenaltyFallsOnReferenceRows)
         for (std::size_t i = 0; i < com_rows.size(); ++i)
             bender.writeRow(0, com_rows[i], operands[i]);
         const LogicOpResult result = ops.executeLogic(
-            0, BoolOp::And, ref_anchor, com_anchor, ref_rows, com_rows);
+            0, ref_anchor, com_anchor, ref_rows, com_rows);
         ASSERT_FALSE(result.columns.empty());
         for (const ColId col : result.columns) {
             EXPECT_EQ(result.computeResult.get(col), golden.get(col))

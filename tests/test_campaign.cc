@@ -25,8 +25,9 @@ class CampaignFixture : public ::testing::Test
 
 TEST_F(CampaignFixture, FleetFilters)
 {
-    EXPECT_EQ(campaign_.skHynixFleet().size(), 6u);
-    EXPECT_EQ(campaign_.table1().size(), 9u);
+    const FleetSession &session = *campaign_.session();
+    EXPECT_EQ(session.specs(FleetSession::Fleet::SkHynix).size(), 6u);
+    EXPECT_EQ(session.specs(FleetSession::Fleet::Table1).size(), 9u);
 }
 
 TEST_F(CampaignFixture, ActivationCoverageShapes)

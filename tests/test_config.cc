@@ -69,7 +69,6 @@ TEST(ChipProfile, SimraCapabilityPerManufacturer)
 {
     const auto hynix =
         ChipProfile::make(Manufacturer::SkHynix, 4, 'A', 8, 2666);
-    EXPECT_TRUE(hynix.supportsSimra());
     EXPECT_EQ(hynix.maxSimraRows(), 32);
     EXPECT_EQ(hynix.maxSimraInputs(), 16);
 
@@ -82,13 +81,11 @@ TEST(ChipProfile, SimraCapabilityPerManufacturer)
     // Samsung: pair activation only — no many-row groups.
     const auto samsung =
         ChipProfile::make(Manufacturer::Samsung, 8, 'A', 8, 2666);
-    EXPECT_FALSE(samsung.supportsSimra());
     EXPECT_EQ(samsung.maxSimraRows(), 2);
 
     // Micron ignores violated commands entirely.
     const auto micron =
         ChipProfile::make(Manufacturer::Micron, 8, 'B', 8, 2666);
-    EXPECT_FALSE(micron.supportsSimra());
     EXPECT_EQ(micron.maxSimraRows(), 0);
 }
 

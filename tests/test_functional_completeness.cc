@@ -41,8 +41,7 @@ class FunctionalCompleteness : public ::testing::Test
         bender_.writeRow(0, comRows_[0], a);
         bender_.writeRow(0, comRows_[1], b);
         const LogicOpResult result = ops_.executeLogic(
-            0, BoolOp::Nand, refAnchor_, comAnchor_, refRows_,
-            comRows_);
+            0, refAnchor_, comAnchor_, refRows_, comRows_);
         return result.referenceResult;
     }
 
@@ -174,7 +173,7 @@ TEST_F(FunctionalCompleteness, WideNandMatchesGolden)
     for (std::size_t i = 0; i < com_rows.size(); ++i)
         bender.writeRow(0, com_rows[i], operands[i]);
     const LogicOpResult result = ops.executeLogic(
-        0, BoolOp::Nand, composeRow(chip.geometry(), 0, pairs[0].first),
+        0, composeRow(chip.geometry(), 0, pairs[0].first),
         composeRow(chip.geometry(), 1, pairs[0].second), ref_rows,
         com_rows);
     const BitVector expected = goldenNand(operands);

@@ -1,17 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "fcdram/analyzer.hh"
+#include "fcdram/classifier.hh"
+#include "fcdram/mapper.hh"
 #include "fcdram/session.hh"
+#include "fcdram/trng.hh"
 #include "obs/telemetry.hh"
 #include "pud/engine.hh"
 #include "pud/lower.hh"
 #include "verify/certify.hh"
+#include "verify/cmdlint.hh"
 #include "verify/pressure.hh"
 #include "testutil.hh"
 
@@ -68,8 +76,8 @@ countWrites(const std::vector<LoweredOp> &lowered, int trials)
     WriteCounts counts;
     for (const LoweredOp &op : lowered) {
         counts.staging += op.prologue.size();
-        for (const LoweredStep &step : op.body) {
-            if (step.kind == LoweredStep::Kind::Write)
+        for (const Step &step : op.body) {
+            if (step.kind == Step::Kind::Write)
                 counts.body += static_cast<std::uint64_t>(trials);
         }
     }
@@ -258,8 +266,8 @@ loweredCommands(const std::vector<LoweredOp> &lowered, int trials)
     std::vector<TracedCommand> commands;
     for (const LoweredOp &op : lowered) {
         for (int trial = 0; trial < trials; ++trial) {
-            for (const LoweredStep &step : op.body) {
-                if (step.kind == LoweredStep::Kind::Write)
+            for (const Step &step : op.body) {
+                if (step.kind == Step::Kind::Write)
                     continue;
                 for (const Command &command : step.program.commands) {
                     const bool pre = command.type == CommandType::Pre;
@@ -387,6 +395,175 @@ TEST(LowerTest, ExecutedStreamEqualsLoweredStreamOverLintCorpus)
     }
     EXPECT_EQ(plans, 192);
     EXPECT_GT(executedActs, 0u);
+}
+
+TEST(LowerTest, TrialMethodIssuesTheServedRecipe)
+{
+    // The lowering and fcdram::Ops build each op from the same
+    // StepWriter recipes, so on the same chip state and bender seed
+    // the trial method's Ops calls issue the served op's commands and
+    // read its bits. MAJ-9 pads its 16-row group with 3 constant
+    // pairs.
+    const ChipProfile profile =
+        ChipProfile::make(Manufacturer::SkHynix, 4, 'A', 8, 2133);
+    const auto session =
+        std::make_shared<FleetSession>(CampaignConfig::forTests());
+    constexpr std::uint64_t kChipSeed = 0x5EED;
+    constexpr std::uint64_t kBenderSeed = 9;
+    ExprPool pool;
+    const std::vector<ExprId> cols = makeColumns(pool, 9);
+    const auto bits =
+        static_cast<std::size_t>(session->config().geometry.columns);
+    const auto data =
+        PudEngine::randomColumns(columnNames(9), bits, kChipSeed);
+    const std::vector<std::tuple<std::string, BackendChoice, ExprId>>
+        shapes = {
+            {"AND-2", BackendChoice::NandNor,
+             pool.mkAnd(cols[0], cols[1])},
+            {"MAJ-3", BackendChoice::SimraMaj,
+             pool.mkMaj({cols[0], cols[1], cols[2]})},
+            {"MAJ-9", BackendChoice::SimraMaj, pool.mkMaj(cols)},
+        };
+    obs::TelemetryConfig traced;
+    traced.metrics = true;
+    traced.dramTrace = true;
+
+    for (const auto &[label, backend, root] : shapes) {
+        SCOPED_TRACE(label);
+        EngineOptions options;
+        options.backend = backend;
+        options.copyIn = CopyInMode::HostWrite;
+        options.redundancy = 1;
+        const PudEngine engine(session, options);
+        const Chip chip = session->checkoutChip(profile, kChipSeed);
+        const MicroProgram program = engine.compileFor(pool, root, chip);
+        const Placement placement =
+            RowAllocator(chip, kChipSeed).place(program);
+        ASSERT_TRUE(placement.complete);
+
+        std::map<ValueId, std::string> columnOf;
+        std::vector<std::size_t> computed;
+        for (std::size_t i = 0; i < program.ops.size(); ++i) {
+            if (program.ops[i].kind == MicroOpKind::Load)
+                columnOf[program.ops[i].computeValue] =
+                    program.ops[i].column;
+            else
+                computed.push_back(i);
+        }
+        ASSERT_EQ(computed.size(), 1u);
+        const std::size_t i = computed.front();
+        const MicroOp &op = program.ops[i];
+        std::vector<BitVector> operands;
+        for (const ValueId input : op.inputs)
+            operands.push_back(data.at(columnOf.at(input)));
+
+        std::vector<TracedCommand> served;
+        std::uint64_t servedWrites = 0;
+        BitVector servedBits;
+        BitVector mask;
+        {
+            const TelemetryGuard guard(traced);
+            Chip runChip = session->checkoutChip(profile, kChipSeed);
+            const QueryResult result =
+                engine.execute(program, placement, runChip.temperature(),
+                               runChip, kBenderSeed, data);
+            served = tracedCommands(obs::global());
+            servedWrites = obs::global().value("bender.row_writes");
+            servedBits = result.output;
+            mask = result.mask;
+        }
+        ASSERT_GT(mask.popcount(), 0u);
+
+        const TelemetryGuard guard(traced);
+        Chip trialChip = session->checkoutChip(profile, kChipSeed);
+        DramBender bender(trialChip, kBenderSeed);
+        Ops ops(bender);
+        BitVector trialBits;
+        if (op.kind == MicroOpKind::Wide) {
+            const GateSlot &slot = placement.gateSlots[static_cast<
+                std::size_t>(placement.gateSlotOf[i])];
+            const BankId bank = slot.context.bank;
+            ASSERT_TRUE(ops.initReference(bank, op.family, slot.refRows));
+            for (std::size_t k = 0; k < operands.size(); ++k)
+                bender.writeRow(bank, slot.computeRows[k], operands[k]);
+            trialBits = ops.executeLogic(bank, slot.refAnchor,
+                                         slot.comAnchor, slot.refRows,
+                                         slot.computeRows)
+                            .computeResult;
+        } else {
+            ASSERT_EQ(op.kind, MicroOpKind::Maj);
+            const MajSlot &slot = placement.majSlots[static_cast<
+                std::size_t>(placement.majSlotOf[i])];
+            const auto maj = ops.executeMaj(
+                slot.context.bank, slot.rfAnchor, slot.rlAnchor, operands);
+            ASSERT_TRUE(maj.has_value());
+            trialBits = *maj;
+        }
+        EXPECT_EQ(tracedCommands(obs::global()), served);
+        EXPECT_EQ(obs::global().value("bender.row_writes"), servedWrites);
+        servedBits &= mask;
+        trialBits &= mask;
+        EXPECT_EQ(trialBits, servedBits);
+    }
+}
+
+TEST(LowerTest, FcdramProgramsRunUnderViolationEpochs)
+{
+    // A program issued without a DramLabel records the default
+    // "program" epoch, which cmdlint's UPL105 reads as a timing error
+    // and the DRAM trace mislabels. Every violated-timing program
+    // fcdram issues runs under a violation epoch, every host read
+    // under "RowRead".
+    Chip chip(ChipProfile::make(Manufacturer::SkHynix, 4, 'M', 8, 2666),
+              test::tinyGeometry(), 3);
+    DramBender bender(chip, 7);
+    const GeometryConfig &geometry = chip.geometry();
+    const auto pairs = findActivationPairs(chip, 2, 2, 1, 5);
+    ASSERT_FALSE(pairs.empty());
+    const auto [rf, rl] = pairs.front();
+
+    struct Issuer
+    {
+        std::string name;
+        std::string epoch; ///< The violation epoch it must record.
+        std::function<void()> issue;
+    };
+    const std::vector<Issuer> issuers = {
+        {"SuccessRateAnalyzer::runLogic", "Logic",
+         [&] {
+             LogicTrialConfig config;
+             config.refGlobal = composeRow(geometry, 0, rf);
+             config.comGlobal = composeRow(geometry, 1, rl);
+             config.trials = 2;
+             SuccessRateAnalyzer(bender, 11).runLogic(config);
+         }},
+        {"DramTrng::rawSample", "DoubleAct",
+         [&] { DramTrng(bender, 0, 2).rawSample(); }},
+        {"SubarrayMapper::sameSubarrayProbe", "RowClone",
+         [&] {
+             SubarrayMapper(bender, 13)
+                 .sameSubarrayProbe(0, composeRow(geometry, 2, 4),
+                                    composeRow(geometry, 2, 5), 1);
+         }},
+        {"ActivationClassifier::classify", "DoubleAct",
+         [&] { ActivationClassifier(bender, 17).classify(0, 0, rf, 1, rl); }},
+    };
+    obs::TelemetryConfig traced;
+    traced.dramTrace = true;
+    for (const Issuer &issuer : issuers) {
+        SCOPED_TRACE(issuer.name);
+        const TelemetryGuard guard(traced);
+        issuer.issue();
+        std::set<std::string> epochs;
+        for (const TracedCommand &command : tracedCommands(obs::global()))
+            epochs.insert(std::get<0>(command));
+        EXPECT_EQ(epochs.count(issuer.epoch), 1u);
+        for (const std::string &epoch : epochs) {
+            EXPECT_TRUE(epoch == "RowRead" ||
+                        verify::isViolationEpoch(epoch.c_str()))
+                << epoch;
+        }
+    }
 }
 
 } // namespace

@@ -225,7 +225,7 @@ TEST_P(LogicOpParam, ComputesCorrectLogic)
     for (std::size_t i = 0; i < com_rows.size(); ++i)
         bender.writeRow(0, com_rows[i], operands[i]);
     const LogicOpResult result = ops.executeLogic(
-        0, op, composeRow(geometry, 0, pairs.front().first),
+        0, composeRow(geometry, 0, pairs.front().first),
         composeRow(geometry, 1, pairs.front().second), ref_rows,
         com_rows);
 

@@ -97,31 +97,6 @@ TEST(Rng, BelowCoversRange)
         EXPECT_TRUE(s);
 }
 
-TEST(Rng, GaussianMoments)
-{
-    Rng rng(13);
-    double sum = 0.0;
-    double sq = 0.0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i) {
-        const double g = rng.gaussian();
-        sum += g;
-        sq += g * g;
-    }
-    EXPECT_NEAR(sum / n, 0.0, 0.02);
-    EXPECT_NEAR(sq / n, 1.0, 0.03);
-}
-
-TEST(Rng, GaussianScaled)
-{
-    Rng rng(17);
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += rng.gaussian(5.0, 0.5);
-    EXPECT_NEAR(sum / n, 5.0, 0.02);
-}
-
 TEST(Rng, BernoulliEdgeCases)
 {
     Rng rng(19);

@@ -297,9 +297,8 @@ exerciseShapes(Chip &chip, ExecMode mode)
             if (!ops.initReference(0, op, ref))
                 continue;
             fill_random(com);
-            ops.executeLogic(0, op, composeRow(geometry, ref_sa, rf),
-                             composeRow(geometry, com_sa, rl), ref,
-                             com);
+            ops.executeLogic(0, composeRow(geometry, ref_sa, rf),
+                             composeRow(geometry, com_sa, rl), ref, com);
             read_all(ref);
             read_all(com);
             run.shapes.push_back("logic " + std::to_string(n) + ":" +
