@@ -1,12 +1,13 @@
 /**
  * @file
  * Empirical validation of the static plan certifier
- * (verify/certify.hh) over the pudlint corpus: every (query, profile,
- * backend, rowclone) plan is certified and then executed --runs times
- * with varied bender and data seeds, and the measured per-column
- * Monte-Carlo error rates are tested against the certified bounds.
+ * (verify/certify.hh) over the pudlint corpus (tools/corpus.hh):
+ * every (query, profile, backend, rowclone) plan is certified and
+ * then executed --runs times with varied bender and data seeds, and
+ * the measured per-column Monte-Carlo error rates are tested against
+ * the certified bounds.
  *
- * Two hard gates (non-zero exit on failure):
+ * Three hard gates (non-zero exit on failure):
  *
  *  - Soundness: no column's measured error count may statistically
  *    exceed its certified upper bound. The test is an exact binomial
@@ -20,6 +21,12 @@
  *    below 10x (1/R is the measurement floor of R runs: rates below
  *    it are indistinguishable from zero, so bounds under the floor
  *    are non-vacuous by convention).
+ *
+ *  - Reference SLO: every certificate meets min expected accuracy
+ *    99.5% and max per-column error bound 5%, chosen so every clean
+ *    corpus plan is feasible (masked per-trial flip probabilities sit
+ *    at or below 1e-4, so even 16-deep chains certify well under
+ *    these bounds) while a vacuous certifier would trip it at once.
  *
  * A second section re-certifies the SK Hynix module at redundancy 3
  * and checks the voted bounds the same way (majority voting must
@@ -40,6 +47,7 @@
 #include "common/bitvector.hh"
 #include "common/mathutil.hh"
 #include "common/rng.hh"
+#include "corpus.hh"
 #include "pud/service.hh"
 #include "verify/certify.hh"
 
@@ -48,75 +56,15 @@ using namespace fcdram::pud;
 
 namespace {
 
-constexpr std::uint64_t kChipSeed = 0x11D7;
+using corpus::kChipSeed;
+using corpus::ProfileSpec;
+using corpus::QuerySpec;
+
 constexpr double kSoundnessPValue = 1e-6;
 constexpr double kVacuousSlack = 10.0;
 
-struct QuerySpec
-{
-    std::string label;
-    ExprId root = kNoExpr;
-};
-
-struct ProfileSpec
-{
-    std::string label;
-    ChipProfile profile;
-    std::vector<BackendChoice> backends;
-};
-
-/** The pudlint corpus: the bench_pud_query sweep plus MAJ gates. */
-std::vector<QuerySpec>
-buildCorpus(ExprPool &pool)
-{
-    std::vector<ExprId> cols;
-    for (int i = 0; i < 16; ++i)
-        cols.push_back(
-            pool.column(std::string("c") + std::to_string(i)));
-
-    std::vector<QuerySpec> corpus;
-    for (const int width : {2, 4, 8, 16}) {
-        const std::vector<ExprId> slice(cols.begin(),
-                                        cols.begin() + width);
-        corpus.push_back({std::string("AND-") + std::to_string(width),
-                          pool.mkAnd(slice)});
-        corpus.push_back({std::string("OR-") + std::to_string(width),
-                          pool.mkOr(slice)});
-    }
-    corpus.push_back(
-        {"(a&~b)|(c&d)",
-         pool.mkOr(pool.mkAnd(cols[0], pool.mkNot(cols[1])),
-                   pool.mkAnd(cols[2], cols[3]))});
-    corpus.push_back(
-        {"XOR-4", pool.mkXor({cols[0], cols[1], cols[2], cols[3]})});
-    corpus.push_back({"MAJ-3", pool.mkMaj({cols[0], cols[1], cols[2]})});
-    corpus.push_back({"MAJ-5", pool.mkMaj({cols[0], cols[1], cols[2],
-                                           cols[3], cols[4]})});
-    return corpus;
-}
-
-std::vector<ProfileSpec>
-buildProfiles()
-{
-    const std::vector<BackendChoice> all = {BackendChoice::Auto,
-                                            BackendChoice::NandNor,
-                                            BackendChoice::SimraMaj};
-    const std::vector<BackendChoice> autoOnly = {BackendChoice::Auto};
-    return {
-        {"SKHynix-4Gb-M",
-         ChipProfile::make(Manufacturer::SkHynix, 4, 'M', 8, 2666),
-         all},
-        {"SKHynix-4Gb-A",
-         ChipProfile::make(Manufacturer::SkHynix, 4, 'A', 8, 2133),
-         all},
-        {"Samsung-4Gb-F",
-         ChipProfile::make(Manufacturer::Samsung, 4, 'F', 8, 2666),
-         autoOnly},
-        {"Micron-8Gb-B",
-         ChipProfile::make(Manufacturer::Micron, 8, 'B', 8, 2666),
-         autoOnly},
-    };
-}
+/** The reference SLO every corpus certificate must meet. */
+constexpr verify::AccuracySlo kReferenceSlo{0.995, 0.05};
 
 /** Outcome of one certified-and-measured plan. */
 struct PlanOutcome
@@ -125,6 +73,9 @@ struct PlanOutcome
     double worstBound = 0.0;
     double worstMeasured = 0.0;
     std::size_t soundnessViolations = 0;
+
+    /** The certificate meets kReferenceSlo. */
+    bool sloOk = true;
 };
 
 /**
@@ -145,6 +96,7 @@ checkPlan(const std::shared_ptr<FleetSession> &session,
         program, placement, chip, chip.temperature(),
         engine.options().redundancy, rowClone);
     outcome.worstBound = certificate.worstColumnErrorBound;
+    outcome.sloOk = certificate.meets(kReferenceSlo);
 
     const std::size_t columns = chip.geometry().columns;
     std::vector<std::size_t> mismatches(columns, 0);
@@ -227,8 +179,8 @@ main(int argc, char **argv)
         }
     }
 
-    // Same session configuration as pudlint so the certified bounds
-    // here are the ones CI's certify-smoke step reports.
+    // Same session configuration and chip seed as pudlint, so the
+    // plans certified here are the ones pudlint lints.
     CampaignConfig config = CampaignConfig::forTests();
     benchutil::applyArgs(config,
                          static_cast<int>(passthrough.size()),
@@ -236,11 +188,9 @@ main(int argc, char **argv)
     const auto session = std::make_shared<FleetSession>(config);
 
     ExprPool pool;
-    const std::vector<QuerySpec> corpus = buildCorpus(pool);
-    const std::vector<ProfileSpec> profiles = buildProfiles();
-    std::vector<std::string> columnNames;
-    for (int i = 0; i < 16; ++i)
-        columnNames.push_back(std::string("c") + std::to_string(i));
+    const std::vector<QuerySpec> queries = corpus::buildCorpus(pool);
+    const std::vector<ProfileSpec> profiles = corpus::buildProfiles();
+    const std::vector<std::string> columnNames = corpus::columnNames();
 
     benchutil::BenchReport report("certify");
     std::vector<PlanOutcome> outcomes;
@@ -253,7 +203,7 @@ main(int argc, char **argv)
             session->checkoutChip(spec.profile, kChipSeed);
         const RowAllocator allocator(chip, kChipSeed);
         for (const BackendChoice backend : spec.backends) {
-            for (const QuerySpec &query : corpus) {
+            for (const QuerySpec &query : queries) {
                 // Placement is copy-in independent; certify + measure
                 // both flavors of the same placed program.
                 EngineOptions compileOptions;
@@ -291,7 +241,7 @@ main(int argc, char **argv)
         const Chip chip =
             session->checkoutChip(spec.profile, kChipSeed);
         const RowAllocator allocator(chip, kChipSeed);
-        for (const QuerySpec &query : corpus) {
+        for (const QuerySpec &query : queries) {
             EngineOptions compileOptions;
             compileOptions.backend = BackendChoice::Auto;
             compileOptions.redundancy = 3;
@@ -330,6 +280,10 @@ main(int argc, char **argv)
         if (outcome.worstBound > 0.0)
             ++certifiedNonZero;
     }
+    std::size_t sloInfeasible = 0;
+    for (const auto *section : {&outcomes, &votedOutcomes})
+        for (const PlanOutcome &outcome : *section)
+            sloInfeasible += outcome.sloOk ? 0 : 1;
 
     std::cout << "\nbench_certify: "
               << outcomes.size() + votedOutcomes.size()
@@ -337,6 +291,12 @@ main(int argc, char **argv)
               << " soundness violation(s), median slack " << slack
               << "x (" << certifiedNonZero
               << " plans with non-zero bounds)\n";
+    std::cout << "bench_certify: " << sloInfeasible << " of "
+              << outcomes.size() + votedOutcomes.size()
+              << " plan(s) SLO-infeasible (min accuracy "
+              << kReferenceSlo.minExpectedAccuracy
+              << ", max column bound "
+              << kReferenceSlo.maxColumnErrorBound << ")\n";
 
     report.metric("plans", static_cast<double>(outcomes.size()));
     report.metric("voted_plans",
@@ -349,6 +309,8 @@ main(int argc, char **argv)
     report.metric("max_measured_rate", maxMeasured);
     report.metric("plans_with_nonzero_bound",
                   static_cast<double>(certifiedNonZero));
+    report.metric("slo_infeasible_plans",
+                  static_cast<double>(sloInfeasible));
     benchutil::recordCacheStats(report, *session);
     report.save();
 
@@ -361,6 +323,11 @@ main(int argc, char **argv)
         std::cerr << "bench_certify: FAILED — certified bounds are "
                      "vacuous (median slack " << slack << "x > "
                   << kVacuousSlack << "x)\n";
+        return 1;
+    }
+    if (sloInfeasible != 0) {
+        std::cerr << "bench_certify: FAILED — " << sloInfeasible
+                  << " certificate(s) miss the reference SLO\n";
         return 1;
     }
     std::cout << "bench_certify: PASS\n";

@@ -244,7 +244,7 @@ main(int argc, char **argv)
     // O(log n) waves; the old left fold chained 15 dependent steps
     // into 31 waves. Non-zero exit on regression.
     const MicroProgram xorTree =
-        service.engine().compile(pool, pool.mkXor(cols));
+        Compiler(CompilerOptions{}).compile(pool, pool.mkXor(cols));
     const int chainWaves = 1 + 2 * (16 - 1); // Loads + 15 XOR steps.
     const int treeWaves = 1 + 2 * 4;         // Loads + 4 tree levels.
     report.metric("xor16_waves", xorTree.numWaves);
@@ -280,7 +280,7 @@ main(int argc, char **argv)
     const FleetQueryStats &fused = cold.queries[fusedIndex];
 
     EngineOptions chainedOptions = options;
-    chainedOptions.compiler.maxGateInputs = 2;
+    chainedOptions.maxGateInputs = 2;
     QueryService chainedService(session, chainedOptions);
     const FleetQueryStats chained = std::move(
         chainedService

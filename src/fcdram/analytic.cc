@@ -238,7 +238,8 @@ AnalyticAnalyzer::logicCells(BankId bank, BoolOp op, RowId refGlobal,
     const RowAddress com = decomposeRow(geometry, comGlobal);
     const ActivationSets sets =
         chip_.decoder().neighborActivation(ref.localRow, com.localRow);
-    if (!sets.simultaneous || sets.nrf() != sets.nrl())
+    // A gate needs two inputs (SuccessModel::logicMargin).
+    if (!sets.simultaneous || sets.nrf() != sets.nrl() || sets.nrl() < 2)
         return swept;
     const int n = sets.nrl();
 

@@ -90,9 +90,9 @@ class AnalyticAnalyzer
 
     /**
      * Per-cell samples of a logic operation for one N:N
-     * (RF=reference, RL=compute) pair. For And/Or the compute side is
-     * measured (ownRegion = compute row's region); for Nand/Nor the
-     * reference side.
+     * (RF=reference, RL=compute) pair, N >= 2; empty for any other
+     * activation. For And/Or the compute side is measured (ownRegion
+     * = compute row's region); for Nand/Nor the reference side.
      *
      * @param pattern Random integrates over Binomial(N, 1/2) operand
      *        counts with coupling 0.5; AllOnes/AllZeros use the same
@@ -125,7 +125,7 @@ class AnalyticAnalyzer
      * logicSamples(bank, op, ref, com, variants[v].cond, pattern,
      * variants[v].fixedOnes) reports for the j-th cell @p keep accepts
      * (empty keeps all). One vector per variant, each empty if the
-     * pair is not an N:N simultaneous activation.
+     * pair is not an N:N simultaneous activation with N >= 2.
      */
     std::vector<std::vector<double>>
     logicSweep(BankId bank, BoolOp op, RowId refGlobal, RowId comGlobal,

@@ -35,8 +35,8 @@ SubarrayMapper::sameSubarrayProbe(BankId bank, RowId src, RowId dst,
         BitVector different = ~pattern;
         bender_.writeRow(bank, src, pattern);
         bender_.writeRow(bank, dst, different);
-        // Not Ops::executeRowClone, which asserts one subarray: the
-        // probe looks for pairs that straddle a boundary.
+        // The pair may straddle a subarray boundary: that is what
+        // the probe looks for.
         const obs::DramLabel label("RowClone"); // readRow labels itself.
         bender_.execute(ops.buildRowClone(bank, src, dst));
         const BitVector readback = bender_.readRow(bank, dst);

@@ -42,48 +42,6 @@ Ops::buildMaj(BankId bank, RowId rfGlobal, RowId rlGlobal) const
     return buildDoubleAct(bank, rfGlobal, rlGlobal);
 }
 
-std::optional<BitVector>
-Ops::executeMaj(BankId bank, RowId rfGlobal, RowId rlGlobal,
-                const std::vector<BitVector> &operands)
-{
-    // An even operand count would leave one group row unassigned
-    // (the remainder no longer splits into balanced constant pairs)
-    // and let stale row contents vote in the majority; reject it
-    // outright rather than only in debug builds.
-    if (operands.empty() || operands.size() % 2 == 0) {
-        throw std::invalid_argument(
-            "Ops::executeMaj: operand count must be odd");
-    }
-    const GeometryConfig &geometry = bender_.chip().geometry();
-    const RowAddress rf = decomposeRow(geometry, rfGlobal);
-    const RowAddress rl = decomposeRow(geometry, rlGlobal);
-    assert(rf.subarray == rl.subarray);
-    const auto set = bender_.chip().decoder().sameSubarrayActivation(
-        rf.localRow, rl.localRow);
-    const auto m = operands.size();
-    // m operands + balanced constant pairs + one neutral tiebreaker
-    // must exactly fill the group; the group size is even (a power of
-    // two) and m odd, so the remainder splits into pairs.
-    if (set.size() < m + 1)
-        return std::nullopt;
-    std::vector<RowId> rows;
-    rows.reserve(set.size());
-    for (const RowId local : set)
-        rows.push_back(composeRow(geometry, rf.subarray, local));
-
-    const std::size_t pairs = (set.size() - m - 1) / 2;
-    std::vector<Step> steps;
-    if (!StepWriter{bender_.chip(), bank, steps}.maj(
-            rfGlobal, rlGlobal, rows, m, pairs, pairs))
-        return std::nullopt;
-    std::optional<BitVector> result;
-    runSteps(
-        bender_, steps,
-        [&](std::size_t k) -> const BitVector & { return operands[k]; },
-        [&](const Step &, BitVector bits) { result = std::move(bits); });
-    return result;
-}
-
 std::vector<RowId>
 Ops::executeNot(BankId bank, RowId srcGlobal, RowId dstGlobal)
 {
@@ -101,16 +59,6 @@ Ops::executeNot(BankId bank, RowId srcGlobal, RowId dstGlobal)
         }
     }
     return destinations;
-}
-
-bool
-Ops::executeRowClone(BankId bank, RowId srcGlobal, RowId dstGlobal)
-{
-    assert(sameSubarray(bender_.chip().geometry(), srcGlobal, dstGlobal));
-    const obs::DramLabel label("RowClone");
-    const ExecResult result =
-        bender_.execute(buildRowClone(bank, srcGlobal, dstGlobal));
-    return !result.activations.empty();
 }
 
 RowId

@@ -8,7 +8,9 @@
  * Frac init, reference init, logic fire and MAJ group as Steps for
  * given rows, and runSteps is the one interpreter of Steps. Ops, the
  * paper's trial method (SuccessRateAnalyzer) and the PuD lowering
- * (pud/lower.hh) all build on them.
+ * (pud/lower.hh) all build on them. MAJ and RowClone have no Ops
+ * driver: a MAJ group is StepWriter::maj run through runSteps, and a
+ * RowClone is the buildRowClone program run on the DramBender.
  */
 
 #ifndef FCDRAM_FCDRAM_OPS_HH
@@ -224,12 +226,6 @@ class Ops
                                   RowId dstGlobal);
 
     /**
-     * Execute a RowClone of src onto dst (same subarray).
-     * @return true if the copy path triggered.
-     */
-    bool executeRowClone(BankId bank, RowId srcGlobal, RowId dstGlobal);
-
-    /**
      * Initialize @p row to ~VDD/2 via the Frac idiom
      * (StepWriter::frac): pick a helper row in the same subarray that
      * pair-activates with @p row, write all-1s/all-0s, and interrupt
@@ -268,26 +264,6 @@ class Ops
                                RowId comAnchor,
                                const std::vector<RowId> &refRows,
                                const std::vector<RowId> &computeRows);
-
-    /**
-     * One-shot odd-input in-subarray MAJ (MAJ3 on a 4-row group,
-     * MAJ5 on an 8-row group, generally on the decoder's
-     * (rf, rl)-masked expansion) as StepWriter::maj with one Frac
-     * tiebreaker row and equal numbers of all-1s and all-0s rows,
-     * which cancel in the majority.
-     *
-     * @param operands Odd number of operand bit-vectors,
-     *        operands.size() <= group size - 1.
-     * @return The MAJ result, or nullopt when the pair does not
-     *         expand to a group that can host the gate, the Frac
-     *         initialization fails or the activation opens another
-     *         number of rows.
-     * @throws std::invalid_argument when the operand count is even
-     *         or zero (stale rows would vote in the majority).
-     */
-    std::optional<BitVector>
-    executeMaj(BankId bank, RowId rfGlobal, RowId rlGlobal,
-               const std::vector<BitVector> &operands);
 
   private:
     DramBender &bender_;

@@ -44,6 +44,18 @@ GateSlot::score() const
 
 namespace {
 
+/** Qualifying pairs ranked per gate width before choosing. */
+constexpr int kCandidatePairsPerWidth = 8;
+
+/**
+ * Distinct pair slots kept per gate width, so independent gates of
+ * one wave can be batched onto different subarray pairs.
+ */
+constexpr int kSlotsPerWidth = 2;
+
+/** Probes used by direct (session-less) discovery. */
+constexpr int kProbesPerPair = 4000;
+
 /**
  * Threshold cut of a per-column success-probability vector. Columns
  * the mechanism does not reach (probability sentinel -1.0) never pass
@@ -135,7 +147,8 @@ logicSuccessProbabilities(const Chip &chip, BankId bank, BoolOp op,
     const RowAddress com = decomposeRow(geometry, comGlobal);
     const ActivationSets sets =
         chip.decoder().neighborActivation(ref.localRow, com.localRow);
-    if (!sets.simultaneous || sets.nrf() != sets.nrl())
+    // A gate needs two inputs (SuccessModel::logicMargin).
+    if (!sets.simultaneous || sets.nrf() != sets.nrl() || sets.nrl() < 2)
         return {};
     const int n = sets.nrl();
 
@@ -330,8 +343,8 @@ RowAllocator::discover(const PairContext &context,
                            0xD15CULL + context.bank * 977 +
                                context.lowSubarray * 131));
     return findQualifyingPairs(*chip_, context, query,
-                               options_.probesPerPair,
-                               options_.candidatePairsPerWidth, seed);
+                               kProbesPerPair, kCandidatePairsPerWidth,
+                               seed);
 }
 
 template <class Slot, class Build>
@@ -354,7 +367,7 @@ RowAllocator::rankSlots(std::map<int, std::vector<Slot>> &cache,
     std::vector<Slot> slots;
     const auto full = [&] {
         return static_cast<int>(slots.size()) >=
-               options_.candidatePairsPerWidth;
+               kCandidatePairsPerWidth;
     };
     for (const PairContext &context : contexts_) {
         if (full())
@@ -374,8 +387,8 @@ RowAllocator::rankSlots(std::map<int, std::vector<Slot>> &cache,
                      [](const Slot &a, const Slot &b) {
                          return density(a) > density(b);
                      });
-    if (static_cast<int>(slots.size()) > options_.slotsPerWidth)
-        slots.resize(static_cast<std::size_t>(options_.slotsPerWidth));
+    if (static_cast<int>(slots.size()) > kSlotsPerWidth)
+        slots.resize(static_cast<std::size_t>(kSlotsPerWidth));
     return cache.emplace(key, std::move(slots)).first->second;
 }
 

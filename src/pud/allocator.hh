@@ -43,18 +43,6 @@ struct AllocatorOptions
      * suppresses further.
      */
     double maskThresholdPercent = 99.99;
-
-    /** Qualifying pairs ranked per gate width before choosing. */
-    int candidatePairsPerWidth = 8;
-
-    /**
-     * Distinct pair slots kept per gate width, so independent gates
-     * of one wave can be batched onto different subarray pairs.
-     */
-    int slotsPerWidth = 2;
-
-    /** Probes used by direct (session-less) discovery. */
-    int probesPerPair = 4000;
 };
 
 /** A placed wide-gate execution site. */
@@ -219,9 +207,9 @@ class RowAllocator
      * cached in @p cache under @p key. Walks the module's pair
      * contexts and turns @p query's discovered (first, second) pairs
      * into slots through build(context, first, second) until
-     * candidatePairsPerWidth slots exist (a candidate that build
+     * kCandidatePairsPerWidth slots exist (a candidate that build
      * rejects with nullopt does not count), then keeps the
-     * slotsPerWidth densest, stably sorted.
+     * kSlotsPerWidth densest, stably sorted (allocator.cc).
      */
     template <class Slot, class Build>
     const std::vector<Slot> &
@@ -265,7 +253,8 @@ enum class MarginCase : std::uint8_t { Worst, Best };
  * Per-column per-trial success probability of one executed gate side
  * under @p marginCase, indexed by column id. Columns the mechanism
  * does not reach (outside the subarray pair's shared stripe) hold
- * -1.0; empty when the pair does not activate as N:N simultaneous.
+ * -1.0; empty when the pair does not activate as N:N simultaneous
+ * with N >= 2.
  * Every reliability mask the allocator places is the
  * maskThresholdPercent cut of a Worst vector, and the plan certifier
  * (verify/certify) seeds its flip-probability intervals from the

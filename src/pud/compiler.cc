@@ -43,18 +43,6 @@ MicroProgram::majOps() const
         }));
 }
 
-int
-MicroProgram::maxFanIn() const
-{
-    int widest = 0;
-    for (const MicroOp &op : ops) {
-        if (op.kind == MicroOpKind::Wide ||
-            op.kind == MicroOpKind::Maj)
-            widest = std::max(widest, op.width());
-    }
-    return widest;
-}
-
 const char *
 toString(ComputeBackend backend)
 {

@@ -174,9 +174,6 @@ struct MicroProgram
     int wideOps() const;
     int notOps() const;
     int majOps() const;
-
-    /** Largest Wide/Maj gate width (0 if none). */
-    int maxFanIn() const;
 };
 
 /** Lower an expression DAG to a μprogram. */

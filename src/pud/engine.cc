@@ -25,17 +25,6 @@ toString(BackendChoice choice)
     return "?";
 }
 
-const char *
-toString(VerifyPolicy policy)
-{
-    switch (policy) {
-      case VerifyPolicy::Off: return "off";
-      case VerifyPolicy::Report: return "report";
-      case VerifyPolicy::Enforce: return "enforce";
-    }
-    return "?";
-}
-
 void
 VoteSet::add(const BitVector &bits)
 {
@@ -287,13 +276,6 @@ PudEngine::PudEngine(std::shared_ptr<FleetSession> session,
     }
 }
 
-
-MicroProgram
-PudEngine::compile(const ExprPool &pool, ExprId root) const
-{
-    return Compiler(options_.compiler).compile(pool, root);
-}
-
 std::pair<ComputeBackend, int>
 PudEngine::backendCapability(const Chip &chip) const
 {
@@ -322,16 +304,15 @@ PudEngine::compileFor(const ExprPool &pool, ExprId root,
                       const Chip &chip) const
 {
     const auto [backend, capability] = backendCapability(chip);
-    CompilerOptions compilerOptions = options_.compiler;
+    CompilerOptions compilerOptions;
     compilerOptions.backend = backend;
     // Clamp the gate fan-in to what the chip can activate, so wide
     // gates become trees instead of unplaceable ops on smaller
     // decoders. Chips with no capability at all keep the requested
     // width and fall back per gate at placement.
-    if (capability >= 2) {
-        compilerOptions.maxGateInputs =
-            std::min(compilerOptions.maxGateInputs, capability);
-    }
+    compilerOptions.maxGateInputs =
+        capability >= 2 ? std::min(options_.maxGateInputs, capability)
+                        : options_.maxGateInputs;
     return Compiler(compilerOptions).compile(pool, root);
 }
 
@@ -348,29 +329,6 @@ PudEngine::randomColumns(const std::vector<std::string> &names,
         columns.emplace(name, std::move(bitsVec));
     }
     return columns;
-}
-
-QueryResult
-PudEngine::execute(const MicroProgram &program,
-                   const RowAllocator &allocator, Chip &chip,
-                   std::uint64_t benderSeed,
-                   const std::map<std::string, BitVector> &columns)
-    const
-{
-    // Fail the stale-temperature contract before paying for slot
-    // ranking and placement (the inner overload re-checks).
-    if (allocator.maskTemperature() != chip.temperature()) {
-        std::ostringstream message;
-        message << "PudEngine::execute: allocator masks derived at "
-                << allocator.maskTemperature()
-                << " C but the chip executes at "
-                << chip.temperature()
-                << " C; re-derive the allocator";
-        throw std::invalid_argument(message.str());
-    }
-    return execute(program, allocator.place(program),
-                   allocator.maskTemperature(), chip, benderSeed,
-                   columns);
 }
 
 QueryResult
@@ -561,19 +519,6 @@ PudEngine::execute(const MicroProgram &program,
                     result.dram.latencyNs);
     }
     return result;
-}
-
-QueryResult
-PudEngine::runOnChip(Chip &chip, std::uint64_t seed,
-                     const ExprPool &pool, ExprId root,
-                     const std::map<std::string, BitVector> &columns)
-    const
-{
-    const MicroProgram program = compileFor(pool, root, chip);
-    const RowAllocator allocator(chip, seed, options_.allocator);
-    return execute(program, allocator, chip,
-                   hashCombine(seed, options_.benderSeedSalt),
-                   columns);
 }
 
 } // namespace fcdram::pud

@@ -69,41 +69,21 @@ enum class BackendChoice : std::uint8_t {
 /** Printable name of a backend choice. */
 const char *toString(BackendChoice choice);
 
-/**
- * Static-verification policy applied to every derived plan
- * (src/verify/). Verification runs at plan-derivation time inside the
- * PlanCache, so its cost is paid once per (expression, module) and
- * cached with the plan.
- */
-enum class VerifyPolicy : std::uint8_t {
-    /** Skip verification entirely (no verdicts, no counters). */
-    Off,
-
-    /**
-     * Verify and cache the verdict (telemetry, pudlint, plan
-     * introspection) but never reject: Error-bearing plans still
-     * execute.
-     */
-    Report,
-
-    /**
-     * Verify, cache, and reject: QueryService::submit throws
-     * verify::VerifyError for any plan carrying Error diagnostics.
-     */
-    Enforce,
-};
-
-/** Printable name of a verify policy. */
-const char *toString(VerifyPolicy policy);
-
 /** Execution knobs. */
 struct EngineOptions
 {
-    CompilerOptions compiler;
+    /**
+     * Widest gate the compiler may emit (CompilerOptions::
+     * maxGateInputs); compileFor clamps it further to the chip's
+     * capability. 2 gives the chained 2-input tree of the fusion
+     * ablation.
+     */
+    int maxGateInputs = 16;
+
     AllocatorOptions allocator;
 
     /**
-     * Gate basis queries lower to; overrides compiler.backend. The
+     * Gate basis queries lower to: the only backend selector. The
      * default Auto picks per chip from the decoder's same-subarray
      * capability, so SiMRA-capable designs use the cheaper MAJ basis
      * without explicit opt-in and everything else falls back to
@@ -132,24 +112,13 @@ struct EngineOptions
     ExecMode execMode = ExecMode::WordParallel;
 
     /** Salt for the per-run DramBender session seed. */
-    std::uint64_t benderSeedSalt = 0x9DULL;
-
-    /**
-     * Static plan verification policy. Enforce by default: a plan
-     * carrying Error diagnostics (e.g. a forced backend whose MAJ
-     * groups exceed the design's capability) is rejected at submit
-     * instead of executing with silently wrong or dropped command
-     * sequences. Opt out with Report (verify but never reject) or
-     * Off.
-     */
-    VerifyPolicy verify = VerifyPolicy::Enforce;
+    static constexpr std::uint64_t benderSeedSalt = 0x9DULL;
 
     /**
      * Submit-time accuracy SLO checked against every derived plan's
      * certificate (verify/certify.hh). A certificate missing either
-     * bound reports UPL202 into the plan's verdict, which Enforce
-     * rejects and Report annotates. Disabled by default. Only
-     * evaluated when the verify policy runs (not Off).
+     * bound reports UPL202 (Error) into the plan's verdict, so
+     * QueryService::submit rejects the plan. Disabled by default.
      */
     verify::AccuracySlo slo;
 
@@ -158,7 +127,7 @@ struct EngineOptions
      * analysis (verify/pressure.hh) checks each derived plan against;
      * excesses report UPL201 (Warning) into the plan's verdict.
      */
-    verify::PressureBudget pressure;
+    static constexpr verify::PressureBudget pressure{};
 };
 
 /**
@@ -335,9 +304,6 @@ class PudEngine
         return session_;
     }
 
-    /** Lower an expression with the engine's compiler options as-is. */
-    MicroProgram compile(const ExprPool &pool, ExprId root) const;
-
     /**
      * Lower an expression for one chip: resolves the backend choice
      * and clamps the gate fan-in to backendCapability(chip).
@@ -357,30 +323,6 @@ class PudEngine
      */
     std::pair<ComputeBackend, int>
     backendCapability(const Chip &chip) const;
-
-    /**
-     * One-shot compile + allocate + execute on a private chip (tests,
-     * custom profiles). Production callers hold a PreparedQuery and
-     * submit batches through QueryService (src/pud/service.hh).
-     */
-    QueryResult
-    runOnChip(Chip &chip, std::uint64_t seed, const ExprPool &pool,
-              ExprId root,
-              const std::map<std::string, BitVector> &columns) const;
-
-    /**
-     * Place with @p allocator and execute an already compiled
-     * program.
-     *
-     * @throws std::invalid_argument when the chip's execute-time
-     *         temperature differs from the temperature the
-     *         allocator's reliability masks were derived at (stale
-     *         masks must be re-derived, not silently trusted).
-     */
-    QueryResult
-    execute(const MicroProgram &program, const RowAllocator &allocator,
-            Chip &chip, std::uint64_t benderSeed,
-            const std::map<std::string, BitVector> &columns) const;
 
     /**
      * Execute a program with an already derived placement (the

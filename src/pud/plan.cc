@@ -189,12 +189,12 @@ PlanCache::plan(std::uint64_t exprHash, const ExprPool &pool,
     plan->exprHash = exprHash;
     plan->moduleIndex = module.index;
 
-    if (engine_->options().verify != VerifyPolicy::Off) {
-        // Verify at derivation time so warm submits pay nothing; the
-        // verdict rides the cached plan. Masks were derived at
-        // `temperature` and the service executes the plan at the same
-        // temperature (stale plans re-derive), so both sides of the
-        // UPL009 check are `temperature` here.
+    {
+        // Verify every plan at derivation time so warm submits pay
+        // nothing; the verdict rides the cached plan. Masks were
+        // derived at `temperature` and the service executes the plan
+        // at the same temperature (stale plans re-derive), so both
+        // sides of the UPL009 check are `temperature` here.
         obs::Span span(obs::global(), "plan.verify");
         span.arg("expr", exprHash);
         span.arg("module", static_cast<std::uint64_t>(module.index));

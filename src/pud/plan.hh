@@ -21,10 +21,10 @@
  *    a temperature mismatch as a hard error, so the cache re-plans
  *    instead of ever trusting stale masks).
  *
- * Under EngineOptions::verify != Off, every derived plan is also
- * statically verified (verify::verifyPlan) at derivation time; the
- * verdict is cached in the PlacementPlan (warm submits re-check
- * nothing) and mirrored into the verify.* telemetry counters.
+ * Every derived plan is also statically verified
+ * (verify::verifyPlan) at derivation time; the verdict is cached in
+ * the PlacementPlan (warm submits re-check nothing) and mirrored into
+ * the verify.* telemetry counters.
  *
  * Keys use ExprPool::hashOf, a canonical 64-bit structural hash; two
  * prepared queries with the same content share plans (hash collisions
@@ -95,19 +95,16 @@ struct PlacementPlan
 
     /**
      * Cached static-verification verdict (src/verify/), derived once
-     * with the plan under EngineOptions::verify != Off; empty when
-     * verification is off. QueryService::submit rejects plans whose
-     * verdict carries Errors under VerifyPolicy::Enforce. An
-     * SLO-violating certificate (UPL202) and over-budget rows
-     * (UPL201) land in the same sink.
+     * with the plan. QueryService::submit rejects plans whose verdict
+     * carries Errors. An SLO-violating certificate (UPL202) and
+     * over-budget rows (UPL201) land in the same sink.
      */
     verify::DiagnosticSink verification;
 
     /**
      * Certified per-column error bounds of the plan's result value
-     * (verify/certify.hh), derived with the verdict under
-     * EngineOptions::verify != Off at the engine's redundancy;
-     * default (all-zero bounds, accuracy 1) when verification is off.
+     * (verify/certify.hh), derived with the verdict at the engine's
+     * redundancy.
      */
     verify::PlanCertificate certificate;
 

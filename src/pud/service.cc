@@ -240,11 +240,10 @@ QueryService::runBatchOnModule(const FleetSession::Module &module,
         const std::shared_ptr<const PlacementPlan> plan =
             cache_.plan(state.hash, state.pool, state.root, module,
                         temperature);
-        // Error-bearing plans must not touch the chip under Enforce.
-        // Throwing here propagates through the scheduler (run()
-        // rethrows the first task exception) out of submit().
-        if (engine_.options().verify == VerifyPolicy::Enforce &&
-            plan->verification.hasErrors()) {
+        // Error-bearing plans must not touch the chip. Throwing here
+        // propagates through the scheduler (run() rethrows the first
+        // task exception) out of submit().
+        if (plan->verification.hasErrors()) {
             const bool sloViolation = std::any_of(
                 plan->verification.diagnostics().begin(),
                 plan->verification.diagnostics().end(),

@@ -230,8 +230,7 @@ class QueryService
      * an empty batch, an invalid binding, or explicit columns that
      * do not cover the query at the session geometry. @throws
      * verify::VerifyError when a derived plan carries Error
-     * diagnostics and EngineOptions::verify is VerifyPolicy::Enforce
-     * (the default); Report/Off opt out of rejection.
+     * diagnostics.
      */
     QueryTicket submit(std::vector<BoundQuery> batch,
                        FleetSession::Fleet fleet);

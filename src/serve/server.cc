@@ -338,8 +338,8 @@ QueryServer::flushWindow(Shard &shard, std::vector<Entry> window)
         }
     } catch (...) {
         // One window = one plan: a submit-time rejection (e.g.
-        // verify::VerifyError under Enforce) holds for every entry
-        // of the window identically.
+        // verify::VerifyError) holds for every entry of the window
+        // identically.
         const std::exception_ptr error = std::current_exception();
         for (Entry &entry : window)
             entry.promise.set_exception(error);

@@ -205,7 +205,7 @@ class QueryServer
     /**
      * Queue @p query for execution on @p module. Returns a future
      * resolving to the result (or to the submit-time exception, e.g.
-     * verify::VerifyError under VerifyPolicy::Enforce).
+     * verify::VerifyError for an Error-bearing plan).
      *
      * @throws AdmissionError when the shard queue is at the policy
      *         cap (backpressure; retry after the carried hint).

@@ -22,10 +22,11 @@
  * CPU golden path and carry an error probability of exactly zero.
  *
  * The resulting PlanCertificate is cached on the PlacementPlan next
- * to the lint verdict, rendered by tools/pudlint --certify, checked
- * empirically by bench_certify (measured Monte-Carlo error rates must
- * never exceed the certified upper bounds), and enforced at submit
- * time against an EngineOptions::slo AccuracySlo (UPL202).
+ * to the lint verdict, checked empirically by bench_certify (measured
+ * Monte-Carlo error rates must never exceed the certified upper
+ * bounds, and every corpus certificate must meet its reference SLO),
+ * and enforced at submit time against an EngineOptions::slo
+ * AccuracySlo (UPL202).
  */
 
 #ifndef FCDRAM_VERIFY_CERTIFY_HH
@@ -42,8 +43,8 @@ namespace fcdram::verify {
 /**
  * Submit-time reliability service-level objective. The default is
  * disabled (accepts every certificate); a query service configured
- * with a real SLO rejects (Enforce) or annotates (Report) plans whose
- * certificate misses either bound.
+ * with a real SLO rejects plans whose certificate misses either
+ * bound.
  */
 struct AccuracySlo
 {

@@ -10,7 +10,7 @@
  * Every rule has exactly one severity, fixed in the catalog:
  *
  *  - Error:   the plan is wrong and must not execute (QueryService
- *             rejects it under VerifyPolicy::Enforce);
+ *             rejects it);
  *  - Warning: the plan executes correctly but wastes work or trusts
  *             nothing to DRAM;
  *  - Note:    informational (e.g. counts of intentionally violated

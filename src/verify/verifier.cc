@@ -51,14 +51,6 @@ verifyPlan(const MicroProgram &program, const Placement &placement,
     return sink;
 }
 
-DiagnosticSink
-verifyPlan(const MicroProgram &program, const Placement &placement,
-           const Chip &chip, Celsius maskTemperature)
-{
-    return verifyPlan(program, placement, chip, maskTemperature,
-                      chip.temperature());
-}
-
 std::string
 summarizeVerdict(const DiagnosticSink &report)
 {

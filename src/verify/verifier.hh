@@ -18,8 +18,7 @@
  *
  * The returned DiagnosticSink is the cached verdict: PlanCache stores
  * it in the PlacementPlan (so a warm submit re-checks nothing) and
- * QueryService::submit throws VerifyError for Error-bearing plans
- * under pud::VerifyPolicy::Enforce.
+ * QueryService::submit throws VerifyError for Error-bearing plans.
  */
 
 #ifndef FCDRAM_VERIFY_VERIFIER_HH
@@ -72,11 +71,6 @@ DiagnosticSink verifyPlan(const pud::MicroProgram &program,
                           const Chip &chip, Celsius maskTemperature,
                           Celsius executeTemperature,
                           bool rowCloneCopyIn = false);
-
-/** Same, executing at the chip's current temperature. */
-DiagnosticSink verifyPlan(const pud::MicroProgram &program,
-                          const pud::Placement &placement,
-                          const Chip &chip, Celsius maskTemperature);
 
 /**
  * One-line human summary of a verdict for exception messages and

@@ -610,6 +610,8 @@ TEST(AnalyticOracle, LogicSamplesMatchPerCellReference)
         const Chip chip(profile, test::tinyGeometry(), 3);
         const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
         for (const OraclePair &pair : neighborPairs(chip)) {
+            if (pair.rows < 2)
+                continue; // A gate needs two inputs.
             for (const OpConditions &cond : oracleConditions()) {
                 for (const BoolOp op : {BoolOp::And, BoolOp::Or,
                                         BoolOp::Nand, BoolOp::Nor}) {
@@ -676,9 +678,12 @@ TEST(AnalyticOracle, AllocatorProbabilitiesMatchPerCellReference)
             for (const MarginCase margin_case :
                  {MarginCase::Worst, MarginCase::Best}) {
                 for (const OraclePair &pair : neighborPairs(chip)) {
+                    // A gate needs two inputs; NOT runs on every pair.
                     for (const BoolOp op : {BoolOp::And, BoolOp::Or,
                                             BoolOp::Nand,
                                             BoolOp::Nor}) {
+                        if (pair.rows < 2)
+                            break;
                         const auto want = referenceLogicProbabilities(
                             chip, 0, op, pair.rf, pair.rl, temp,
                             margin_case);
@@ -823,6 +828,8 @@ TEST(AnalyticSweep, LogicSweepMatchesLogicSamplesPerVariant)
         const Chip chip(profile, test::tinyGeometry(), 3);
         const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
         for (const OraclePair &pair : neighborPairs(chip)) {
+            if (pair.rows < 2)
+                continue; // A gate needs two inputs.
             // The first variant equals the baseline; the rest vary the
             // temperature, the ones-count, or both.
             const std::vector<LogicVariant> variants = {
@@ -852,6 +859,37 @@ TEST(AnalyticSweep, LogicSweepMatchesLogicSamplesPerVariant)
         }
     }
     EXPECT_GT(compared, 0u);
+}
+
+TEST(AnalyticSweep, OneInputPairsHaveNoLogicCells)
+{
+    // A gate needs two inputs (SuccessModel::logicMargin): a 1:1 pair
+    // activates, but no logic path evaluates cells on it.
+    int pairs = 0;
+    for (const ChipProfile &profile : test::manufacturerProfiles()) {
+        const Chip chip(profile, test::tinyGeometry(), 3);
+        const AnalyticAnalyzer analyzer(chip, AnalyticConfig{});
+        for (const auto &[rf, rl] : findActivationPairs(chip, 1, 1, 1, 5)) {
+            const RowId ref = composeRow(chip.geometry(), 0, rf);
+            const RowId com = composeRow(chip.geometry(), 1, rl);
+            EXPECT_TRUE(analyzer
+                            .logicSamples(0, BoolOp::And, ref, com,
+                                          OpConditions(),
+                                          PatternClass::Random)
+                            .empty());
+            const auto swept = analyzer.logicSweep(
+                0, BoolOp::And, ref, com, PatternClass::Random,
+                {LogicVariant{}});
+            ASSERT_EQ(swept.size(), 1u);
+            EXPECT_TRUE(swept[0].empty());
+            EXPECT_TRUE(pud::logicSuccessProbabilities(
+                            chip, 0, BoolOp::And, ref, com,
+                            chip.temperature(), MarginCase::Worst)
+                            .empty());
+            ++pairs;
+        }
+    }
+    EXPECT_GT(pairs, 0);
 }
 
 TEST(AnalyticSweep, SweepsReturnOneVectorPerVariant)

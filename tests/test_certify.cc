@@ -4,8 +4,8 @@
  * src/verify/pressure): interval properties of certified bounds on
  * real placed plans, majority-voting amplification, RowClone copy-in
  * widening, the static activation census, and the QueryService SLO
- * integration — an SLO-violating plan rejects under Enforce (UPL202)
- * and executes with its certificate attached under Report — plus the
+ * integration — an SLO-violating plan rejects at submit (UPL202) and
+ * a feasible one executes with its certificate attached — plus the
  * verify.certified_plans / verify.slo_rejections counters and the
  * wallClock-gated verify.certify_ns histogram.
  */
@@ -311,7 +311,7 @@ class CertifySloTest : public ::testing::Test
 
 } // namespace
 
-TEST_F(CertifySloTest, EnforceRejectsSloInfeasiblePlanWithUpl202)
+TEST_F(CertifySloTest, SubmitRejectsSloInfeasiblePlanWithUpl202)
 {
     const GlobalTelemetryGuard guard;
     obs::TelemetryConfig pillars;
@@ -320,7 +320,6 @@ TEST_F(CertifySloTest, EnforceRejectsSloInfeasiblePlanWithUpl202)
 
     EngineOptions options;
     options.slo.maxColumnErrorBound = 0.0; // Unmeetable on DRAM.
-    ASSERT_EQ(options.verify, VerifyPolicy::Enforce);
     QueryService service(session_, options);
     try {
         submitAnd2(service);
@@ -338,26 +337,7 @@ TEST_F(CertifySloTest, EnforceRejectsSloInfeasiblePlanWithUpl202)
     EXPECT_EQ(obs::global().value("verify.certified_plans"), 1u);
 }
 
-TEST_F(CertifySloTest, ReportExecutesWithCertificateAttached)
-{
-    EngineOptions options;
-    options.slo.maxColumnErrorBound = 0.0;
-    options.verify = VerifyPolicy::Report;
-    QueryService service(session_, options);
-    QueryTicket ticket;
-    ASSERT_NO_THROW(ticket = submitAnd2(service));
-    const BatchQueryResult batch = service.collect(ticket);
-    const ModuleQueryStats &stats =
-        batch.queries.front().modules.front();
-    EXPECT_TRUE(stats.result.placed);
-    EXPECT_GT(stats.certificate.worstColumnErrorBound, 0.0);
-    EXPECT_EQ(stats.certificate.perColumnErrorBound.size(),
-              static_cast<std::size_t>(
-                  session_->config().geometry.columns));
-    EXPECT_EQ(stats.certificate.redundancy, 1);
-}
-
-TEST_F(CertifySloTest, FeasibleSloSubmitsUnderEnforce)
+TEST_F(CertifySloTest, FeasibleSloSubmits)
 {
     EngineOptions options;
     options.slo.minExpectedAccuracy = 0.9;
@@ -369,6 +349,13 @@ TEST_F(CertifySloTest, FeasibleSloSubmitsUnderEnforce)
     const ModuleQueryStats &stats =
         batch.queries.front().modules.front();
     EXPECT_GT(stats.certificate.expectedAccuracy, 0.9);
+    // The executed plan carries its certificate.
+    EXPECT_TRUE(stats.result.placed);
+    EXPECT_GT(stats.certificate.worstColumnErrorBound, 0.0);
+    EXPECT_EQ(stats.certificate.perColumnErrorBound.size(),
+              static_cast<std::size_t>(
+                  session_->config().geometry.columns));
+    EXPECT_EQ(stats.certificate.redundancy, 1);
 }
 
 // ---- Telemetry: certify counters, span, wallClock histogram ---------

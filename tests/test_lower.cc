@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "corpus.hh"
 #include "fcdram/analyzer.hh"
 #include "fcdram/classifier.hh"
 #include "fcdram/mapper.hh"
@@ -282,72 +283,32 @@ loweredCommands(const std::vector<LoweredOp> &lowered, int trials)
     return commands;
 }
 
-struct ProfileSpec
-{
-    std::string label;
-    ChipProfile profile;
-    std::vector<BackendChoice> backends;
-};
-
 TEST(LowerTest, ExecutedStreamEqualsLoweredStreamOverLintCorpus)
 {
     // The pudlint corpus: 12 query shapes on the paper's four
     // manufacturer dies, forced backends where the die supports them.
     ExprPool pool;
-    const std::vector<ExprId> cols = makeColumns(pool, 16);
-    std::vector<std::pair<std::string, ExprId>> corpus;
-    for (const int width : {2, 4, 8, 16}) {
-        const std::vector<ExprId> slice(cols.begin(),
-                                        cols.begin() + width);
-        corpus.emplace_back("AND-" + std::to_string(width),
-                            pool.mkAnd(slice));
-        corpus.emplace_back("OR-" + std::to_string(width),
-                            pool.mkOr(slice));
-    }
-    corpus.emplace_back(
-        "(a&~b)|(c&d)",
-        pool.mkOr(pool.mkAnd(cols[0], pool.mkNot(cols[1])),
-                  pool.mkAnd(cols[2], cols[3])));
-    corpus.emplace_back("XOR-4",
-                        pool.mkXor({cols[0], cols[1], cols[2], cols[3]}));
-    corpus.emplace_back("MAJ-3", pool.mkMaj({cols[0], cols[1], cols[2]}));
-    corpus.emplace_back("MAJ-5", pool.mkMaj({cols[0], cols[1], cols[2],
-                                             cols[3], cols[4]}));
-    const std::vector<BackendChoice> all = {BackendChoice::Auto,
-                                            BackendChoice::NandNor,
-                                            BackendChoice::SimraMaj};
-    const std::vector<ProfileSpec> profiles = {
-        {"SKHynix-4Gb-M",
-         ChipProfile::make(Manufacturer::SkHynix, 4, 'M', 8, 2666), all},
-        {"SKHynix-4Gb-A",
-         ChipProfile::make(Manufacturer::SkHynix, 4, 'A', 8, 2133), all},
-        {"Samsung-4Gb-F",
-         ChipProfile::make(Manufacturer::Samsung, 4, 'F', 8, 2666),
-         {BackendChoice::Auto}},
-        {"Micron-8Gb-B",
-         ChipProfile::make(Manufacturer::Micron, 8, 'B', 8, 2666),
-         {BackendChoice::Auto}},
-    };
-
+    const std::vector<corpus::QuerySpec> queries =
+        corpus::buildCorpus(pool);
     const auto session =
         std::make_shared<FleetSession>(CampaignConfig::forTests());
-    constexpr std::uint64_t kChipSeed = 0x11D7;
+    constexpr std::uint64_t kChipSeed = corpus::kChipSeed;
     constexpr int kTrials = 3;
     const auto bits =
         static_cast<std::size_t>(session->config().geometry.columns);
-    const auto data =
-        PudEngine::randomColumns(columnNames(16), bits, kChipSeed);
+    const auto data = PudEngine::randomColumns(corpus::columnNames(),
+                                               bits, kChipSeed);
     obs::TelemetryConfig traced;
     traced.metrics = true;
     traced.dramTrace = true;
 
     int plans = 0;
     std::uint64_t executedActs = 0;
-    for (const ProfileSpec &spec : profiles) {
+    for (const corpus::ProfileSpec &spec : corpus::buildProfiles()) {
         const Chip chip = session->checkoutChip(spec.profile, kChipSeed);
         const RowAllocator allocator(chip, kChipSeed);
         for (const BackendChoice backend : spec.backends) {
-            for (const auto &[label, root] : corpus) {
+            for (const auto &[label, root] : queries) {
                 for (const CopyInMode copyIn :
                      {CopyInMode::HostWrite, CopyInMode::RowClone}) {
                     EngineOptions options;
@@ -494,8 +455,9 @@ TEST(LowerTest, TrialMethodIssuesTheServedRecipe)
             ASSERT_EQ(op.kind, MicroOpKind::Maj);
             const MajSlot &slot = placement.majSlots[static_cast<
                 std::size_t>(placement.majSlotOf[i])];
-            const auto maj = ops.executeMaj(
-                slot.context.bank, slot.rfAnchor, slot.rlAnchor, operands);
+            const auto maj = test::runMaj(bender, slot.context.bank,
+                                          slot.rfAnchor, slot.rlAnchor,
+                                          operands);
             ASSERT_TRUE(maj.has_value());
             trialBits = *maj;
         }

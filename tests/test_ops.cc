@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <tuple>
 
 #include "dram/openbitline.hh"
@@ -60,7 +59,8 @@ TEST_F(OpsFixture, ExecuteRowCloneCopies)
     const BitVector pattern = randomRow(6);
     bender_.writeRow(0, src, pattern);
     bender_.writeRow(0, dst, ~pattern);
-    EXPECT_TRUE(ops_.executeRowClone(0, src, dst));
+    EXPECT_FALSE(
+        bender_.execute(ops_.buildRowClone(0, src, dst)).activations.empty());
     EXPECT_EQ(bender_.readRow(0, dst), pattern);
 }
 
@@ -113,7 +113,7 @@ TEST_F(OpsFixture, InitReferenceWritesConstantsAndFrac)
                 kVddHalf, 0.05);
 }
 
-TEST_F(OpsFixture, ExecuteMajComputesMaj3AndMaj5)
+TEST_F(OpsFixture, MajComputesMaj3AndMaj5)
 {
     // The SiMRA primitives: MAJ3 on a 4-row group, MAJ5 on an 8-row
     // group (with one balanced constant pair padding the remainder).
@@ -130,26 +130,10 @@ TEST_F(OpsFixture, ExecuteMajComputesMaj3AndMaj5)
             operands.push_back(
                 randomRow(static_cast<std::uint64_t>(40 + i)));
         }
-        const auto result = ops_.executeMaj(0, rf, rl, operands);
+        const auto result = test::runMaj(bender_, 0, rf, rl, operands);
         ASSERT_TRUE(result.has_value()) << rows << "-row group";
         EXPECT_EQ(*result, goldenMaj(operands)) << "MAJ" << m;
     }
-}
-
-TEST_F(OpsFixture, ExecuteMajRejectsEvenOperandCount)
-{
-    // An even operand count would leave a stale row voting in the
-    // majority; the precondition is a hard error, not a debug-only
-    // assert.
-    const auto pairs = findSimraPairs(chip_, 4, 1, 11);
-    ASSERT_FALSE(pairs.empty());
-    const RowId rf = composeRow(geometry(), 1, pairs.front().first);
-    const RowId rl = composeRow(geometry(), 1, pairs.front().second);
-    EXPECT_THROW(ops_.executeMaj(0, rf, rl, {}),
-                 std::invalid_argument);
-    EXPECT_THROW(
-        ops_.executeMaj(0, rf, rl, {randomRow(1), randomRow(2)}),
-        std::invalid_argument);
 }
 
 TEST(FindSimraPairs, GroupsMatchRequestedSize)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -48,6 +49,18 @@ makeData(int count, std::size_t bits, std::uint64_t seed)
         data.emplace(std::string("c") + std::to_string(i), std::move(column));
     }
     return data;
+}
+
+/** Largest Wide/Maj gate width of @p program (0 if none). */
+int
+maxFanIn(const MicroProgram &program)
+{
+    int widest = 0;
+    for (const MicroOp &op : program.ops) {
+        if (op.kind == MicroOpKind::Wide || op.kind == MicroOpKind::Maj)
+            widest = std::max(widest, op.width());
+    }
+    return widest;
 }
 
 TEST(ExprPoolTest, InterningDeduplicatesStructurally)
@@ -113,14 +126,14 @@ TEST(CompilerTest, FusesWideGatesUpToSixteenInputs)
     const MicroProgram fused =
         Compiler(CompilerOptions{16}).compile(pool, root);
     EXPECT_EQ(fused.wideOps(), 1);
-    EXPECT_EQ(fused.maxFanIn(), 16);
+    EXPECT_EQ(maxFanIn(fused), 16);
     EXPECT_EQ(fused.numWaves, 2); // Loads, then one gate.
 
     // The fusion ablation: 2-input gates need a 15-gate tree.
     const MicroProgram chained =
         Compiler(CompilerOptions{2}).compile(pool, root);
     EXPECT_EQ(chained.wideOps(), 15);
-    EXPECT_EQ(chained.maxFanIn(), 2);
+    EXPECT_EQ(maxFanIn(chained), 2);
     EXPECT_GT(chained.numWaves, fused.numWaves);
 }
 
@@ -132,7 +145,7 @@ TEST(CompilerTest, SplitsBeyondSixteenInputs)
         Compiler(CompilerOptions{16}).compile(pool, pool.mkAnd(cols));
     // 20 inputs: one 16-wide gate, one 4-wide gate, one 2-wide join.
     EXPECT_EQ(program.wideOps(), 3);
-    EXPECT_EQ(program.maxFanIn(), 16);
+    EXPECT_EQ(maxFanIn(program), 16);
 }
 
 TEST(CompilerTest, NandRidesFreeOnTheAndGate)
@@ -362,7 +375,7 @@ TEST_F(PudEngineTest, IdealChipComputesExactly)
           pool.mkOr(pool.mkAnd(cols[0], pool.mkNot(cols[1])),
                     pool.mkAnd(cols[2], cols[3]))}) {
         const QueryResult result =
-            engine.runOnChip(chip, 17, pool, root, data);
+            test::runOnChip(engine, chip, 17, pool, root, data);
         EXPECT_TRUE(result.placed) << pool.toString(root);
         EXPECT_EQ(result.output, result.golden)
             << pool.toString(root);
@@ -382,16 +395,14 @@ TEST_F(PudEngineTest, WideGateFusionCutsCommands)
     Chip chip = idealChip();
 
     EngineOptions fusedOptions;
-    fusedOptions.compiler.maxGateInputs = 16;
+    fusedOptions.maxGateInputs = 16;
     EngineOptions chainedOptions;
-    chainedOptions.compiler.maxGateInputs = 2;
+    chainedOptions.maxGateInputs = 2;
 
-    const QueryResult fused =
-        PudEngine(session_, fusedOptions)
-            .runOnChip(chip, 23, pool, root, data);
-    const QueryResult chained =
-        PudEngine(session_, chainedOptions)
-            .runOnChip(chip, 23, pool, root, data);
+    const QueryResult fused = test::runOnChip(
+        PudEngine(session_, fusedOptions), chip, 23, pool, root, data);
+    const QueryResult chained = test::runOnChip(
+        PudEngine(session_, chainedOptions), chip, 23, pool, root, data);
 
     ASSERT_TRUE(fused.placed);
     ASSERT_TRUE(chained.placed);
@@ -414,11 +425,10 @@ TEST_F(PudEngineTest, RowCloneCopyInMatchesHostWriteOnIdealChip)
 
     EngineOptions cloneOptions;
     cloneOptions.copyIn = CopyInMode::RowClone;
-    const QueryResult viaClone =
-        PudEngine(session_, cloneOptions)
-            .runOnChip(chip, 29, pool, root, data);
+    const QueryResult viaClone = test::runOnChip(
+        PudEngine(session_, cloneOptions), chip, 29, pool, root, data);
     const QueryResult viaWrite =
-        PudEngine(session_).runOnChip(chip, 29, pool, root, data);
+        test::runOnChip(PudEngine(session_), chip, 29, pool, root, data);
 
     ASSERT_TRUE(viaClone.placed);
     EXPECT_EQ(viaClone.output, viaClone.golden);
@@ -436,12 +446,12 @@ TEST_F(PudEngineTest, RedundancyVotingIsExactOnIdealChip)
     const auto data = makeData(4, bits(), 31);
     Chip chip = idealChip();
     const QueryResult result =
-        engine.runOnChip(chip, 37, pool, pool.mkAnd(cols), data);
+        test::runOnChip(engine, chip, 37, pool, pool.mkAnd(cols), data);
     EXPECT_EQ(result.output, result.golden);
     // Triple execution triples the per-query command count.
     const QueryResult single =
-        PudEngine(session_).runOnChip(chip, 37, pool,
-                                      pool.mkAnd(cols), data);
+        test::runOnChip(PudEngine(session_), chip, 37, pool,
+                        pool.mkAnd(cols), data);
     EXPECT_EQ(result.dram.commands, 3 * single.dram.commands);
 }
 
@@ -535,15 +545,19 @@ TEST_F(PudEngineTest, StaleTemperatureMasksAreRejected)
 
     const RowAllocator allocator(chip, 17);
     EXPECT_EQ(allocator.maskTemperature(), chip.temperature());
+    const MicroProgram program =
+        Compiler(CompilerOptions{}).compile(pool, root);
+    const Placement placement = allocator.place(program);
     chip.setTemperature(chip.temperature() + 20.0);
-    const MicroProgram program = engine.compile(pool, root);
-    EXPECT_THROW(engine.execute(program, allocator, chip, 17, data),
+    EXPECT_THROW(engine.execute(program, placement,
+                                allocator.maskTemperature(), chip, 17,
+                                data),
                  std::invalid_argument);
 
-    // runOnChip derives a fresh allocator from the hot chip, so the
-    // same query re-derives instead of rejecting.
+    // A fresh allocator derived from the hot chip re-derives the
+    // masks, so the same query runs instead of rejecting.
     const QueryResult result =
-        engine.runOnChip(chip, 17, pool, root, data);
+        test::runOnChip(engine, chip, 17, pool, root, data);
     EXPECT_EQ(result.output, result.golden);
 }
 
@@ -593,9 +607,8 @@ TEST_F(PudEngineTest, BackendsAgreeOnIdealChip)
             EngineOptions options;
             options.backend = choice;
             Chip chip = idealChip();
-            const QueryResult result =
-                PudEngine(session_, options)
-                    .runOnChip(chip, 53, pool, root, data);
+            const QueryResult result = test::runOnChip(
+                PudEngine(session_, options), chip, 53, pool, root, data);
             EXPECT_TRUE(result.placed)
                 << toString(choice) << " " << pool.toString(root);
             EXPECT_EQ(result.output, result.golden)
@@ -666,7 +679,7 @@ TEST_F(PudEngineTest, FanInClampsToDecoderCapability)
     const auto data = makeData(
         8, static_cast<std::size_t>(chip.geometry().columns), 61);
     const QueryResult result =
-        engine.runOnChip(chip, 19, pool, pool.mkAnd(cols), data);
+        test::runOnChip(engine, chip, 19, pool, pool.mkAnd(cols), data);
     EXPECT_TRUE(result.placed);
     EXPECT_GT(result.majOps, 1);
     EXPECT_EQ(result.output, result.golden);

@@ -467,7 +467,7 @@ TEST_F(QueryServiceTest, AutoBackendIsTheDefaultAndPicksSimra)
     const auto data = makeData(4, bits(), 171);
     Chip chip = session_->checkoutChip(test::idealProfile(), 21);
     const QueryResult result =
-        engine.runOnChip(chip, 17, pool, pool.mkAnd(cols), data);
+        test::runOnChip(engine, chip, 17, pool, pool.mkAnd(cols), data);
     EXPECT_EQ(result.backend, ComputeBackend::SimraMaj);
     EXPECT_GT(result.majOps, 0);
     EXPECT_EQ(result.output, result.golden);

@@ -686,7 +686,6 @@ TEST_F(QueryServerTest, VerifyErrorPropagatesThroughEveryFuture)
 {
     EngineOptions engineOptions;
     engineOptions.slo.maxColumnErrorBound = 0.0; // Unmeetable.
-    ASSERT_EQ(engineOptions.verify, VerifyPolicy::Enforce);
     auto service =
         std::make_shared<QueryService>(session_, engineOptions);
 

@@ -100,8 +100,8 @@ exerciseChip(Chip &chip, ExecMode mode)
     reads.push_back(bender.readRow(0, composeRow(geometry, 2, 1)));
 
     // Same-subarray RowClone.
-    ops.executeRowClone(0, composeRow(geometry, 0, 0),
-                        composeRow(geometry, 0, 1));
+    bender.execute(ops.buildRowClone(0, composeRow(geometry, 0, 0),
+                                     composeRow(geometry, 0, 1)));
     reads.push_back(bender.readRow(0, composeRow(geometry, 0, 1)));
 
     // Frac initialization (interrupted restore -> analog lane).
@@ -111,9 +111,8 @@ exerciseChip(Chip &chip, ExecMode mode)
     // In-subarray MAJ with the Frac tiebreaker.
     std::vector<BitVector> operands(patterns.begin(),
                                     patterns.begin() + 3);
-    const auto maj = ops.executeMaj(0, composeRow(geometry, 1, 0),
-                                    composeRow(geometry, 1, 5),
-                                    operands);
+    const auto maj = test::runMaj(bender, 0, composeRow(geometry, 1, 0),
+                                  composeRow(geometry, 1, 5), operands);
     if (maj.has_value())
         reads.push_back(*maj);
 
@@ -343,7 +342,8 @@ exerciseShapes(Chip &chip, ExecMode mode)
         const bool frac = ops.fracInit(
             0, group.front() == src ? group.back() : group.front(),
             group).has_value();
-        ops.executeRowClone(0, src, composeRow(geometry, sa, rl));
+        bender.execute(
+            ops.buildRowClone(0, src, composeRow(geometry, sa, rl)));
         read_all(group);
         run.shapes.push_back(std::string(frac ? "Frac " : "") +
                              "RowClone " + std::to_string(k));
@@ -360,9 +360,8 @@ exerciseShapes(Chip &chip, ExecMode mode)
                 bits.randomize(rng);
                 operands.push_back(bits);
             }
-            const auto maj = ops.executeMaj(0, src,
-                                            composeRow(geometry, sa, rl),
-                                            operands);
+            const auto maj = test::runMaj(
+                bender, 0, src, composeRow(geometry, sa, rl), operands);
             if (!maj.has_value())
                 continue;
             run.reads.push_back(*maj);

@@ -13,13 +13,18 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "config/chipprofile.hh"
 #include "dram/geometry.hh"
+#include "fcdram/ops.hh"
+#include "pud/allocator.hh"
+#include "pud/engine.hh"
 #include "stats/summary.hh"
 
 namespace fcdram::test {
@@ -75,6 +80,64 @@ manufacturerProfiles()
             ChipProfile::make(Manufacturer::SkHynix, 4, 'A', 8, 2133),
             ChipProfile::make(Manufacturer::Samsung, 4, 'F', 8, 2666),
             ChipProfile::make(Manufacturer::Micron, 8, 'B', 8, 2666)};
+}
+
+/**
+ * Compile @p root for @p chip, place it with a fresh RowAllocator
+ * seeded @p seed and execute it: the chain a served plan runs
+ * (PudEngine::compileFor, RowAllocator::place, PudEngine::execute),
+ * on a private chip. The allocator's masks are derived at the chip's
+ * current temperature, so a heated chip re-derives them.
+ */
+inline pud::QueryResult
+runOnChip(const pud::PudEngine &engine, Chip &chip, std::uint64_t seed,
+          const pud::ExprPool &pool, pud::ExprId root,
+          const std::map<std::string, BitVector> &columns)
+{
+    const pud::MicroProgram program = engine.compileFor(pool, root, chip);
+    const pud::RowAllocator allocator(chip, seed,
+                                      engine.options().allocator);
+    return engine.execute(
+        program, allocator.place(program), allocator.maskTemperature(),
+        chip, hashCombine(seed, pud::EngineOptions::benderSeedSalt),
+        columns);
+}
+
+/**
+ * One-shot odd-input SiMRA MAJ on the decoder's (rf, rl) group:
+ * StepWriter::maj with one Frac tiebreaker row and equal numbers of
+ * all-1s and all-0s rows (which cancel in the majority), run through
+ * runSteps. nullopt when the group cannot hold the operands plus the
+ * tiebreaker, the Frac init finds no helper or the activation opens
+ * another number of rows.
+ */
+inline std::optional<BitVector>
+runMaj(DramBender &bender, BankId bank, RowId rfGlobal, RowId rlGlobal,
+       const std::vector<BitVector> &operands)
+{
+    const Chip &chip = bender.chip();
+    const GeometryConfig &geometry = chip.geometry();
+    const RowAddress rf = decomposeRow(geometry, rfGlobal);
+    const RowAddress rl = decomposeRow(geometry, rlGlobal);
+    const auto set = chip.decoder().sameSubarrayActivation(rf.localRow,
+                                                           rl.localRow);
+    const std::size_t m = operands.size();
+    if (set.size() < m + 1)
+        return std::nullopt;
+    std::vector<RowId> rows;
+    for (const RowId local : set)
+        rows.push_back(composeRow(geometry, rf.subarray, local));
+    const std::size_t pairs = (set.size() - m - 1) / 2;
+    std::vector<Step> steps;
+    if (!StepWriter{chip, bank, steps}.maj(rfGlobal, rlGlobal, rows, m,
+                                           pairs, pairs))
+        return std::nullopt;
+    std::optional<BitVector> result;
+    runSteps(
+        bender, steps,
+        [&](std::size_t k) -> const BitVector & { return operands[k]; },
+        [&](const Step &, BitVector bits) { result = std::move(bits); });
+    return result;
 }
 
 /** Exact equality of figure results, recursing through containers. */
