@@ -85,6 +85,11 @@ def run_once(tree, args):
     return metrics, hashes[0], result["failed"], result["attempted"]
 
 
+def num(value):
+    """Four significant digits, without an exponent at benchmark scales."""
+    return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
 def worse_by(parent, change, better):
     """How much worse change is than parent, as a fraction of parent."""
     delta = change - parent if better == "lower" else parent - change
@@ -118,13 +123,13 @@ def report(spec, runs):
             listings.append((name, parent, change))
         else:
             verdict = f"within (bound {bound:.0%})"
-        print(f"{name:<10} {f'{p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]':>30} "
-              f"{f'{c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]':>30} "
+        print(f"{name:<10} {f'{num(p_med)} [{num(p_q1)}, {num(p_q3)}]':>30} "
+              f"{f'{num(c_med)} [{num(c_q1)}, {num(c_q3)}]':>30} "
               f"{moved:>+8.1%} {f'{won}/{len(runs)}':>6}  {verdict}")
     for name, parent, change in listings:
         print(f"\n{name}, every run in pair order:")
-        print("  parent " + " ".join(f"{v:.4g}" for v in parent))
-        print("  change " + " ".join(f"{v:.4g}" for v in change))
+        print("  parent " + " ".join(num(v) for v in parent))
+        print("  change " + " ".join(num(v) for v in change))
 
 
 def main():
