@@ -32,17 +32,17 @@
 
 namespace fcdram::pud {
 
-/** Placement knobs. */
+/** Placement constants; no caller sets a placement value. */
 struct AllocatorOptions
 {
     /**
      * Per-cell worst-case success-rate threshold (percent) a column
-     * must meet to be computed in DRAM. The default keeps the
-     * per-trial failure probability of masked columns at or below
-     * 1e-4, which majority voting (EngineOptions::redundancy) then
-     * suppresses further.
+     * must meet to be computed in DRAM. It keeps the per-trial
+     * failure probability of masked columns at or below 1e-4, which
+     * majority voting (EngineOptions::redundancy) then suppresses
+     * further.
      */
-    double maskThresholdPercent = 99.99;
+    static constexpr double maskThresholdPercent = 99.99;
 };
 
 /** A placed wide-gate execution site. */

@@ -2,7 +2,7 @@
  * @file
  * Static activation-pressure analysis: counts, per (bank, row), the
  * ACT commands one plan's execution implies and flags rows whose
- * count exceeds a configurable disturbance budget (UPL201).
+ * count exceeds a disturbance budget (UPL201).
  *
  * The count reads the lowering the engine interprets (pud/lower.hh):
  * each op's per-trial body — the ACTs of its violated-timing
@@ -26,15 +26,18 @@
 
 namespace fcdram::verify {
 
-/** Disturbance budget the pressure analysis enforces. */
+/**
+ * Disturbance budget the pressure analysis enforces. The engine checks
+ * every derived plan against the defaults (EngineOptions::pressure, a
+ * constant); analyzeActivationPressure takes the budget as a parameter.
+ */
 struct PressureBudget
 {
     /**
      * Maximum ACTs any single row may receive within one plan
      * execution before UPL201 fires. The default sits well below
      * contemporary per-refresh-window rowhammer thresholds while
-     * leaving wide-redundancy plans room; deployments characterize
-     * their modules and tighten it.
+     * leaving wide-redundancy plans room.
      */
     int maxRowActivations = 4800;
 };

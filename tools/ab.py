@@ -1,28 +1,29 @@
 #!/usr/bin/env python3
-"""Compare two revisions on one benchmark workload in alternating pairs.
+"""Compare two revisions on every benchmark workload in alternating pairs.
 
-    python3 tools/ab.py PARENT CHANGE --workload serve_hot --pairs 10 \\
-        --seconds 30 --seed 1
+    python3 tools/ab.py PARENT CHANGE
 
 Exports each revision with `git archive` into a temporary directory
-(the checkout is never touched; TMPDIR picks where), then runs
-`perfbench/run.py --trace 0` in each export --pairs times, alternating
-which side goes first. The first run of each side also builds it.
+(the checkout is never touched). For each workload of the change's
+BENCHMARK.json it then runs `perfbench/run.py --trace 0` in each
+export PAIRS times at seed SEED and the benchmark's run_seconds,
+alternating which side goes first. The first run of each side also
+builds it.
 
 For every end-to-end metric of BENCHMARK.json it prints both sides'
 median with its quartiles (nearest rank), how many pairs the change
-won, and a verdict under the metric's bound, relative to the parent's
-median:
+won, and a verdict under the metric's bound, a fraction of the
+parent's median:
 
   worse       the change's median is worse by more than the bound;
-  unresolved  the parent's interquartile range is wider than the bound
-              and not every change run beats every parent run (every
-              run is then listed);
+  unresolved  either side's interquartile range is wider than the
+              bound and not every change run beats every parent run
+              (every run is then listed);
   within      neither.
 
 Exits 1 when a run fails or reports incorrect outputs, or when one
-side's RESULT_HASH differs between its runs; the verdicts never change
-the exit status.
+side's RESULT_HASH differs between its runs of one workload; the
+verdicts never change the exit status.
 """
 
 import argparse
@@ -35,6 +36,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Alternating pairs per workload: the fewest that tell a median shift
+# from run-to-run spread.
+PAIRS = 10
+
+# Workload seed of every run.
+SEED = 1
 
 
 def fail(message):
@@ -63,11 +71,10 @@ def export(rev, dest):
     archive.unlink()
 
 
-def run_once(tree, args):
+def run_once(tree, workload, seconds):
     """One timed run: (metrics, RESULT_HASH, failed, attempted)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, check=False)
     lines = done.stdout.rstrip("\n").split("\n")
@@ -113,13 +120,16 @@ def report(spec, runs):
         won = sum(beats(c, p, better) for p, c in zip(parent, change))
         worse = worse_by(p_med, c_med, better)
         moved = (c_med - p_med) / p_med if p_med else 0.0
-        iqr = (p_q3 - p_q1) / p_med if p_med else 0.0
+        # Both spreads in the bound's unit: a fraction of the parent's
+        # median.
+        p_iqr = (p_q3 - p_q1) / p_med if p_med else 0.0
+        c_iqr = (c_q3 - c_q1) / p_med if p_med else 0.0
         every = all(beats(c, p, better) for c in change for p in parent)
         if worse > bound:
             verdict = f"worse (bound {bound:.0%})"
-        elif iqr > bound and not every:
-            verdict = (f"unresolved (parent IQR {iqr:.0%} > "
-                       f"bound {bound:.0%})")
+        elif max(p_iqr, c_iqr) > bound and not every:
+            verdict = (f"unresolved (IQR parent {p_iqr:.0%}, change "
+                       f"{c_iqr:.0%}; bound {bound:.0%})")
             listings.append((name, parent, change))
         else:
             verdict = f"within (bound {bound:.0%})"
@@ -132,37 +142,23 @@ def report(spec, runs):
         print("  change " + " ".join(num(v) for v in change))
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-    if args.pairs < 1:
-        fail("--pairs must be at least 1")
+def compare(spec, trees, workload, revs):
+    """Run PAIRS alternating pairs of one workload and report them;
+    returns 1 when a side's RESULT_HASH differs between its runs."""
+    seconds = spec["run_seconds"]
+    runs = []
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {side: run_once(trees[side], workload, seconds)
+                for side in order}
+        runs.append(pair)
+        print(f"{workload} pair {i + 1}/{PAIRS} ({order[0]} first): " +
+              ", ".join(f"{side} {pair[side][1]} failed "
+                        f"{pair[side][2]}/{pair[side][3]}"
+                        for side in ("parent", "change")), flush=True)
 
-    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        trees = {}
-        for side in ("parent", "change"):
-            trees[side] = Path(tmp) / side
-            export(getattr(args, side), trees[side])
-        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-
-        runs = []
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: run_once(trees[side], args) for side in order}
-            runs.append(pair)
-            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " +
-                  ", ".join(f"{side} {pair[side][1]} failed "
-                            f"{pair[side][2]}/{pair[side][3]}"
-                            for side in ("parent", "change")), flush=True)
-
-    print(f"\n{args.workload}, seed {args.seed}, {args.seconds} s, "
-          f"{args.pairs} pairs: parent {args.parent}, change {args.change}")
+    print(f"\n{workload}, seed {SEED}, {seconds} s, {PAIRS} pairs: "
+          f"parent {revs['parent']}, change {revs['change']}")
     report(spec, runs)
     status = 0
     for side in ("parent", "change"):
@@ -172,9 +168,28 @@ def main():
         print(f"{side}: RESULT_HASH {' '.join(hashes)}, "
               f"failed {failed} of {attempted}")
         if len(hashes) != 1:
-            print(f"ab: {side}'s RESULT_HASH differs between its runs",
-                  file=sys.stderr)
+            print(f"ab: {workload}: {side}'s RESULT_HASH differs between "
+                  "its runs", file=sys.stderr)
             status = 1
+    print(flush=True)
+    return status
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    revs = vars(parser.parse_args())
+
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {}
+        for side in ("parent", "change"):
+            trees[side] = Path(tmp) / side
+            export(revs[side], trees[side])
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        status = 0
+        for workload in spec["workloads"]:
+            status |= compare(spec, trees, workload["name"], revs)
     sys.exit(status)
 
 
