@@ -37,8 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Alternating pairs per workload: the fewest that tell a median shift
-# from run-to-run spread.
+# Alternating pairs per workload; a gain is claimed only from ten or
+# more.
 PAIRS = 10
 
 # Workload seed of every run.
@@ -108,8 +108,8 @@ def beats(change, parent, better):
 
 
 def report(spec, runs):
-    print(f"\n{'metric':<10} {'parent median [q1, q3]':>30} "
-          f"{'change median [q1, q3]':>30} {'moved':>8} {'won':>6}  verdict")
+    print(f"\n{'metric':<10} {'parent median [q1, q3]':>34} "
+          f"{'change median [q1, q3]':>34} {'moved':>8} {'won':>6}  verdict")
     listings = []
     for metric in spec["end_to_end"]:
         name, better, bound = metric["name"], metric["better"], metric["bound"]
@@ -133,8 +133,8 @@ def report(spec, runs):
             listings.append((name, parent, change))
         else:
             verdict = f"within (bound {bound:.0%})"
-        print(f"{name:<10} {f'{num(p_med)} [{num(p_q1)}, {num(p_q3)}]':>30} "
-              f"{f'{num(c_med)} [{num(c_q1)}, {num(c_q3)}]':>30} "
+        print(f"{name:<10} {f'{num(p_med)} [{num(p_q1)}, {num(p_q3)}]':>34} "
+              f"{f'{num(c_med)} [{num(c_q1)}, {num(c_q3)}]':>34} "
               f"{moved:>+8.1%} {f'{won}/{len(runs)}':>6}  {verdict}")
     for name, parent, change in listings:
         print(f"\n{name}, every run in pair order:")
